@@ -16,21 +16,17 @@
 //
 // --json <path> writes the per-phase and total numbers machine-
 // readably; BENCH_simperf.json in the repo root records a before/after
-// pair for the event-engine fast-path work.
+// pair for the event-engine fast-path work. The boot+fwq and
+// jobstream hashes are pinned by the perf-smoke CI job.
 //
-// --lanes N runs the cluster phases (boot+fwq, jobstream) with N host
-// threads driving per-node event lanes. The merge is deterministic:
-// every phase hash must be bit-identical to the --lanes 1 run (the
-// perf-smoke CI job diffs them). events-micro is a raw single engine
-// with no nodes, so it always runs serially.
-#include <algorithm>
+// Usage: bench_simperf [--quick] [--json <path>] [--help]. Any other
+// argument is an error (exit 2), so a stale flag never silently runs
+// the full bench.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/fwq.hpp"
@@ -55,15 +51,12 @@ struct PhaseResult {
   std::uint64_t simCycles = 0;
   std::uint64_t events = 0;
   std::uint64_t hash = 0;  // schedule hash when the phase has one
-  sim::Engine::LaneStats lanes;  // all-zero when the phase ran serially
 };
 
 // Determinism witness for phases without a service-node schedule hash:
 // fold every node's RAS stream (boot completions, job load/exit, ...)
-// into one digest. Lane-mode runs must reproduce it bit-identically.
-// The final engine clock is deliberately NOT mixed in: a lane window
-// may overshoot the stop predicate by a few tick events, so wall-clock
-// style counters are mode-dependent while the RAS record is not.
+// into one digest. The final engine clock is reported separately as
+// sim_cycles and is not mixed in.
 std::uint64_t rasDigest(rt::Cluster& cluster) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   auto mix = [&h](std::uint64_t v) {
@@ -136,7 +129,7 @@ PhaseResult runEventsMicro(bool quick) {
 
 // --- Phase 2: 32-node boot + FWQ ------------------------------------------
 
-PhaseResult runBootFwq(bool quick, int lanes) {
+PhaseResult runBootFwq(bool quick) {
   PhaseResult r;
   r.name = "boot+fwq";
   const Clock::time_point t0 = Clock::now();
@@ -148,7 +141,6 @@ PhaseResult runBootFwq(bool quick, int lanes) {
   // tick + daemons), which keeps the decrementer re-arm path hot.
   cfg.nodeKernels.assign(32, rt::KernelKind::kCnk);
   for (int n = 24; n < 32; ++n) cfg.nodeKernels[n] = rt::KernelKind::kFwk;
-  cfg.hostLanes = lanes;
   rt::Cluster cluster(cfg);
   if (!cluster.bootAll(200'000'000)) {
     std::fprintf(stderr, "boot+fwq: boot failed\n");
@@ -166,7 +158,6 @@ PhaseResult runBootFwq(bool quick, int lanes) {
   r.simCycles = cluster.engine().now();
   r.events = cluster.engine().eventsProcessed();
   r.hash = rasDigest(cluster);
-  r.lanes = cluster.engine().laneStats();
   return r;
 }
 
@@ -183,7 +174,7 @@ std::shared_ptr<kernel::ElfImage> workImage(int id, std::uint64_t reps,
                                           std::move(b).build());
 }
 
-PhaseResult runJobstream(bool quick, int lanes) {
+PhaseResult runJobstream(bool quick) {
   PhaseResult r;
   r.name = "jobstream";
   const int jobs = quick ? 30 : 60;
@@ -195,7 +186,6 @@ PhaseResult runJobstream(bool quick, int lanes) {
   cfg.nodeKernels.assign(8, rt::KernelKind::kCnk);
   cfg.nodeKernels[6] = rt::KernelKind::kFwk;
   cfg.nodeKernels[7] = rt::KernelKind::kFwk;
-  cfg.hostLanes = lanes;
   rt::Cluster cluster(cfg);
   svc::ServiceHost host(cluster, svc::ServiceNodeConfig{});
 
@@ -229,7 +219,6 @@ PhaseResult runJobstream(bool quick, int lanes) {
   r.simCycles = cluster.engine().now();
   r.events = cluster.engine().eventsProcessed();
   r.hash = host.metrics().scheduleHash;
-  r.lanes = cluster.engine().laneStats();
   return r;
 }
 
@@ -260,49 +249,52 @@ sim::Json phaseJson(const PhaseResult& p) {
                   static_cast<unsigned long long>(p.hash));
     j.set("schedule_hash", std::string(buf));
   }
-  if (p.lanes.windows != 0) {
-    sim::Json l = sim::Json::object();
-    l.set("windows", p.lanes.windows);
-    l.set("shared_ops", p.lanes.sharedOps);
-    l.set("lane_events", p.lanes.laneEvents);
-    l.set("serial_events", p.lanes.serialEvents);
-    l.set("causality_violations", p.lanes.causalityViolations);
-    l.set("max_outbox_depth", p.lanes.maxOutboxDepth);
-    j.set("lane_stats", std::move(l));
-  }
   return j;
+}
+
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: bench_simperf [--quick] [--json <path>] [--help]\n"
+               "  --quick        shorter phases (CI smoke)\n"
+               "  --json <path>  write per-phase results as JSON\n"
+               "  --help         print this message and exit\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  int lanes = 1;
-  const char* jsonPath = bg::bench::jsonPathArg(argc, argv);
+  const char* jsonPath = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      lanes = std::atoi(argv[++i]);
-      if (lanes < 1) lanes = 1;
+    if (std::strcmp(argv[i], "--help") == 0) {
+      usage(stdout);
+      return 0;
+    }
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      jsonPath = argv[++i];
+    } else {
+      std::fprintf(stderr, "bench_simperf: %s '%s'\n",
+                   std::strcmp(argv[i], "--json") == 0 ? "missing value for"
+                                                       : "unknown argument",
+                   argv[i]);
+      usage(stderr);
+      return 2;
     }
   }
 
   std::printf("simperf: host throughput of the simulator (wall clock)\n");
   std::printf("mix: events-micro + 32-node boot+FWQ + 8-node jobstream%s\n",
               quick ? " (--quick)" : "");
-  if (lanes > 1) {
-    std::printf("lanes: %d host threads over per-node event lanes "
-                "(%u cores on this host)\n",
-                lanes, std::thread::hardware_concurrency());
-  }
   bg::bench::printRule();
 
   std::vector<PhaseResult> phases;
   phases.push_back(runEventsMicro(quick));
   printPhase(phases.back());
-  phases.push_back(runBootFwq(quick, lanes));
+  phases.push_back(runBootFwq(quick));
   printPhase(phases.back());
-  phases.push_back(runJobstream(quick, lanes));
+  phases.push_back(runJobstream(quick));
   printPhase(phases.back());
 
   PhaseResult total;
@@ -319,11 +311,6 @@ int main(int argc, char** argv) {
     bg::sim::Json j = bg::sim::Json::object();
     j.set("bench", "simperf");
     j.set("quick", quick);
-    j.set("lanes", static_cast<std::int64_t>(lanes));
-    j.set("cores_used",
-          static_cast<std::int64_t>(std::min(
-              static_cast<unsigned>(lanes),
-              std::max(1u, std::thread::hardware_concurrency()))));
     bg::sim::Json arr = bg::sim::Json::array();
     for (const PhaseResult& p : phases) arr.push(phaseJson(p));
     j.set("phases", std::move(arr));

@@ -11,14 +11,6 @@ void BarrierNet::configureGroup(std::uint64_t groupId, int members) {
 
 void BarrierNet::arrive(std::uint64_t groupId, int nodeId,
                         std::function<void()> onRelease) {
-  engine_.sharedOp([this, groupId, nodeId,
-                    onRelease = std::move(onRelease)]() mutable {
-    arriveNow(groupId, nodeId, std::move(onRelease));
-  });
-}
-
-void BarrierNet::arriveNow(std::uint64_t groupId, int nodeId,
-                           std::function<void()>&& onRelease) {
   Group& g = groups_[groupId];
   assert(g.expected > 0 && "barrier group not configured");
   g.waiters.emplace_back(nodeId, std::move(onRelease));
@@ -29,17 +21,6 @@ void BarrierNet::arriveNow(std::uint64_t groupId, int nodeId,
   g.arrived = 0;
   g.waiters.clear();
   ++completed_;
-  if (engine_.laneMode()) {
-    // Per-waiter release events so each callback runs on its own
-    // node's lane; all members still release at the same cycle.
-    const sim::Cycle when = engine_.now() + cfg_.latency;
-    for (auto& [node, fn] : waiters) {
-      if (!fn) continue;
-      engine_.scheduleAtForNode(node, when,
-                                [fn = std::move(fn)] { fn(); });
-    }
-    return;
-  }
   engine_.schedule(cfg_.latency, [waiters = std::move(waiters)]() {
     for (const auto& [node, fn] : waiters) {
       if (fn) fn();

@@ -57,11 +57,6 @@ class BarrierNet {
     std::vector<std::pair<int, std::function<void()>>> waiters;
   };
 
-  /// Body of arrive(); runs serially (inline in plain mode, merged at
-  /// the lane barrier in lane mode) because it mutates group state.
-  void arriveNow(std::uint64_t groupId, int nodeId,
-                 std::function<void()>&& onRelease);
-
   sim::Engine& engine_;
   BarrierConfig cfg_;
   bool persistent_ = false;

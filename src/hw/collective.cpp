@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 
 namespace bg::hw {
 
@@ -13,31 +12,7 @@ void CollectiveNet::deliver(CollPacket&& p) {
   if (it != handlers_.end() && it->second) it->second(std::move(p));
 }
 
-void CollectiveNet::scheduleDelivery(sim::Cycle when, CollPacket&& p) {
-  if (engine_.laneMode()) {
-    // Count at schedule time (serial context); the delivery event runs
-    // on the destination's lane and must touch only that node's state.
-    ++packetsDelivered_;
-    bytesDelivered_ += p.payload.size();
-    const int dst = p.dstNode;
-    engine_.scheduleAtForNode(dst, when, [this, p = std::move(p)]() mutable {
-      auto it = handlers_.find(p.dstNode);
-      if (it != handlers_.end() && it->second) it->second(std::move(p));
-    });
-    return;
-  }
-  engine_.scheduleAt(when, [this, p = std::move(p)]() mutable {
-    deliver(std::move(p));
-  });
-}
-
 void CollectiveNet::send(CollPacket packet) {
-  engine_.sharedOp([this, p = std::move(packet)]() mutable {
-    sendNow(std::move(p));
-  });
-}
-
-void CollectiveNet::sendNow(CollPacket&& packet) {
   const std::uint64_t bytes = packet.payload.size();
   const sim::Cycle now = engine_.now();
   sim::Cycle& busy = uplinkBusyUntil_[packet.srcNode];
@@ -57,28 +32,21 @@ void CollectiveNet::sendNow(CollPacket&& packet) {
     }
     arrive += f.extraDelay;
     if (f.duplicate) {
-      CollPacket dup = packet;  // copy
-      scheduleDelivery(arrive + f.duplicateDelay, std::move(dup));
+      engine_.scheduleAt(arrive + f.duplicateDelay,
+                         [this, p = packet]() mutable {  // copy
+                           deliver(std::move(p));
+                         });
     }
   }
 
-  scheduleDelivery(arrive, std::move(packet));
+  engine_.scheduleAt(arrive, [this, p = std::move(packet)]() mutable {
+    deliver(std::move(p));
+  });
 }
 
 void CollectiveNet::contribute(std::uint64_t groupId, int nodeId,
                                std::vector<double> values, int groupSize,
                                ReduceHandler onResult) {
-  engine_.sharedOp([this, groupId, nodeId, values = std::move(values),
-                    groupSize, onResult = std::move(onResult)]() mutable {
-    contributeNow(groupId, nodeId, std::move(values), groupSize,
-                  std::move(onResult));
-  });
-}
-
-void CollectiveNet::contributeNow(std::uint64_t groupId, int nodeId,
-                                  std::vector<double>&& values,
-                                  int groupSize,
-                                  ReduceHandler&& onResult) {
   Reduction& r = reductions_[groupId];
   if (r.expected == 0) {
     r.expected = groupSize;
@@ -98,19 +66,6 @@ void CollectiveNet::contributeNow(std::uint64_t groupId, int nodeId,
   auto done = std::move(r.waiters);
   auto result = std::move(r.sum);
   reductions_.erase(groupId);
-  if (engine_.laneMode()) {
-    // Fan the release out per waiter so each handler runs on its own
-    // node's lane (all at the same cycle, lane-merge ordered).
-    auto shared =
-        std::make_shared<const std::vector<double>>(std::move(result));
-    const sim::Cycle when = engine_.now() + lat;
-    for (auto& [node, handler] : done) {
-      if (!handler) continue;
-      engine_.scheduleAtForNode(
-          node, when, [h = std::move(handler), shared] { h(*shared); });
-    }
-    return;
-  }
   engine_.schedule(lat, [done = std::move(done),
                          result = std::move(result)]() {
     for (const auto& [node, handler] : done) {

@@ -84,14 +84,6 @@ class CollectiveNet {
   }
 
   void deliver(CollPacket&& p);
-  /// Bodies of send/contribute; run serially (directly in plain mode,
-  /// via the engine's shared-op merge in lane mode) because they touch
-  /// cross-node state: uplink serialization, reductions, fault draws.
-  void sendNow(CollPacket&& packet);
-  void contributeNow(std::uint64_t groupId, int nodeId,
-                     std::vector<double>&& values, int groupSize,
-                     ReduceHandler&& onResult);
-  void scheduleDelivery(sim::Cycle when, CollPacket&& p);
 
   sim::Engine& engine_;
   CollectiveConfig cfg_;

@@ -39,9 +39,6 @@ void Core::kick() {
   // pendingIrqs_ and are delivered after unhang().
   if (hung_ || inSlice_ || sliceScheduled_) return;
   sliceScheduled_ = true;
-  // Kicks can come from control code (job load, IRQ injection from the
-  // service node); pin the slice stream onto this node's lane.
-  sim::Engine::LaneGuard laneGuard(node_.engine(), node_.laneTag());
   node_.engine().scheduleTask(0, &sliceTask_);
 }
 
@@ -51,7 +48,6 @@ void Core::raise(Irq irq) {
 }
 
 void Core::setDecrementer(sim::Cycle delay) {
-  sim::Engine::LaneGuard laneGuard(node_.engine(), node_.laneTag());
   if (delay == 0) {
     decDeadline_ = 0;
     if (decEvent_ != 0) {

@@ -35,33 +35,9 @@ Machine::Machine(const MachineConfig& cfg)
       collFaults_(cfg_.seed, "collective-faults"),
       torusFaults_(cfg_.seed, "torus-faults"),
       memFaults_(cfg_.seed, "mem-faults") {
-  // Per-node fault streams (seed ^ nodeId) and stats slots, created
-  // serially up front so parallel lanes never mutate shared state.
+  // Per-node fault streams (seed ^ nodeId) and stats slots; they must
+  // exist before the first fault judgement.
   memFaults_.attachNodes(cfg_.computeNodes);
-  if (cfg_.hostLanes > 1) {
-    // One lane per node (compute, I/O, spares); lane tags are a pure
-    // function of node ids, so the schedule cannot depend on which
-    // host thread runs which lane.
-    const int totalIo = cfg_.ioNodes + cfg_.spareIoNodes;
-    const auto lanes =
-        static_cast<std::uint32_t>(cfg_.computeNodes + totalIo);
-    sim::Cycle la = cfg_.laneLookahead;
-    if (la == 0) {
-      la = std::min(static_cast<sim::Cycle>(cfg_.collective.perHopLatency) *
-                        static_cast<sim::Cycle>(cfg_.collective.treeDepth),
-                    cfg_.barrier.latency);
-    }
-    engine_.configureLanes(lanes, static_cast<std::uint32_t>(cfg_.hostLanes),
-                           la);
-    for (int i = 0; i < cfg_.computeNodes; ++i) {
-      engine_.setNodeLane(i, static_cast<std::uint32_t>(1 + i));
-    }
-    for (int j = 0; j < totalIo; ++j) {
-      engine_.setNodeLane(
-          kIoNodeIdBase + j,
-          static_cast<std::uint32_t>(1 + cfg_.computeNodes + j));
-    }
-  }
   collFaults_.setDefaultRates(cfg_.collectiveFaults);
   torusFaults_.setDefaultRates(cfg_.torusFaults);
   collective_.setFaultModel(&collFaults_);

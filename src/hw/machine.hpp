@@ -41,21 +41,6 @@ struct MachineConfig {
   /// all-zero defaults draw nothing and change nothing).
   MemFaultRates memFaults;
   std::uint64_t seed = 42;
-  /// Host threads executing per-node event lanes (tentpole: parallel
-  /// lane mode). 1 = the plain single-threaded engine, bit-exact with
-  /// every prior release. N>1 splits the event stream into one lane
-  /// per node; the merged schedule is identical at any thread count.
-  /// Compatible with memFaults: each node judges against its own RNG
-  /// stream (seed ^ nodeId) and stats slot, so per-lane execution
-  /// never races on the fault model.
-  int hostLanes = 1;
-  /// Conservative lane lookahead in cycles; 0 derives it from the
-  /// cheapest cross-node interaction that merges at the window barrier
-  /// (collective tree traversal vs. global barrier latency). Torus
-  /// hop floors sit below that window, so torus-heavy workloads are
-  /// only timing-exact with hostLanes = 1 (the engine counts such
-  /// sub-lookahead deliveries as causality violations).
-  sim::Cycle laneLookahead = 0;
 };
 
 class Machine {

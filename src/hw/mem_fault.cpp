@@ -4,8 +4,8 @@ namespace bg::hw {
 
 // Each judge draws at most once per enabled fault class, in a fixed
 // order, from the judged node's own stream, so a node's stream
-// advances identically for identical traffic on that node — whatever
-// the rest of the machine does, and whichever host lane runs it.
+// advances identically for identical traffic on that node, whatever
+// the rest of the machine does.
 // A zero rate draws nothing at all — the `> 0.0` guards are the
 // zero-RNG-when-clean contract, not an optimization.
 

@@ -14,8 +14,8 @@
 // "mem-faults")`) created up front by the Machine, and judging happens
 // at deterministic points in the simulation (DDR accesses, L1 line
 // fills, slice starts), so the same seed yields the same fault pattern
-// on every run — and, because streams and their counters are strictly
-// per node, judging is safe from parallel per-node event lanes.
+// on every run. Streams and their counters are strictly per node, so
+// one node's fault pattern never depends on another node's traffic.
 #pragma once
 
 #include <cstdint>
@@ -68,9 +68,8 @@ class MemFaultModel {
       : seed_(seed), component_(component) {}
 
   /// Create the per-node RNG streams (seed ^ nodeId) and per-node
-  /// stats slots. Must be called once, before any judging, from a
-  /// single thread — the Machine does this at construction so lanes
-  /// never mutate shared state.
+  /// stats slots. Must be called once, before any judging — the
+  /// Machine does this at construction.
   void attachNodes(int count) {
     rngs_.reserve(static_cast<std::size_t>(count));
     for (int n = static_cast<int>(rngs_.size()); n < count; ++n) {
@@ -152,7 +151,7 @@ class MemFaultModel {
   std::vector<sim::Rng> rngs_;          // one stream per node
   MemFaultRates defaults_;
   std::unordered_map<int, MemFaultRates> perNode_;
-  std::vector<MemFaultStats> stats_;    // one slot per node (lane-safe)
+  std::vector<MemFaultStats> stats_;    // one slot per node
 };
 
 }  // namespace bg::hw

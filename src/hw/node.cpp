@@ -6,8 +6,8 @@
 namespace bg::hw {
 
 Node::Node(sim::Engine& engine, int id, const NodeConfig& cfg)
-    : engine_(engine), id_(id), lane_(engine.laneForNode(id)), cfg_(cfg),
-      mem_(cfg.memBytes), ddr_(cfg.ddr), l3_(cfg.l3) {
+    : engine_(engine), id_(id), cfg_(cfg), mem_(cfg.memBytes),
+      ddr_(cfg.ddr), l3_(cfg.l3) {
   cores_.reserve(static_cast<std::size_t>(cfg.cores));
   for (int i = 0; i < cfg.cores; ++i) {
     cores_.push_back(std::make_unique<Core>(i, *this));

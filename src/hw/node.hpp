@@ -57,9 +57,6 @@ class Node {
   sim::Engine& engine() { return engine_; }
   int id() const { return id_; }
   const NodeConfig& config() const { return cfg_; }
-  /// Event lane owning this node (0 = serial lane / plain mode);
-  /// cached at construction from the engine's node→lane mapping.
-  std::uint32_t laneTag() const { return lane_; }
 
   PhysMem& mem() { return mem_; }
   Ddr& ddr() { return ddr_; }
@@ -135,7 +132,6 @@ class Node {
  private:
   sim::Engine& engine_;
   int id_;
-  std::uint32_t lane_ = 0;
   NodeConfig cfg_;
   PhysMem mem_;
   Ddr ddr_;

@@ -225,44 +225,25 @@ sim::Cycle TorusNet::faultRecoveryDelay(int srcNode, std::uint64_t bytes) {
 }
 
 void TorusNet::sendPacket(TorusPacket packet) {
-  engine_.sharedOp([this, p = std::move(packet)]() mutable {
-    sendPacketNow(std::move(p));
-  });
-}
-
-void TorusNet::sendPacketNow(TorusPacket&& packet) {
   auto [start, arrive] =
       reserveRoute(packet.srcNode, packet.dstNode, packet.payload.size());
   (void)start;
   if (arrive == kUnreachable) return;  // no healthy route; counted
   arrive += faultRecoveryDelay(packet.srcNode, packet.payload.size());
   bytesMoved_ += packet.payload.size();
-  const int dst = packet.dstNode;
-  engine_.scheduleAtForNode(dst, arrive + cfg_.dmaRecvCost,
-                            [this, p = std::move(packet)]() mutable {
-                              auto it = handlers_.find(p.dstNode);
-                              if (it != handlers_.end() && it->second) {
-                                it->second(std::move(p));
-                              }
-                            });
+  engine_.scheduleAt(arrive + cfg_.dmaRecvCost,
+                     [this, p = std::move(packet)]() mutable {
+                       auto it = handlers_.find(p.dstNode);
+                       if (it != handlers_.end() && it->second) {
+                         it->second(std::move(p));
+                       }
+                     });
 }
 
 void TorusNet::dmaPut(int srcNode, PAddr srcPa, int dstNode, PAddr dstPa,
                       std::uint64_t bytes,
                       std::function<void()> onRemoteDelivered,
                       std::function<void()> onLocalComplete) {
-  engine_.sharedOp([this, srcNode, srcPa, dstNode, dstPa, bytes,
-                    rd = std::move(onRemoteDelivered),
-                    lc = std::move(onLocalComplete)]() mutable {
-    dmaPutNow(srcNode, srcPa, dstNode, dstPa, bytes, std::move(rd),
-              std::move(lc));
-  });
-}
-
-void TorusNet::dmaPutNow(int srcNode, PAddr srcPa, int dstNode, PAddr dstPa,
-                         std::uint64_t bytes,
-                         std::function<void()>&& onRemoteDelivered,
-                         std::function<void()>&& onLocalComplete) {
   Node* src = nodes_.at(srcNode);
   Node* dst = nodes_.at(dstNode);
   bytesMoved_ += bytes;
@@ -276,14 +257,12 @@ void TorusNet::dmaPutNow(int srcNode, PAddr srcPa, int dstNode, PAddr dstPa,
         engine_.now() + cfg_.dmaInjectCost +
         static_cast<sim::Cycle>(static_cast<double>(bytes) /
                                 cfg_.bytesPerCycle / 4.0);
-    engine_.scheduleAtForNode(srcNode, done,
-                              [cb = std::move(onRemoteDelivered)] {
-                                if (cb) cb();
-                              });
-    engine_.scheduleAtForNode(srcNode, done,
-                              [cb = std::move(onLocalComplete)] {
-                                if (cb) cb();
-                              });
+    engine_.scheduleAt(done, [cb = std::move(onRemoteDelivered)] {
+      if (cb) cb();
+    });
+    engine_.scheduleAt(done, [cb = std::move(onLocalComplete)] {
+      if (cb) cb();
+    });
     return;
   }
 
@@ -292,10 +271,9 @@ void TorusNet::dmaPutNow(int srcNode, PAddr srcPa, int dstNode, PAddr dstPa,
     // The destination fell off the healthy graph: the payload is lost
     // but the injection FIFO still drains, so the source's completion
     // counter advances and the app is not wedged on its own send.
-    engine_.scheduleAtForNode(srcNode, engine_.now() + cfg_.dmaInjectCost,
-                              [cb = std::move(onLocalComplete)] {
-                                if (cb) cb();
-                              });
+    engine_.schedule(cfg_.dmaInjectCost, [cb = std::move(onLocalComplete)] {
+      if (cb) cb();
+    });
     return;
   }
   arrive += faultRecoveryDelay(srcNode, bytes);
@@ -310,43 +288,30 @@ void TorusNet::dmaPutNow(int srcNode, PAddr srcPa, int dstNode, PAddr dstPa,
   std::vector<std::byte> buf(bytes);
   src->mem().read(srcPa, buf);
 
-  engine_.scheduleAtForNode(
-      dstNode, arrive + cfg_.dmaInjectCost + cfg_.dmaRecvCost,
+  engine_.scheduleAt(
+      arrive + cfg_.dmaInjectCost + cfg_.dmaRecvCost,
       [dst, dstPa, buf = std::move(buf),
        cb = std::move(onRemoteDelivered)]() mutable {
         dst->mem().write(dstPa, buf);
         if (cb) cb();
       });
-  engine_.scheduleAtForNode(srcNode, injectDone,
-                            [cb = std::move(onLocalComplete)] {
-                              if (cb) cb();
-                            });
+  engine_.scheduleAt(injectDone, [cb = std::move(onLocalComplete)] {
+    if (cb) cb();
+  });
 }
 
 void TorusNet::dmaGet(int srcNode, PAddr localPa, int dstNode,
                       PAddr remotePa, std::uint64_t bytes,
                       std::function<void()> onComplete) {
-  engine_.sharedOp([this, srcNode, localPa, dstNode, remotePa, bytes,
-                    cb = std::move(onComplete)]() mutable {
-    dmaGetNow(srcNode, localPa, dstNode, remotePa, bytes, std::move(cb));
-  });
-}
-
-void TorusNet::dmaGetNow(int srcNode, PAddr localPa, int dstNode,
-                         PAddr remotePa, std::uint64_t bytes,
-                         std::function<void()>&& onComplete) {
   // A get is a small request packet followed by a put coming back.
   auto [reqStart, reqArrive] = reserveRoute(srcNode, dstNode, 32);
   (void)reqStart;
   if (reqArrive == kUnreachable) return;  // request lost; counted
   reqArrive += faultRecoveryDelay(srcNode, 32);
-  engine_.scheduleAtForNode(
-      dstNode, reqArrive + cfg_.dmaRecvCost,
+  engine_.scheduleAt(
+      reqArrive + cfg_.dmaRecvCost,
       [this, srcNode, localPa, dstNode, remotePa, bytes,
        cb = std::move(onComplete)]() mutable {
-        // dmaPut re-enters via sharedOp, so the reverse transfer's
-        // link reservations merge deterministically even though this
-        // request-arrival event runs on the destination's lane.
         dmaPut(dstNode, remotePa, srcNode, localPa, bytes,
                std::move(cb), nullptr);
       });

@@ -131,21 +131,6 @@ class TorusNet {
   std::uint64_t bytesMoved() const { return bytesMoved_; }
 
  private:
-  /// Bodies of the three transfer entry points; run serially (inline
-  /// in plain mode, merged at the lane barrier in lane mode) because
-  /// they reserve shared links and draw fault judgements. Note the
-  /// torus floor latencies sit below the machine's default lane
-  /// lookahead (collective-derived), so in-window torus traffic is
-  /// counted against the engine's causality-violation counter —
-  /// messaging-heavy workloads should run with --lanes 1.
-  void sendPacketNow(TorusPacket&& packet);
-  void dmaPutNow(int srcNode, PAddr srcPa, int dstNode, PAddr dstPa,
-                 std::uint64_t bytes,
-                 std::function<void()>&& onRemoteDelivered,
-                 std::function<void()>&& onLocalComplete);
-  void dmaGetNow(int srcNode, PAddr localPa, int dstNode, PAddr remotePa,
-                 std::uint64_t bytes, std::function<void()>&& onComplete);
-
   /// reserveRoute's arrive value for an unreachable destination.
   static constexpr sim::Cycle kUnreachable = static_cast<sim::Cycle>(-1);
 

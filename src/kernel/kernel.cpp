@@ -10,10 +10,6 @@ KernelBase::KernelBase(hw::Node& node) : node_(node) {
 }
 
 void KernelBase::boot(std::function<void()> onBooted) {
-  // Boot is initiated from control code (cluster bring-up, service
-  // node): pin the whole event chain onto this node's lane so the
-  // kernel comes up inside its own lane, not the serial lane.
-  sim::Engine::LaneGuard laneGuard(engine(), node_.laneTag());
   const auto phases = bootPhases();
   const sim::Cycle start = engine().now();
   sim::Cycle at = 0;
@@ -26,10 +22,7 @@ void KernelBase::boot(std::function<void()> onBooted) {
   engine().schedule(at, [this, start, cb = std::move(onBooted)] {
     booted_ = true;
     bootCycles_ = engine().now() - start;
-    // The completion callback belongs to whoever initiated the boot
-    // (service node, cluster) — cross-lane state, so it merges at the
-    // window barrier instead of running on this node's lane.
-    if (cb) engine().sharedOp([cb = std::move(cb)]() mutable { cb(); });
+    if (cb) cb();
   });
 }
 

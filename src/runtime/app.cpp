@@ -18,8 +18,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   mc.torusFaults = cfg_.torusFaults;
   mc.memFaults = cfg_.memFaults;
   mc.seed = cfg_.seed;
-  mc.hostLanes = cfg_.hostLanes;
-  mc.laneLookahead = cfg_.laneLookahead;
   machine_ = std::make_unique<hw::Machine>(mc);
 
   // I/O nodes: a VFS (RamFS root + NFS mount) served by CIOD.

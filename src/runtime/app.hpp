@@ -59,12 +59,6 @@ struct ClusterConfig {
   /// hangs); same all-zero-default contract as the link rates.
   hw::MemFaultRates memFaults;
   std::uint64_t seed = 42;
-  /// Host threads for parallel per-node event lanes (see
-  /// hw::MachineConfig::hostLanes). 1 = plain serial engine.
-  int hostLanes = 1;
-  /// Lane lookahead override in cycles; 0 = derive from the network
-  /// configs (see hw::MachineConfig::laneLookahead).
-  sim::Cycle laneLookahead = 0;
 };
 
 class Cluster {

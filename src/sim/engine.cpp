@@ -1,48 +1,11 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <thread>
-#include <unordered_map>
 
 namespace bg::sim {
 
-// Coordinator-side state for lane mode. Workers rendezvous on an
-// epoch counter (sense-reversing style: the published epoch is the
-// sense, each worker keeps its private last-seen value) and claim
-// lanes from a shared cursor, so lane-to-thread assignment is dynamic
-// while the logical lane structure — and therefore the schedule — is
-// fixed by node id alone.
-struct Engine::LaneCtl {
-  std::vector<std::unique_ptr<Engine>> lanes;
-  std::unordered_map<int, std::uint32_t> nodeLane;
-  Cycle lookahead = 1;
-  std::uint32_t threads = 1;
-  bool windowActive = false;  // written only while workers are parked
-  Cycle horizonT = 0;  // window cutoff key: events with
-  Cycle horizonB = 0;  // (time, birth) < (horizonT, horizonB) run
-  std::atomic<std::uint64_t> epoch{0};
-  std::atomic<std::uint32_t> nextLane{0};
-  std::atomic<std::uint32_t> doneWorkers{0};
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> causality{0};
-  std::vector<std::thread> pool;
-  std::vector<SharedOp> drainBuf;
-  LaneStats stats;
-};
-
-thread_local Engine* Engine::tlsEngine_ = nullptr;
-thread_local std::uint32_t Engine::tlsLane_ = 0;
-
-Engine::Engine() = default;
-
-Engine::~Engine() {
-  if (ctl_ != nullptr && !ctl_->pool.empty()) {
-    ctl_->stop.store(true, std::memory_order_release);
-    for (std::thread& t : ctl_->pool) t.join();
-  }
-}
+Engine::~Engine() = default;
 
 std::uint32_t Engine::allocSlot() {
   if (freeHead_ != kNoSlot) {
@@ -51,10 +14,6 @@ std::uint32_t Engine::allocSlot() {
     return s;
   }
   slots_.emplace_back();
-  // Lane mode steals the EventId's top byte for the lane tag, so slot
-  // indices must stay below 2^24 (16M concurrent events per lane).
-  assert((parent_ == nullptr && ctl_ == nullptr) ||
-         slots_.size() < (1u << 24));
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -69,12 +28,11 @@ void Engine::freeSlot(std::uint32_t s) {
   freeHead_ = s;
 }
 
-EventId Engine::place(Cycle when, Cycle birth, std::uint32_t s) {
+EventId Engine::place(Cycle when, std::uint32_t s) {
   assert(when >= now_ && "cannot schedule into the past");
   if (when < now_) when = now_;  // defensive clamp if asserts are off
   Slot& slot = slots_[s];
   slot.time = when;
-  slot.birth = birth <= when ? birth : when;
   slot.seq = nextSeq_++;
   slot.active = true;
   ++liveCount_;
@@ -91,27 +49,17 @@ EventId Engine::place(Cycle when, Cycle birth, std::uint32_t s) {
   return (static_cast<std::uint64_t>(s) + 1) << 32 | slot.gen;
 }
 
-EventId Engine::scheduleAtPlain(Cycle when, EventFn fn, Cycle birth) {
+EventId Engine::scheduleAt(Cycle when, EventFn fn) {
   const std::uint32_t s = allocSlot();
   slots_[s].fn = std::move(fn);
-  return place(when, birth, s);
-}
-
-EventId Engine::scheduleTaskAtPlain(Cycle when, Task* task, Cycle birth) {
-  assert(task != nullptr);
-  const std::uint32_t s = allocSlot();
-  slots_[s].task = task;
-  return place(when, birth, s);
-}
-
-EventId Engine::scheduleAt(Cycle when, EventFn fn) {
-  if (ctl_ == nullptr) return scheduleAtPlain(when, std::move(fn), now_);
-  return laneSchedule(contextLane(), when, std::move(fn), nullptr);
+  return place(when, s);
 }
 
 EventId Engine::scheduleTaskAt(Cycle when, Task* task) {
-  if (ctl_ == nullptr) return scheduleTaskAtPlain(when, task, now_);
-  return laneSchedule(contextLane(), when, EventFn{}, task);
+  assert(task != nullptr);
+  const std::uint32_t s = allocSlot();
+  slots_[s].task = task;
+  return place(when, s);
 }
 
 void Engine::pushBucket(std::uint32_t s) {
@@ -123,20 +71,6 @@ void Engine::pushBucket(std::uint32_t s) {
 }
 
 void Engine::cancel(EventId id) {
-  if (ctl_ == nullptr) {
-    cancelPlain(id);
-    return;
-  }
-  const std::uint32_t lane = static_cast<std::uint32_t>(id >> kLaneShift);
-  if (lane > ctl_->lanes.size()) return;  // bogus handle
-  // Inside a window only the owning lane may touch its queue.
-  assert(!ctl_->windowActive || contextLane() == lane ||
-         contextLane() == 0);
-  Engine& q = lane == 0 ? *this : *ctl_->lanes[lane - 1];
-  q.cancelPlain(id & kLaneIdMask);
-}
-
-void Engine::cancelPlain(EventId id) {
   const std::uint64_t hi = id >> 32;
   if (hi == 0 || hi > slots_.size()) return;
   const std::uint32_t s = static_cast<std::uint32_t>(hi - 1);
@@ -272,11 +206,6 @@ std::uint32_t Engine::peekNextSlot() {
 }
 
 bool Engine::step() {
-  if (ctl_ != nullptr) return laneStepCanonical();
-  return stepPlain();
-}
-
-bool Engine::stepPlain() {
   const std::uint32_t s = peekNextSlot();
   if (s == kNoSlot) return false;
   Bucket& bk = ring_[peekBucket_];
@@ -291,7 +220,6 @@ bool Engine::stepPlain() {
   }
   Slot& slot = slots_[s];
   now_ = slot.time;
-  curBirth_ = slot.birth;
   ++processed_;
   if (slot.task != nullptr) {
     Task* task = slot.task;
@@ -306,30 +234,16 @@ bool Engine::stepPlain() {
 }
 
 std::uint64_t Engine::run(std::uint64_t limit) {
-  if (ctl_ != nullptr) return laneDrive(nullptr, limit, kNoTime, nullptr);
   std::uint64_t n = 0;
-  while (n < limit && stepPlain()) ++n;
+  while (n < limit && step()) ++n;
   return n;
 }
 
-std::uint64_t Engine::runBelow(Cycle hT, Cycle hB) {
-  std::uint64_t n = 0;
-  while (liveCount_ > 0) {
-    Cycle t = 0;
-    Cycle b = 0;
-    nextEventKey(&t, &b);
-    if (t > hT || (t == hT && b >= hB)) break;
-    stepPlain();
-    ++n;
-  }
-  return n;
-}
-
-void Engine::nextEventKey(Cycle* t, Cycle* b) {
+Cycle Engine::nextEventTime() {
   if (ringLive_ > 0) {
-    std::uint32_t bkt = static_cast<std::uint32_t>(winStart_) & kRingMask;
+    std::uint32_t b = static_cast<std::uint32_t>(winStart_) & kRingMask;
     for (;;) {
-      const std::uint32_t ob = nextOccupiedBucket(bkt);
+      const std::uint32_t ob = nextOccupiedBucket(b);
       Bucket& bk = ring_[ob];
       while (bk.head < static_cast<std::uint32_t>(bk.items.size()) &&
              !slots_[bk.items[bk.head]].active) {
@@ -341,13 +255,10 @@ void Engine::nextEventKey(Cycle* t, Cycle* b) {
         bk.items.clear();
         bk.head = 0;
         occupied_[ob >> 6] &= ~(1ull << (ob & 63));
-        bkt = (ob + 1) & kRingMask;
+        b = (ob + 1) & kRingMask;
         continue;
       }
-      const Slot& s = slots_[bk.items[bk.head]];
-      *t = s.time;
-      *b = s.birth;
-      return;
+      return slots_[bk.items[bk.head]].time;
     }
   }
   if (ringEntries_ > 0) clearRingTombstones();
@@ -355,427 +266,23 @@ void Engine::nextEventKey(Cycle* t, Cycle* b) {
     freeSlot(heap_.front().slot);
     heapDiscardTop();
   }
-  *t = heap_.front().time;
-  *b = slots_[heap_.front().slot].birth;
-}
-
-Cycle Engine::nextEventTime() {
-  Cycle t = 0;
-  Cycle b = 0;
-  nextEventKey(&t, &b);
-  return t;
+  return heap_.front().time;
 }
 
 void Engine::runUntil(Cycle t) {
-  if (ctl_ != nullptr) {
-    laneDrive(nullptr, UINT64_MAX, t, nullptr);
-    if (now_ < t) now_ = t;
-    for (auto& ln : ctl_->lanes) {
-      if (ln->now_ < t) ln->now_ = t;
-    }
-    return;
-  }
-  while (liveCount_ > 0 && nextEventTime() <= t) stepPlain();
+  while (liveCount_ > 0 && nextEventTime() <= t) step();
   if (now_ < t) now_ = t;
 }
 
 bool Engine::runWhile(const std::function<bool()>& pred,
                       std::uint64_t limit) {
-  if (ctl_ != nullptr) {
-    bool hit = false;
-    laneDrive(&pred, limit, kNoTime, &hit);
-    return hit;
-  }
   std::uint64_t n = 0;
   while (n < limit) {
     if (pred()) return true;
-    if (!stepPlain()) return pred();
+    if (!step()) return pred();
     ++n;
   }
   return pred();
-}
-
-std::size_t Engine::pendingEvents() const {
-  std::size_t n = liveCount_;
-  if (ctl_ != nullptr) {
-    for (const auto& ln : ctl_->lanes) n += ln->liveCount_;
-  }
-  return n;
-}
-
-std::uint64_t Engine::eventsProcessed() const {
-  std::uint64_t n = processed_;
-  if (ctl_ != nullptr) {
-    for (const auto& ln : ctl_->lanes) n += ln->processed_;
-  }
-  return n;
-}
-
-// --- Parallel lanes ------------------------------------------------
-//
-// The driver alternates two regimes:
-//  * serial: while the control lane's next event is not later than
-//    every node lane's next event, it runs on the coordinator thread
-//    with all node lanes parked — control code may touch node state
-//    freely, exactly like the single-threaded engine;
-//  * window: otherwise all node lanes run concurrently up to the
-//    lexicographic cutoff min(next control event key, min lane key +
-//    lookahead) over (time, birth) keys. Cross-lane effects (network
-//    sends, barrier arrivals) are captured per lane as (time, birth,
-//    seq)-stamped shared ops and replayed after the rendezvous in
-//    merged (time, birth, lane, seq) order with the serial clock
-//    warped to each op's time.
-//
-// Nothing in the merge depends on the number of host threads — lanes
-// are bound to node ids, workers only claim which lane to execute —
-// so the schedule is bit-identical at any thread count.
-
-void Engine::configureLanes(std::uint32_t nodeLanes, std::uint32_t threads,
-                            Cycle lookahead) {
-  assert(ctl_ == nullptr && parent_ == nullptr);
-  assert(liveCount_ == 0 && processed_ == 0 &&
-         "configureLanes must precede any scheduling");
-  if (nodeLanes == 0 || threads == 0) return;
-  ctl_ = std::make_unique<LaneCtl>();
-  ctl_->lookahead = lookahead > 0 ? lookahead : 1;
-  ctl_->threads = threads;
-  ctl_->lanes.reserve(nodeLanes);
-  for (std::uint32_t i = 0; i < nodeLanes; ++i) {
-    auto ln = std::make_unique<Engine>();
-    ln->parent_ = this;
-    ctl_->lanes.push_back(std::move(ln));
-  }
-  const std::uint32_t workers = threads > 1 ? threads - 1 : 0;
-  ctl_->pool.reserve(workers);
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    ctl_->pool.emplace_back([this] { workerLoop(); });
-  }
-}
-
-std::uint32_t Engine::laneCount() const {
-  return ctl_ == nullptr ? 0
-                         : static_cast<std::uint32_t>(ctl_->lanes.size());
-}
-
-std::uint32_t Engine::laneThreads() const {
-  return ctl_ == nullptr ? 1 : ctl_->threads;
-}
-
-void Engine::setNodeLane(int nodeId, std::uint32_t lane) {
-  if (ctl_ == nullptr) return;
-  assert(lane <= ctl_->lanes.size());
-  ctl_->nodeLane[nodeId] = lane;
-}
-
-std::uint32_t Engine::laneForNode(int nodeId) const {
-  if (ctl_ == nullptr) return 0;
-  const auto it = ctl_->nodeLane.find(nodeId);
-  return it == ctl_->nodeLane.end() ? 0 : it->second;
-}
-
-std::uint32_t Engine::contextLane() const {
-  return tlsEngine_ == this ? tlsLane_ : 0;
-}
-
-Cycle Engine::laneContextNow() const {
-  const std::uint32_t lane = contextLane();
-  if (lane != 0 && ctl_->windowActive) {
-    return ctl_->lanes[lane - 1]->now_;
-  }
-  return now_;
-}
-
-bool Engine::sharedOpCapturable() const {
-  return contextLane() != 0 && ctl_->windowActive;
-}
-
-void Engine::sharedOpDefer(std::function<void()> fn) {
-  Engine& ln = *ctl_->lanes[contextLane() - 1];
-  // The op replays at the issuing event's merge position: its fire
-  // time and birth (the plain engine would have run it inline there).
-  ln.outbox_.push_back(
-      SharedOp{ln.now_, ln.curBirth_, ln.sharedSeq_++, std::move(fn)});
-}
-
-EventId Engine::laneSchedule(std::uint32_t lane, Cycle when, EventFn fn,
-                             Task* task) {
-  assert(lane <= ctl_->lanes.size());
-  assert(!ctl_->windowActive || lane == contextLane());
-  Engine& q = lane == 0 ? *this : *ctl_->lanes[lane - 1];
-  const Cycle birth = now();  // scheduling context's clock
-  if (when < q.now_) {
-    // A cross-lane effect landed inside the destination lane's past:
-    // the configured lookahead was larger than this interaction's
-    // latency. Deterministic (the drain order is fixed), but timing
-    // shifts vs. the serial engine — counted so tests can assert the
-    // window never admits one.
-    ctl_->causality.fetch_add(1, std::memory_order_relaxed);
-    when = q.now_;
-  }
-  const EventId id = task != nullptr
-                         ? q.scheduleTaskAtPlain(when, task, birth)
-                         : q.scheduleAtPlain(when, std::move(fn), birth);
-  assert(id >> kLaneShift == 0);
-  return id | (static_cast<EventId>(lane) << kLaneShift);
-}
-
-EventId Engine::scheduleAtForNode(int nodeId, Cycle when, EventFn fn) {
-  if (ctl_ == nullptr) return scheduleAtPlain(when, std::move(fn), now_);
-  return laneSchedule(laneForNode(nodeId), when, std::move(fn), nullptr);
-}
-
-EventId Engine::scheduleAtOnLane(std::uint32_t lane, Cycle when,
-                                 EventFn fn) {
-  if (ctl_ == nullptr) return scheduleAtPlain(when, std::move(fn), now_);
-  return laneSchedule(lane, when, std::move(fn), nullptr);
-}
-
-std::uint64_t Engine::laneProcessed() const {
-  std::uint64_t n = processed_;
-  for (const auto& ln : ctl_->lanes) n += ln->processed_;
-  return n;
-}
-
-void Engine::runLaneWindow(std::uint32_t idx, Cycle hT, Cycle hB) {
-  Engine* const prevEng = tlsEngine_;
-  const std::uint32_t prevLane = tlsLane_;
-  tlsEngine_ = this;
-  tlsLane_ = idx + 1;
-  ctl_->lanes[idx]->runBelow(hT, hB);
-  tlsEngine_ = prevEng;
-  tlsLane_ = prevLane;
-}
-
-void Engine::workerLoop() {
-  LaneCtl& c = *ctl_;
-  std::uint64_t seen = 0;
-  for (;;) {
-    std::uint64_t e;
-    int spins = 0;
-    while ((e = c.epoch.load(std::memory_order_acquire)) == seen) {
-      if (c.stop.load(std::memory_order_acquire)) return;
-      if (++spins > 256) std::this_thread::yield();
-    }
-    seen = e;
-    const Cycle hT = c.horizonT;
-    const Cycle hB = c.horizonB;
-    const std::uint32_t laneTotal =
-        static_cast<std::uint32_t>(c.lanes.size());
-    std::uint32_t i;
-    while ((i = c.nextLane.fetch_add(1, std::memory_order_relaxed)) <
-           laneTotal) {
-      runLaneWindow(i, hT, hB);
-    }
-    c.doneWorkers.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void Engine::runWindow(Cycle hT, Cycle hB) {
-  LaneCtl& c = *ctl_;
-  ++c.stats.windows;
-  c.horizonT = hT;
-  c.horizonB = hB;
-  c.nextLane.store(0, std::memory_order_relaxed);
-  c.windowActive = true;
-  if (c.pool.empty()) {
-    // Canonical serial merge: lanes in ascending tag order.
-    for (std::uint32_t i = 0; i < c.lanes.size(); ++i) {
-      runLaneWindow(i, hT, hB);
-    }
-  } else {
-    c.doneWorkers.store(0, std::memory_order_relaxed);
-    c.epoch.fetch_add(1, std::memory_order_release);
-    const std::uint32_t laneTotal =
-        static_cast<std::uint32_t>(c.lanes.size());
-    std::uint32_t i;
-    while ((i = c.nextLane.fetch_add(1, std::memory_order_relaxed)) <
-           laneTotal) {
-      runLaneWindow(i, hT, hB);
-    }
-    const std::uint32_t workers =
-        static_cast<std::uint32_t>(c.pool.size());
-    int spins = 0;
-    while (c.doneWorkers.load(std::memory_order_acquire) != workers) {
-      if (++spins > 256) std::this_thread::yield();
-    }
-  }
-  c.windowActive = false;
-  drainOutboxes();
-  // Every lane event in this window is now merged past; advance the
-  // serial clock so now() outside windows reports the same time a
-  // plain run would after processing those events. The cutoff is
-  // capped at the serial head key, so this never overtakes it.
-  syncSerialClock();
-}
-
-void Engine::syncSerialClock() {
-  for (const auto& ln : ctl_->lanes) {
-    if (ln->now_ > now_) now_ = ln->now_;
-  }
-}
-
-void Engine::drainOutboxes() {
-  LaneCtl& c = *ctl_;
-  std::vector<SharedOp>& buf = c.drainBuf;
-  buf.clear();
-  for (auto& ln : c.lanes) {
-    if (ln->outbox_.empty()) continue;
-    if (ln->outbox_.size() > c.stats.maxOutboxDepth) {
-      c.stats.maxOutboxDepth = ln->outbox_.size();
-    }
-    for (SharedOp& op : ln->outbox_) buf.push_back(std::move(op));
-    ln->outbox_.clear();
-  }
-  if (buf.empty()) return;
-  // Per-lane outboxes are (time, birth, seq)-ascending and were
-  // concatenated in lane order, so a stable sort on (time, birth)
-  // yields the full (time, birth, lane, seq) merge order.
-  std::stable_sort(buf.begin(), buf.end(),
-                   [](const SharedOp& a, const SharedOp& b) {
-                     return a.t != b.t ? a.t < b.t : a.birth < b.birth;
-                   });
-  // op.t < now_ only in the sub-lookahead (torus) regime already
-  // flagged by the causality counter; the serial clock never reverses.
-  for (SharedOp& op : buf) {
-    if (op.t > now_) now_ = op.t;
-    ++c.stats.sharedOps;
-    op.fn();
-  }
-  buf.clear();
-}
-
-std::uint64_t Engine::laneDrive(const std::function<bool()>* pred,
-                                std::uint64_t limit, Cycle until,
-                                bool* predHit) {
-  LaneCtl& c = *ctl_;
-  assert(!c.windowActive && "re-entrant run inside a lane window");
-  std::uint64_t n = 0;
-  if (predHit != nullptr) *predHit = false;
-  for (;;) {
-    if (pred != nullptr && (*pred)()) {
-      if (predHit != nullptr) *predHit = true;
-      return n;
-    }
-    if (n >= limit) {
-      if (pred != nullptr && predHit != nullptr) *predHit = (*pred)();
-      return n;
-    }
-    Cycle t0 = kNoTime;
-    Cycle b0 = 0;
-    if (liveCount_ > 0) nextEventKey(&t0, &b0);
-    Cycle bt = kNoTime;
-    Cycle bb = 0;
-    for (auto& ln : c.lanes) {
-      if (ln->liveCount_ == 0) continue;
-      Cycle t = kNoTime;
-      Cycle b = 0;
-      ln->nextEventKey(&t, &b);
-      if (t < bt || (t == bt && b < bb)) {
-        bt = t;
-        bb = b;
-      }
-    }
-    if (t0 == kNoTime && bt == kNoTime) {
-      if (pred != nullptr && predHit != nullptr) *predHit = (*pred)();
-      return n;
-    }
-    if (until != kNoTime && t0 > until && bt > until) return n;
-    // Serial lane wins same-cycle ties only when its birth key is no
-    // later -- matching plain mode's insertion-order tie break.
-    if (t0 < bt || (t0 == bt && b0 <= bb)) {
-      stepPlain();
-      ++c.stats.serialEvents;
-      ++n;
-      continue;
-    }
-    // Window cutoff: the lexicographically smallest of the lookahead
-    // horizon (bt + lookahead, birth 0), the serial lane's head key,
-    // and the run bound (until + 1, birth 0).
-    Cycle hT = bt + c.lookahead < bt ? kNoTime : bt + c.lookahead;
-    Cycle hB = 0;
-    if (t0 < hT || (t0 == hT && b0 < hB)) {
-      hT = t0;
-      hB = b0;
-    }
-    if (until != kNoTime && until + 1 > until && until + 1 < hT) {
-      hT = until + 1;
-      hB = 0;
-    }
-    const std::uint64_t before = laneProcessed();
-    runWindow(hT, hB);
-    const std::uint64_t ran = laneProcessed() - before;
-    c.stats.laneEvents += ran;
-    n += ran;
-    // ran >= 1 always: the min-lane head key (bt, bb) is strictly
-    // below the cutoff, so the window admits at least that event.
-    assert(ran > 0 && "lane window made no progress");
-  }
-}
-
-bool Engine::laneStepCanonical() {
-  // Single-event step in lane mode: canonical (time, lane) order with
-  // shared ops applied inline (serial context). Used by tests and
-  // manual drivers, not the window driver.
-  LaneCtl& c = *ctl_;
-  assert(!c.windowActive);
-  Engine* q = nullptr;
-  Cycle qt = kNoTime;
-  Cycle qb = 0;
-  std::uint32_t lane = 0;
-  if (liveCount_ > 0) {
-    q = this;
-    nextEventKey(&qt, &qb);
-  }
-  for (std::uint32_t i = 0; i < c.lanes.size(); ++i) {
-    Engine& ln = *c.lanes[i];
-    if (ln.liveCount_ > 0) {
-      Cycle t = kNoTime;
-      Cycle b = 0;
-      ln.nextEventKey(&t, &b);
-      if (t < qt || (t == qt && b < qb)) {
-        qt = t;
-        qb = b;
-        q = &ln;
-        lane = i + 1;
-      }
-    }
-  }
-  if (q == nullptr) return false;
-  // Outside a window now() reads the serial clock; warp it to the
-  // event being dispatched so handlers see their own time.
-  if (qt > now_) now_ = qt;
-  Engine* const prevEng = tlsEngine_;
-  const std::uint32_t prevLane = tlsLane_;
-  tlsEngine_ = this;
-  tlsLane_ = lane;
-  const bool ok = q->stepPlain();
-  tlsEngine_ = prevEng;
-  tlsLane_ = prevLane;
-  return ok;
-}
-
-Engine::LaneStats Engine::laneStats() const {
-  if (ctl_ == nullptr) return LaneStats{};
-  LaneStats s = ctl_->stats;
-  s.causalityViolations =
-      ctl_->causality.load(std::memory_order_relaxed);
-  return s;
-}
-
-Engine::LaneGuard::LaneGuard(Engine& e, std::uint32_t lane) {
-  if (!e.laneMode() || lane == 0) return;
-  prevEng_ = tlsEngine_;
-  prevLane_ = tlsLane_;
-  tlsEngine_ = &e;
-  tlsLane_ = lane;
-  active_ = true;
-}
-
-Engine::LaneGuard::~LaneGuard() {
-  if (active_) {
-    tlsEngine_ = prevEng_;
-    tlsLane_ = prevLane_;
-  }
 }
 
 }  // namespace bg::sim

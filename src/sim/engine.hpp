@@ -21,25 +21,11 @@
 // without bound under decrementer re-arm churn). Handlers are
 // sim::InlineFn — captures of up to three words live inline in the
 // slot, so the common [this] closure never allocates.
-// Parallel lane mode (configureLanes) splits the event stream into
-// per-node lanes, each a private calendar-ring+heap queue, executed by
-// host threads between cross-lane interactions. A conservative
-// lookahead window (the smallest cross-node network latency) bounds
-// how far a lane may run ahead; cross-lane effects are captured as
-// shared ops and drained at the window barrier in (time, birth, lane,
-// seq) order — `birth` is the issuing event's scheduling time, which
-// is exactly what the plain engine's insertion-seq tie-break orders
-// by, so the merged schedule reproduces the single-threaded one and
-// is identical at any thread count.
-// Lane 0 is the serial/control lane (service node, cluster plumbing);
-// it only runs while every node lane is parked at the rendezvous, so
-// control code may touch node state without locks.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
@@ -65,20 +51,17 @@ class Task {
 
 class Engine {
  public:
-  Engine();
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// Current simulated time in the calling context: inside a lane
-  /// window this is the executing lane's clock, otherwise the serial
-  /// (lane-0) clock. In plain mode it is simply the engine clock.
-  Cycle now() const { return ctl_ == nullptr ? now_ : laneContextNow(); }
+  Cycle now() const { return now_; }
 
   /// Schedule fn to run `delay` cycles from now. Returns a handle that
   /// can be passed to cancel().
   EventId schedule(Cycle delay, EventFn fn) {
-    return scheduleAt(now() + delay, std::move(fn));
+    return scheduleAt(now_ + delay, std::move(fn));
   }
 
   /// Schedule fn at an absolute cycle (must be >= now()).
@@ -87,7 +70,7 @@ class Engine {
   /// Schedule a pre-registered task (no closure allocation). The task
   /// must outlive the event (or be cancelled first).
   EventId scheduleTask(Cycle delay, Task* task) {
-    return scheduleTaskAt(now() + delay, task);
+    return scheduleTaskAt(now_ + delay, task);
   }
   EventId scheduleTaskAt(Cycle when, Task* task);
 
@@ -111,78 +94,9 @@ class Engine {
   bool runWhile(const std::function<bool()>& pred,
                 std::uint64_t limit = UINT64_MAX);
 
-  /// Live (scheduled, not cancelled, not yet fired) events, summed
-  /// over every lane in lane mode.
-  std::size_t pendingEvents() const;
-  std::uint64_t eventsProcessed() const;
-
-  // --- Parallel per-node lanes -------------------------------------
-
-  /// Switch this engine into lane mode: `nodeLanes` per-node event
-  /// queues (lane tags 1..nodeLanes; tag 0 stays the serial/control
-  /// lane backed by this engine's own queue) executed by `threads`
-  /// host threads (1 = canonical serial merge, same schedule, no
-  /// concurrency). `lookahead` is the conservative window in cycles —
-  /// no cross-lane effect lands sooner than this, so lanes may run
-  /// that far ahead of each other between rendezvous. Must be called
-  /// before any event is scheduled; 0 lanes/threads keeps plain mode.
-  void configureLanes(std::uint32_t nodeLanes, std::uint32_t threads,
-                      Cycle lookahead);
-  bool laneMode() const { return ctl_ != nullptr; }
-  std::uint32_t laneCount() const;
-  std::uint32_t laneThreads() const;
-
-  /// Bind a simulated node id to a lane tag (1-based). Unmapped ids
-  /// resolve to the serial lane.
-  void setNodeLane(int nodeId, std::uint32_t lane);
-  std::uint32_t laneForNode(int nodeId) const;
-
-  /// Schedule onto the lane owning `nodeId` (the networks use this
-  /// for deliveries). Plain mode: identical to scheduleAt.
-  EventId scheduleAtForNode(int nodeId, Cycle when, EventFn fn);
-  /// Schedule onto an explicit lane tag (tests; serial contexts only).
-  EventId scheduleAtOnLane(std::uint32_t lane, Cycle when, EventFn fn);
-
-  /// A shared (cross-lane) operation: network sends, barrier arrivals,
-  /// anything touching state owned by no single lane. In plain mode
-  /// and in serial contexts it runs inline immediately; inside a lane
-  /// window it is captured with the lane's (time, lane, seq) birth key
-  /// and replayed at the window barrier in merged key order with the
-  /// serial clock warped to the op's time.
-  template <class F>
-  void sharedOp(F&& f) {
-    if (ctl_ == nullptr || !sharedOpCapturable()) {
-      f();
-      return;
-    }
-    sharedOpDefer(std::function<void()>(std::forward<F>(f)));
-  }
-
-  /// Pins the calling (serial) context to a lane so event chains born
-  /// here — kernel boot, core kicks issued from control code — land on
-  /// the node's lane instead of the serial lane. No-op in plain mode.
-  class LaneGuard {
-   public:
-    LaneGuard(Engine& e, std::uint32_t lane);
-    LaneGuard(const LaneGuard&) = delete;
-    LaneGuard& operator=(const LaneGuard&) = delete;
-    ~LaneGuard();
-
-   private:
-    Engine* prevEng_ = nullptr;
-    std::uint32_t prevLane_ = 0;
-    bool active_ = false;
-  };
-
-  struct LaneStats {
-    std::uint64_t windows = 0;       ///< rendezvous rounds executed
-    std::uint64_t sharedOps = 0;     ///< deferred ops replayed at barriers
-    std::uint64_t laneEvents = 0;    ///< events dispatched inside windows
-    std::uint64_t serialEvents = 0;  ///< lane-0 events run by the driver
-    std::uint64_t causalityViolations = 0;  ///< cross-lane effect < lane clock
-    std::uint64_t maxOutboxDepth = 0;
-  };
-  LaneStats laneStats() const;
+  /// Live (scheduled, not cancelled, not yet fired) events.
+  std::size_t pendingEvents() const { return liveCount_; }
+  std::uint64_t eventsProcessed() const { return processed_; }
 
  private:
   static constexpr std::uint32_t kRingBits = 8;
@@ -197,13 +111,6 @@ class Engine {
     InlineFn fn;
     Task* task = nullptr;
     Cycle time = 0;
-    /// Simulated time at which the event was scheduled. In the plain
-    /// engine, same-cycle ties fire in insertion (seq) order, and seq
-    /// order across the whole run is exactly birth-time order — so
-    /// lane mode merges same-cycle events by (birth, lane, laneSeq)
-    /// to reproduce the single-threaded tie-break without a global
-    /// insertion counter.
-    Cycle birth = 0;
     std::uint64_t seq = 0;       // total-order tiebreaker within a cycle
     std::uint32_t gen = 1;       // bumped on free; stale handles no-op
     std::uint32_t nextFree = kNoSlot;
@@ -228,23 +135,9 @@ class Engine {
     }
   };
 
-  // Lane tag lives in the top byte of an EventId so cancel() can route
-  // to the owning lane's queue; slot indices stay below 2^24.
-  static constexpr std::uint32_t kLaneShift = 56;
-  static constexpr EventId kLaneIdMask = (EventId{1} << kLaneShift) - 1;
-  static constexpr Cycle kNoTime = ~Cycle{0};
-
-  struct SharedOp {
-    Cycle t = 0;      ///< fire time of the event that issued the op
-    Cycle birth = 0;  ///< birth of that event (its same-cycle rank)
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-  };
-  struct LaneCtl;
-
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t s);
-  EventId place(Cycle when, Cycle birth, std::uint32_t s);
+  EventId place(Cycle when, std::uint32_t s);
   void pushBucket(std::uint32_t s);
   void heapDiscardTop();
   void maybeCompactHeap();
@@ -268,41 +161,7 @@ class Engine {
   /// Only meaningful while liveCount_ > 0.
   Cycle nextEventTime();
 
-  // Plain-queue primitives (operate on this engine's own two-tier
-  // queue only; the public entry points route through these).
-  EventId scheduleAtPlain(Cycle when, EventFn fn, Cycle birth);
-  EventId scheduleTaskAtPlain(Cycle when, Task* task, Cycle birth);
-  void cancelPlain(EventId id);
-  bool stepPlain();
-  /// Dispatch every event with merge key (time, birth) strictly below
-  /// (hT, hB) — a lane's share of a window.
-  std::uint64_t runBelow(Cycle hT, Cycle hB);
-  /// Head event's (time, birth); garbage-collects tombstones. Only
-  /// meaningful while liveCount_ > 0.
-  void nextEventKey(Cycle* t, Cycle* b);
-
-  // Lane-mode machinery (engine.cpp, "Parallel lanes" section).
-  Cycle laneContextNow() const;
-  std::uint32_t contextLane() const;
-  bool sharedOpCapturable() const;
-  void sharedOpDefer(std::function<void()> fn);
-  EventId laneSchedule(std::uint32_t lane, Cycle when, EventFn fn,
-                       Task* task);
-  std::uint64_t laneProcessed() const;
-  void runWindow(Cycle hT, Cycle hB);
-  void runLaneWindow(std::uint32_t idx, Cycle hT, Cycle hB);
-  void drainOutboxes();
-  void syncSerialClock();
-  std::uint64_t laneDrive(const std::function<bool()>* pred,
-                          std::uint64_t limit, Cycle until, bool* predHit);
-  bool laneStepCanonical();
-  void workerLoop();
-
-  static thread_local Engine* tlsEngine_;
-  static thread_local std::uint32_t tlsLane_;
-
   Cycle now_ = 0;
-  Cycle curBirth_ = 0;  // birth stamp of the event being dispatched
   Cycle winStart_ = 0;  // earliest time that may still be in the ring
   std::uint64_t nextSeq_ = 1;
   std::uint64_t processed_ = 0;
@@ -317,14 +176,6 @@ class Engine {
   Bucket ring_[kRingSize];
   std::uint64_t occupied_[kRingWords] = {};
   std::vector<HeapItem> heap_;  // min-heap by (time, seq)
-
-  // Lane mode: the coordinator owns ctl_ (and doubles as lane 0);
-  // node-lane engines have parent_ set and a window outbox of
-  // deferred shared ops keyed by (time, seq).
-  std::unique_ptr<LaneCtl> ctl_;
-  Engine* parent_ = nullptr;
-  std::vector<SharedOp> outbox_;
-  std::uint64_t sharedSeq_ = 0;
 };
 
 }  // namespace bg::sim

@@ -5,14 +5,13 @@
 // rewrite could silently change: FIFO among same-cycle events even
 // when they arrive via different tiers, cancellation during dispatch,
 // scheduling from a handler into the bucket being drained, and the
-// schedule hash of a small boot+jobstream run (golden value).
+// schedule hashes of a small boot+jobstream run and of the 120-job
+// zero-fault stream (golden values).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/app.hpp"
@@ -213,28 +212,30 @@ TEST(EngineDeterminism, SeededStormReplaysExactly) {
   EXPECT_NE(a, 0u);
 }
 
-// --- Golden schedule hash: small boot + jobstream -------------------------
+// --- Golden schedule hashes -----------------------------------------------
 
-std::shared_ptr<kernel::ElfImage> jobImage(int id, std::uint64_t reps) {
+std::shared_ptr<kernel::ElfImage> jobImage(int id, std::uint64_t reps,
+                                           std::uint64_t cyclesPerRep) {
   vm::ProgramBuilder b("job" + std::to_string(id));
   const auto top = b.loopBegin(16, static_cast<std::int64_t>(reps));
-  b.compute(9'000);
+  b.compute(cyclesPerRep);
   b.loopEnd(16, top);
   b.halt(0);
   return kernel::ElfImage::makeExecutable("job" + std::to_string(id),
                                           std::move(b).build());
 }
 
-// Runs the golden 4-node boot+jobstream scenario with the given host
-// lane thread count (1 = the exact plain serial engine) and returns
-// the service-node schedule hash.
-std::uint64_t goldenJobstreamHash(int hostLanes) {
+TEST(EngineGolden, BootJobstreamScheduleHashPinned) {
+  // End-to-end pin: a 4-node machine (one FWK node, so decrementer
+  // re-arm traffic is in the mix) drains a seeded 10-job stream; the
+  // service-node schedule hash must not move. Any change to event
+  // ordering — engine internals, core slice scheduling, decrementer
+  // handling — shows up here before it shows up in the big benches.
   rt::ClusterConfig cfg;
   cfg.computeNodes = 4;
   cfg.seed = 42;
   cfg.nodeKernels.assign(4, rt::KernelKind::kCnk);
   cfg.nodeKernels[3] = rt::KernelKind::kFwk;
-  cfg.hostLanes = hostLanes;
   rt::Cluster cluster(cfg);
   svc::ServiceHost host(cluster, svc::ServiceNodeConfig{});
 
@@ -249,7 +250,7 @@ std::uint64_t goldenJobstreamHash(int hostLanes) {
     jd.kernel = fwk ? rt::KernelKind::kFwk : rt::KernelKind::kCnk;
     jd.nodes = fwk ? 1 : 1 + static_cast<int>(rng.nextBelow(2));
     const std::uint64_t reps = 6 + rng.nextBelow(12);
-    jd.exe = jobImage(i, reps);
+    jd.exe = jobImage(i, reps, 9'000);
     jd.estCycles = reps * 9'000 + 120'000;
     arrival += rng.nextBelow(50'000);
     cluster.engine().scheduleAt(arrival, [&host, jd, &submitted] {
@@ -258,177 +259,63 @@ std::uint64_t goldenJobstreamHash(int hostLanes) {
     });
   }
   host.start();
-  EXPECT_TRUE(cluster.engine().runWhile(
+  ASSERT_TRUE(cluster.engine().runWhile(
       [&] { return submitted == jobs && host.drained(); },
       500'000'000ULL));
   EXPECT_EQ(host.metrics().jobsCompleted, static_cast<std::uint64_t>(jobs));
-  EXPECT_EQ(cluster.engine().laneStats().causalityViolations, 0u);
-  return host.metrics().scheduleHash;
-}
-
-TEST(EngineGolden, BootJobstreamScheduleHashPinned) {
-  // End-to-end pin: a 4-node machine (one FWK node, so decrementer
-  // re-arm traffic is in the mix) drains a seeded 10-job stream; the
-  // service-node schedule hash must not move. Any change to event
-  // ordering — engine internals, core slice scheduling, decrementer
-  // handling — shows up here before it shows up in the big benches.
   // Golden value; re-pin only with an explanation of why the event
   // order legitimately changed.
-  EXPECT_EQ(goldenJobstreamHash(1), 0x32a1794764d04244ULL);
+  EXPECT_EQ(host.metrics().scheduleHash, 0x32a1794764d04244ULL);
 }
 
-// --- Parallel per-node event lanes ----------------------------------------
+TEST(EngineGolden, ZeroFaultJobstreamHashPinned) {
+  // The repo-wide zero-fault witness: bench_jobstream's default
+  // scenario, a 120-job 8-node backfill stream with a fatal RAS node
+  // loss (hash pinned since the crash-safe service node landed).
+  // Exercises boot, fship I/O, collective/barrier traffic, and the
+  // svc control plane end to end.
+  rt::ClusterConfig cfg;
+  cfg.computeNodes = 8;
+  cfg.seed = 42;
+  cfg.nodeKernels.assign(8, rt::KernelKind::kCnk);
+  cfg.nodeKernels[6] = rt::KernelKind::kFwk;
+  cfg.nodeKernels[7] = rt::KernelKind::kFwk;
+  rt::Cluster cluster(cfg);
+  svc::ServiceNodeConfig scfg;
+  scfg.policy = svc::SchedPolicyKind::kBackfill;
+  svc::ServiceHost host(cluster, scfg);
 
-TEST(EngineLanes, CanonicalMergeOrderAcrossLanesPinned) {
-  // threads=1 runs the windowed driver with the canonical serial
-  // merge, pinning the merge order itself: the serial lane (0) wins
-  // exact (time, birth) key ties, then lanes in ascending order, FIFO
-  // within a lane. (With threads>1 handlers on different lanes run
-  // concurrently inside a window, so only per-lane state may be
-  // touched there — this test's shared vector is valid only because
-  // threads=1.)
-  sim::Engine e;
-  e.configureLanes(3, 1, 1'000);
-  std::vector<std::string> order;
-  // All scheduled from the serial context at cycle 0 → birth key 0.
-  e.scheduleAtOnLane(2, 100, [&] { order.push_back("lane2"); });
-  e.scheduleAtOnLane(1, 100, [&] { order.push_back("lane1a"); });
-  e.scheduleAtOnLane(3, 100, [&] { order.push_back("lane3"); });
-  e.scheduleAtOnLane(1, 100, [&] { order.push_back("lane1b"); });
-  e.scheduleAtOnLane(0, 100, [&] { order.push_back("serial"); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<std::string>{"serial", "lane1a", "lane1b",
-                                             "lane2", "lane3"}));
-}
-
-TEST(EngineLanes, BirthKeyReproducesInsertionOrderTies) {
-  // The plain engine breaks same-cycle ties by insertion order. Lane
-  // mode reproduces that with the birth key: an event scheduled at
-  // cycle 0 (birth 0) fires before one scheduled at cycle 100 (birth
-  // 100) even when the earlier-born event lives on a HIGHER lane.
-  // step() is the canonical single-event driver, so the observed
-  // sequence is the exact merged order.
-  sim::Engine e;
-  e.configureLanes(2, 1, 1'000);
-  std::vector<int> order;
-  e.scheduleAtOnLane(2, 200, [&] { order.push_back(1); });  // birth 0
-  e.scheduleAtOnLane(1, 100, [&] {
-    // Scheduled while dispatching the cycle-100 event → birth 100.
-    e.scheduleAtOnLane(1, 200, [&] { order.push_back(2); });
-  });
-  while (e.step()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EngineLanes, CancellationRoutesAcrossLanes) {
-  // EventIds carry the owning lane in their top bits; cancel() must
-  // route to that lane's queue from the serial context, stay exact on
-  // double-cancel, and reject bogus lane tags.
-  sim::Engine e;
-  e.configureLanes(2, 1, 1'000);
-  bool cancelled = false;
-  bool kept = false;
-  const sim::EventId a = e.scheduleAtOnLane(2, 500, [&] { cancelled = true; });
-  e.scheduleAtOnLane(1, 100, [&] { kept = true; });
-  EXPECT_EQ(e.pendingEvents(), 2u);
-  e.cancel(a);
-  EXPECT_EQ(e.pendingEvents(), 1u);
-  e.cancel(a);  // stale handle: no-op
-  e.cancel(0xFF00000000000001ULL);  // bogus lane tag: no-op
-  EXPECT_EQ(e.pendingEvents(), 1u);
-  e.run();
-  EXPECT_TRUE(kept);
-  EXPECT_FALSE(cancelled);
-  EXPECT_EQ(e.eventsProcessed(), 1u);
-}
-
-TEST(EngineLanes, GoldenHashInvariantAcrossLaneCounts) {
-  // The acceptance gate for the lane engine: the golden 4-node
-  // schedule hash must be bit-identical at --lanes 1 (plain serial
-  // engine), 2, and the host core count. Any divergence means the
-  // (time, birth, lane, seq) merge no longer reproduces the serial
-  // schedule.
-  std::vector<int> laneCounts{1, 2};
-  const int hw =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  if (hw != 1 && hw != 2) laneCounts.push_back(hw);
-  std::vector<std::uint64_t> hashes;
-  for (const int lanes : laneCounts) {
-    hashes.push_back(goldenJobstreamHash(lanes));
-  }
-  for (std::size_t i = 0; i < hashes.size(); ++i) {
-    EXPECT_EQ(hashes[i], 0x32a1794764d04244ULL)
-        << "schedule hash diverged at hostLanes=" << laneCounts[i];
-  }
-}
-
-TEST(EngineLanes, ZeroFaultJobstreamHashInvariantAcrossLaneCounts) {
-  // Same sweep over the repo-wide zero-fault witness: the 120-job
-  // 8-node stream with a fatal RAS node loss (bench_jobstream's
-  // default scenario, hash pinned since PR 5). Exercises boot, fship
-  // I/O, collective/barrier traffic, and the svc control plane under
-  // lane execution.
-  auto runStream = [](int hostLanes) {
-    rt::ClusterConfig cfg;
-    cfg.computeNodes = 8;
-    cfg.seed = 42;
-    cfg.nodeKernels.assign(8, rt::KernelKind::kCnk);
-    cfg.nodeKernels[6] = rt::KernelKind::kFwk;
-    cfg.nodeKernels[7] = rt::KernelKind::kFwk;
-    cfg.hostLanes = hostLanes;
-    rt::Cluster cluster(cfg);
-    svc::ServiceNodeConfig scfg;
-    scfg.policy = svc::SchedPolicyKind::kBackfill;
-    svc::ServiceHost host(cluster, scfg);
-
-    sim::Rng rng(cfg.seed, "jobstream");
-    const int jobs = 120;
-    int submitted = 0;
-    sim::Cycle arrival = 0;
-    for (int i = 0; i < jobs; ++i) {
-      const bool fwk = rng.nextBelow(4) == 0;
-      const int width = fwk ? 1 : 1 + static_cast<int>(rng.nextBelow(3));
-      const std::uint64_t reps = 8 + rng.nextBelow(25);
-      svc::JobDesc jd;
-      jd.name = "job" + std::to_string(i);
-      jd.kernel = fwk ? rt::KernelKind::kFwk : rt::KernelKind::kCnk;
-      jd.nodes = width;
-      vm::ProgramBuilder b("job" + std::to_string(i));
-      const auto top = b.loopBegin(16, static_cast<std::int64_t>(reps));
-      b.compute(12'000);
-      b.loopEnd(16, top);
-      b.halt(0);
-      jd.exe = kernel::ElfImage::makeExecutable("job" + std::to_string(i),
-                                                std::move(b).build());
-      jd.estCycles = reps * 12'000 + 120'000;
-      arrival += rng.nextBelow(60'000);
-      cluster.engine().scheduleAt(arrival, [&host, jd, &submitted] {
-        host.submit(jd);
-        ++submitted;
-      });
-    }
-    cluster.engine().scheduleAt(4'000'000, [&cluster, &host] {
-      cluster.kernelOn(2).logRas(kernel::RasEvent::Code::kNodeFailure,
-                                 kernel::RasEvent::Severity::kFatal, 0, 0,
-                                 0xFA11);
-      if (host.alive()) host.node().poke();
+  sim::Rng rng(cfg.seed, "jobstream");
+  const int jobs = 120;
+  int submitted = 0;
+  sim::Cycle arrival = 0;
+  for (int i = 0; i < jobs; ++i) {
+    const bool fwk = rng.nextBelow(4) == 0;
+    const int width = fwk ? 1 : 1 + static_cast<int>(rng.nextBelow(3));
+    const std::uint64_t reps = 8 + rng.nextBelow(25);
+    svc::JobDesc jd;
+    jd.name = "job" + std::to_string(i);
+    jd.kernel = fwk ? rt::KernelKind::kFwk : rt::KernelKind::kCnk;
+    jd.nodes = width;
+    jd.exe = jobImage(i, reps, 12'000);
+    jd.estCycles = reps * 12'000 + 120'000;
+    arrival += rng.nextBelow(60'000);
+    cluster.engine().scheduleAt(arrival, [&host, jd, &submitted] {
+      host.submit(jd);
+      ++submitted;
     });
-    host.start();
-    EXPECT_TRUE(cluster.engine().runWhile(
-        [&] { return submitted == jobs && host.drained(); },
-        2'000'000'000ULL));
-    EXPECT_EQ(cluster.engine().laneStats().causalityViolations, 0u);
-    return host.metrics().scheduleHash;
-  };
-  std::vector<int> laneCounts{1, 2};
-  const int hw =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  if (hw != 1 && hw != 2) laneCounts.push_back(hw);
-  for (const int lanes : laneCounts) {
-    EXPECT_EQ(runStream(lanes), 0xcb73b2fc8c023c57ULL)
-        << "zero-fault hash diverged at hostLanes=" << lanes;
   }
+  cluster.engine().scheduleAt(4'000'000, [&cluster, &host] {
+    cluster.kernelOn(2).logRas(kernel::RasEvent::Code::kNodeFailure,
+                               kernel::RasEvent::Severity::kFatal, 0, 0,
+                               0xFA11);
+    if (host.alive()) host.node().poke();
+  });
+  host.start();
+  ASSERT_TRUE(cluster.engine().runWhile(
+      [&] { return submitted == jobs && host.drained(); },
+      2'000'000'000ULL));
+  EXPECT_EQ(host.metrics().scheduleHash, 0xcb73b2fc8c023c57ULL);
 }
 
 }  // namespace
