@@ -225,12 +225,10 @@ std::shared_ptr<kernel::ElfImage> jobImage(int id, std::uint64_t reps,
                                           std::move(b).build());
 }
 
-TEST(EngineGolden, BootJobstreamScheduleHashPinned) {
-  // End-to-end pin: a 4-node machine (one FWK node, so decrementer
-  // re-arm traffic is in the mix) drains a seeded 10-job stream; the
-  // service-node schedule hash must not move. Any change to event
-  // ordering — engine internals, core slice scheduling, decrementer
-  // handling — shows up here before it shows up in the big benches.
+// A 4-node machine (one FWK node, so decrementer re-arm traffic is in
+// the mix) drains a seeded 10-job stream; returns the service-node
+// schedule hash.
+std::uint64_t goldenJobstreamHash() {
   rt::ClusterConfig cfg;
   cfg.computeNodes = 4;
   cfg.seed = 42;
@@ -259,13 +257,29 @@ TEST(EngineGolden, BootJobstreamScheduleHashPinned) {
     });
   }
   host.start();
-  ASSERT_TRUE(cluster.engine().runWhile(
+  EXPECT_TRUE(cluster.engine().runWhile(
       [&] { return submitted == jobs && host.drained(); },
       500'000'000ULL));
   EXPECT_EQ(host.metrics().jobsCompleted, static_cast<std::uint64_t>(jobs));
-  // Golden value; re-pin only with an explanation of why the event
-  // order legitimately changed.
-  EXPECT_EQ(host.metrics().scheduleHash, 0x32a1794764d04244ULL);
+  return host.metrics().scheduleHash;
+}
+
+TEST(EngineGolden, BootJobstreamScheduleHashPinned) {
+  // End-to-end pin: the service-node schedule hash must not move. Any
+  // change to event ordering — engine internals, core slice scheduling,
+  // decrementer handling — shows up here before it shows up in the big
+  // benches. Golden value; re-pin only with an explanation of why the
+  // event order legitimately changed.
+  EXPECT_EQ(goldenJobstreamHash(), 0x32a1794764d04244ULL);
+}
+
+TEST(EngineGolden, BootJobstreamHashRepeatsInOneProcess) {
+  // Back-to-back clusters in one process must replay the same
+  // schedule: no state may leak from one machine into the next.
+  const std::uint64_t first = goldenJobstreamHash();
+  const std::uint64_t second = goldenJobstreamHash();
+  EXPECT_EQ(first, 0x32a1794764d04244ULL);
+  EXPECT_EQ(second, first);
 }
 
 TEST(EngineGolden, ZeroFaultJobstreamHashPinned) {
