@@ -15,9 +15,9 @@
 //
 // Both phases run twice and must produce bit-identical digests —
 // checkpointing is part of the deterministic machine, not an observer.
-// --quick shrinks the workload for CI; --json emits everything.
+// --quick shrinks the workload for CI; --json emits everything. Any
+// other argument, or --json without a path, prints usage and exits 2.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -168,12 +168,21 @@ std::uint64_t digestOf(const CommitPhase& c, const ResumePhase& r) {
   return h.digest();
 }
 
+constexpr char kUsage[] =
+    "usage: bench_ckpt [--quick] [--json <path>] [--help]\n"
+    "  --quick        fewer commits and shorter phases (CI smoke)\n"
+    "  --json <path>  write the trajectory as JSON\n"
+    "  --help         print this message and exit\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  const char* jsonPath = nullptr;
+  if (const int rc = bg::bench::parseQuickJsonArgs(argc, argv, "bench_ckpt",
+                                                   kUsage, &quick, &jsonPath);
+      rc >= 0) {
+    return rc;
   }
   const int rounds = quick ? 16 : 40;
   const std::uint64_t computeCycles = 20'000;
@@ -247,7 +256,7 @@ int main(int argc, char** argv) {
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(d1));
   j.set("digest", digest);
-  if (!bg::bench::maybeWriteJson(bg::bench::jsonPathArg(argc, argv), j)) {
+  if (!bg::bench::maybeWriteJson(jsonPath, j)) {
     return 1;
   }
   return 0;

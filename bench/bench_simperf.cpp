@@ -24,7 +24,6 @@
 // the full bench.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -252,36 +251,21 @@ sim::Json phaseJson(const PhaseResult& p) {
   return j;
 }
 
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: bench_simperf [--quick] [--json <path>] [--help]\n"
-               "  --quick        shorter phases (CI smoke)\n"
-               "  --json <path>  write per-phase results as JSON\n"
-               "  --help         print this message and exit\n");
-}
+constexpr char kUsage[] =
+    "usage: bench_simperf [--quick] [--json <path>] [--help]\n"
+    "  --quick        shorter phases (CI smoke)\n"
+    "  --json <path>  write per-phase results as JSON\n"
+    "  --help         print this message and exit\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
   const char* jsonPath = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      usage(stdout);
-      return 0;
-    }
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      jsonPath = argv[++i];
-    } else {
-      std::fprintf(stderr, "bench_simperf: %s '%s'\n",
-                   std::strcmp(argv[i], "--json") == 0 ? "missing value for"
-                                                       : "unknown argument",
-                   argv[i]);
-      usage(stderr);
-      return 2;
-    }
+  if (const int rc = bg::bench::parseQuickJsonArgs(
+          argc, argv, "bench_simperf", kUsage, &quick, &jsonPath);
+      rc >= 0) {
+    return rc;
   }
 
   std::printf("simperf: host throughput of the simulator (wall clock)\n");

@@ -69,6 +69,35 @@ inline sim::Json statsToJson(const Stats& s) {
   return j;
 }
 
+/// The strict command line of a bench that takes only `--quick`,
+/// `--json <path>` and `--help`. `--help` prints `usage` to stdout; an
+/// unknown argument or a `--json` without a value prints the reason and
+/// `usage` to stderr. Returns the exit code to stop with (0 or 2), or
+/// -1 when the bench should run.
+inline int parseQuickJsonArgs(int argc, char** argv, const char* name,
+                              const char* usage, bool* quick,
+                              const char** jsonPath) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(usage, stdout);
+      return 0;
+    }
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      *quick = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      *jsonPath = argv[++i];
+    } else {
+      std::fprintf(stderr, "%s: %s '%s'\n", name,
+                   std::strcmp(argv[i], "--json") == 0 ? "missing value for"
+                                                       : "unknown argument",
+                   argv[i]);
+      std::fputs(usage, stderr);
+      return 2;
+    }
+  }
+  return -1;
+}
+
 /// Returns the path following a `--json` flag, or nullptr.
 inline const char* jsonPathArg(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {

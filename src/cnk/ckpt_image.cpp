@@ -34,11 +34,9 @@ bool liveUserProc(const std::unique_ptr<Process>& p) {
   return !p->exited && !p->kernelResident;
 }
 
-bool allZero(const std::vector<std::byte>& buf) {
-  for (std::byte b : buf) {
-    if (b != std::byte{0}) return false;
-  }
-  return true;
+bool allZero(std::span<const std::byte> buf) {
+  return std::all_of(buf.begin(), buf.end(),
+                     [](std::byte b) { return b == std::byte{0}; });
 }
 
 }  // namespace
@@ -464,24 +462,27 @@ std::vector<std::byte> CnkKernel::buildCkptImage(std::uint32_t seq) {
       w.u64(r->vbase);
       w.u64(r->size);
       w.u8(r->perms);
-      struct Chunk {
-        std::uint64_t off;
-        std::vector<std::byte> data;
-      };
-      std::vector<Chunk> chunks;
-      std::vector<std::byte> buf;
+      // Chunks in never-written frames read as zero: skip them without
+      // a read. Chunks in present frames are read straight into the
+      // image and dropped again if they hold only zeros.
+      const std::size_t countAt = w.size();
+      w.u32(0);  // chunk count, patched below
+      std::uint32_t nChunks = 0;
       for (std::uint64_t off = 0; off < r->size; off += ckpt::kChunkBytes) {
         const std::uint64_t len = std::min(ckpt::kChunkBytes, r->size - off);
-        buf.assign(static_cast<std::size_t>(len), std::byte{0});
-        node_.mem().read(r->pbase + off, buf);
-        if (!allZero(buf)) chunks.push_back({off, buf});
+        if (!node_.mem().anyFramePresent(r->pbase + off, len)) continue;
+        const std::size_t mark = w.size();
+        w.u64(off);
+        w.u64(len);
+        const std::span<std::byte> data = w.grow(static_cast<std::size_t>(len));
+        node_.mem().read(r->pbase + off, data);
+        if (allZero(data)) {
+          w.truncate(mark);
+        } else {
+          ++nChunks;
+        }
       }
-      w.u32(static_cast<std::uint32_t>(chunks.size()));
-      for (const Chunk& c : chunks) {
-        w.u64(c.off);
-        w.u64(c.data.size());
-        w.raw(c.data.data(), c.data.size());
-      }
+      w.patchU32(countAt, nChunks);
     }
   }
 
@@ -498,14 +499,10 @@ bool CnkKernel::applyCkptImage(const std::vector<std::byte>& bytes) {
   if (bytes.size() < 8) return false;
   // Seal first: a torn tmp image (crash mid-write) must be rejected
   // before any state is touched.
-  const std::vector<std::byte> body(bytes.begin(), bytes.end() - 8);
-  std::uint64_t sealLe = 0;
-  for (int i = 0; i < 8; ++i) {
-    sealLe |= static_cast<std::uint64_t>(bytes[bytes.size() - 8 +
-                                               static_cast<std::size_t>(i)])
-              << (i * 8);
-  }
-  if (sim::hashBytes(body) != sealLe) return false;
+  const std::span<const std::byte> body =
+      std::span(bytes).first(bytes.size() - 8);
+  sim::ByteReader seal{std::span(bytes).last(8)};
+  if (sim::hashBytes(body) != seal.u64()) return false;
 
   sim::ByteReader r(body);
   if (r.u32() != ckpt::kMagic) return false;
@@ -592,17 +589,16 @@ bool CnkKernel::applyCkptImage(const std::vector<std::byte>& bytes) {
       if (d == nullptr || d->vbase != vbase || d->size != size) return false;
       node_.mem().zero(d->pbase, d->size);
       const std::uint32_t nChunks = r.u32();
-      std::vector<std::byte> buf;
       for (std::uint32_t c = 0; c < nChunks && r.ok(); ++c) {
         const std::uint64_t off = r.u64();
         const std::uint64_t len = r.u64();
         if (len == 0 || len > ckpt::kChunkBytes || off + len > size) {
           return false;
         }
-        buf.assign(static_cast<std::size_t>(len), std::byte{0});
-        r.raw(buf.data(), buf.size());
+        const std::span<const std::byte> data =
+            r.view(static_cast<std::size_t>(len));
         if (!r.ok()) return false;
-        node_.mem().write(d->pbase + off, buf);
+        node_.mem().write(d->pbase + off, data);
       }
     }
     if (!r.ok()) return false;

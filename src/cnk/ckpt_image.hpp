@@ -9,9 +9,10 @@
 // Read-only text is NOT in the image: the job loader re-creates it
 // bit-identically from the executable.
 //
-// Integrity: the image ends in an FNV-1a seal over all preceding
-// bytes. A torn or truncated image (crash mid-write) fails the seal
-// check and restore falls back to a scratch start — never a wedge.
+// Integrity: the image ends in a sim::hashBytes seal over all
+// preceding bytes. A torn or truncated image (crash mid-write) fails
+// the seal check and restore falls back to a scratch start — never a
+// wedge.
 // Atomicity: the shipper writes `imageTmpPath` and renames it onto
 // `imagePath` (a single replay-cached CIOD op), so a committed image
 // is always complete and a crash mid-checkpoint leaves the previous

@@ -13,7 +13,7 @@
 //
 // Layout (all little-endian, strings u32-length-prefixed):
 //   frame   := u32 bodyLen, body[bodyLen]
-//   body    := header, payload, u64 fnv1a(header+payload)
+//   body    := header, payload, u64 hashBytes(header+payload)
 //   header  := u32 version, u8 type, u32 clientId, u64 seq,
 //              u8 retransmit
 //   payload := per-type fields (see encode())

@@ -32,6 +32,15 @@ const std::byte* PhysMem::frameIfPresent(std::uint64_t frameIndex) const {
   return it == frames_.end() ? nullptr : it->second.get();
 }
 
+bool PhysMem::anyFramePresent(PAddr addr, std::uint64_t len) const {
+  if (len == 0) return false;
+  const std::uint64_t last = (addr + len - 1) / kFrameSize;
+  for (std::uint64_t fi = addr / kFrameSize; fi <= last; ++fi) {
+    if (frames_.contains(fi)) return true;
+  }
+  return false;
+}
+
 void PhysMem::write(PAddr addr, std::span<const std::byte> data) {
   checkAccess(addr, data.size());
   std::uint64_t off = 0;

@@ -46,6 +46,10 @@ class PhysMem {
   /// Number of frames actually materialized (for tests/metrics).
   std::size_t framesTouched() const { return frames_.size(); }
 
+  /// True when any frame overlapping [addr, addr+len) is materialized.
+  /// A range with none was never written and reads as zero bytes.
+  bool anyFramePresent(PAddr addr, std::uint64_t len) const;
+
   static constexpr std::uint64_t kFrameSize = 64ULL << 10;
 
  private:

@@ -6,7 +6,7 @@ namespace bg::io {
 
 namespace {
 
-// Field framing and the FNV checksum seal are shared with the RPC
+// Field framing and the checksum seal are shared with the RPC
 // front door (src/frontdoor) — one wire idiom, pinned byte-for-byte by
 // tests/test_wire.cpp.
 using msg::wire::Reader;

@@ -5,9 +5,9 @@
 // host pointer. A write() request carries the user's buffer bytes, a
 // read() reply carries the data that lands back in user memory.
 //
-// Reliability layer: every message ends in an FNV-1a checksum of the
-// preceding bytes, so link corruption is *detected* (decode returns
-// nullopt) rather than silently absorbed; `seq` is monotone per
+// Reliability layer: every message ends in a sim::hashBytes checksum
+// of the preceding bytes, so link corruption is *detected* (decode
+// returns nullopt) rather than silently absorbed; `seq` is monotone per
 // (pid, tid) channel, which lets CIOD suppress duplicate requests via
 // its replay cache and lets CNK discard stale or duplicated replies.
 // kRead/kWrite carry an explicit file offset (a2) reserved by the

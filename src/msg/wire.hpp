@@ -1,5 +1,5 @@
 // Shared message-framing helpers: flat little-endian field
-// serialization plus the FNV-1a trailing-checksum seal.
+// serialization plus the sim::hashBytes trailing-checksum seal.
 //
 // Two wire protocols ride the simulated networks — the CNK <-> CIOD
 // function-shipping protocol (src/io) and the service node's
@@ -123,8 +123,8 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Append an FNV-1a digest of everything written so far; the wire
-/// format is <body><u64 checksum>.
+/// Append a sim::hashBytes digest of everything written so far; the
+/// wire format is <body><u64 checksum>.
 inline std::vector<std::byte> seal(Writer&& w) {
   std::vector<std::byte> buf = std::move(w).take();
   const std::uint64_t sum = sim::hashBytes(buf);

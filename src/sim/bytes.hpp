@@ -9,7 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,12 +25,25 @@ class ByteWriter {
     u64(s.size());
     for (char c : s) out_.push_back(static_cast<std::byte>(c));
   }
-  /// Raw byte span, no length prefix (caller frames it).
-  void raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::byte*>(data);
-    out_.insert(out_.end(), p, p + n);
+  /// Append `n` zero bytes, no length prefix (caller frames them), and
+  /// return them for the caller to fill in place (valid until the next
+  /// write).
+  std::span<std::byte> grow(std::size_t n) {
+    out_.resize(out_.size() + n);
+    return std::span(out_).last(n);
+  }
+  /// Drop everything written after the first `n` bytes.
+  void truncate(std::size_t n) { out_.resize(n); }
+  /// Overwrite the u32 written at byte offset `pos` (a count known only
+  /// after the items it prefixes).
+  void patchU32(std::size_t pos, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out_[pos + static_cast<std::size_t>(i)] =
+          static_cast<std::byte>((v >> (i * 8)) & 0xFF);
+    }
   }
 
+  std::size_t size() const { return out_.size(); }
   const std::vector<std::byte>& bytes() const { return out_; }
   std::vector<std::byte> take() && { return std::move(out_); }
 
@@ -45,7 +58,7 @@ class ByteWriter {
 
 class ByteReader {
  public:
-  explicit ByteReader(const std::vector<std::byte>& in) : in_(in) {}
+  explicit ByteReader(std::span<const std::byte> in) : in_(in) {}
 
   std::uint8_t u8() { return static_cast<std::uint8_t>(word(1)); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(word(4)); }
@@ -67,15 +80,17 @@ class ByteReader {
     return s;
   }
 
-  /// Raw byte span, no length prefix; fills `out` or poisons ok().
-  void raw(void* out, std::size_t n) {
+  /// The next `n` bytes in place, no length prefix and no copy; empty
+  /// (and ok() poisoned) when fewer remain.
+  std::span<const std::byte> view(std::size_t n) {
     if (pos_ + n > in_.size()) {
       ok_ = false;
       pos_ = in_.size();
-      return;
+      return {};
     }
-    std::memcpy(out, in_.data() + pos_, n);
+    const std::span<const std::byte> v = in_.subspan(pos_, n);
     pos_ += n;
+    return v;
   }
 
   /// False once any read ran past the end; all subsequent reads
@@ -98,7 +113,7 @@ class ByteReader {
     return v;
   }
 
-  const std::vector<std::byte>& in_;
+  std::span<const std::byte> in_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };

@@ -32,7 +32,11 @@ class Fnv1a {
   std::uint64_t h_ = 0xCBF29CE484222325ULL;
 };
 
-/// One-shot hash of a byte span.
+/// One-shot hash of a byte span: the integrity seal of wire messages,
+/// checkpoint images and persistent stores. Not FNV-1a and not
+/// stream-compatible with Fnv1a: four 64-bit lanes over little-endian
+/// words, then the tail bytes and the length. Any single-byte change of
+/// an input changes its digest, so one corrupted byte is always caught.
 std::uint64_t hashBytes(std::span<const std::byte> bytes);
 
 }  // namespace bg::sim

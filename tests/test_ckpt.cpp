@@ -28,6 +28,7 @@
 #include "cnk/ckpt_image.hpp"
 #include "fault_schedule.hpp"
 #include "kernel/syscalls.hpp"
+#include "sim/hash.hpp"
 #include "sim/rng.hpp"
 #include "svc/failover.hpp"
 
@@ -226,6 +227,70 @@ TEST(Ckpt, DoubleRunIsBitIdentical) {
     return digest;
   };
   EXPECT_EQ(runOnce(), runOnce());
+}
+
+// The image body is pinned byte for byte. The scenario puts every kind
+// of 64KB chunk the sparse serializer distinguishes into one image:
+//   - heap frames that were never written (most of the region);
+//   - a frame written and then zeroed again (present, all zero: elided);
+//   - a frame whose only non-zero byte is its last one (kept);
+//   - an extra region that is not frame-aligned and ends in a 1000-byte
+//     tail: its first chunk straddles two never-written frames, its
+//     second straddles into a written frame but reads as zero, and its
+//     tail chunk holds the region's last byte (kept).
+TEST(Ckpt, ImageBodyPinnedAcrossChunkKinds) {
+  constexpr std::uint64_t kFrame = cnk::ckpt::kChunkBytes;
+  rt::ClusterConfig cfg;
+  rt::Cluster cluster(cfg);
+  ASSERT_TRUE(cluster.bootAll());
+  kernel::JobSpec job;
+  job.exe = kernel::ElfImage::makeExecutable("test", ckptApp(10, 10));
+  ASSERT_TRUE(cluster.loadJob(job));
+  cnk::CnkKernel* k = cluster.cnkOn(0);
+  kernel::Process* p = cluster.processOfRank(0);
+  ASSERT_NE(p, nullptr);
+  const kernel::MemRegionDesc* heap = p->regionNamed("heapStack");
+  ASSERT_NE(heap, nullptr);
+  ASSERT_EQ(heap->pbase % kFrame, 0u);
+  ASSERT_GT(heap->size, 128 * kFrame);
+
+  hw::PhysMem& mem = cluster.machine().node(0).mem();
+  const std::byte stamp[8] = {std::byte{0x11}, std::byte{0x22},
+                              std::byte{0x33}, std::byte{0x44},
+                              std::byte{0x55}, std::byte{0x66},
+                              std::byte{0x77}, std::byte{0x88}};
+  const hw::PAddr zeroed = heap->pbase + 40 * kFrame + 512;
+  mem.write(zeroed, stamp);
+  mem.zero(zeroed, sizeof stamp);
+  mem.write(heap->pbase + 42 * kFrame - 1, std::span(stamp).first(1));
+
+  kernel::MemRegionDesc tail;
+  tail.name = "tail";
+  tail.vbase = 0x7000'0000ULL;
+  tail.pbase = heap->pbase + 100 * kFrame + 4096;
+  tail.size = 2 * kFrame + 1000;
+  tail.perms = hw::kPermRW;
+  tail.pageSize = hw::kPage4K;
+  p->regions.push_back(tail);
+  mem.write(tail.pbase + tail.size - 1, std::span(stamp).last(1));
+
+  ASSERT_TRUE(cluster.run());
+  ASSERT_EQ(k->ckptCommits(), 1u);
+  const std::vector<std::byte> image =
+      cluster.ioRootFs(0).fileContents(cnk::ckpt::imagePath(0, 0));
+  ASSERT_GT(image.size(), 8u);
+  const std::span<const std::byte> body =
+      std::span(image).first(image.size() - 8);
+  sim::Fnv1a h;
+  h.mixBytes(body);
+  EXPECT_EQ(image.size(), 198'551u);
+  EXPECT_EQ(h.digest(), 0x74a298ad3c852464ULL);
+
+  std::uint64_t seal = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    seal |= static_cast<std::uint64_t>(image[body.size() + i]) << (i * 8);
+  }
+  EXPECT_EQ(seal, sim::hashBytes(body));
 }
 
 // ---------------------------------------------------------------------

@@ -3,6 +3,8 @@
 // a grid of process counts and segment sizes.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cnk/partitioner.hpp"
 
 namespace bg::cnk {
@@ -118,6 +120,14 @@ struct SweepParam {
   std::uint64_t sharedMB;
   std::uint64_t physMB;
 };
+
+// Names the sweep's test cases by value; without it gtest prints the
+// struct's raw bytes, padding included, so case names vary per build.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "procs" << p.processes << "_text" << p.textMB << "M_data"
+      << p.dataMB << "M_shared" << p.sharedMB << "M_phys" << p.physMB
+      << "M";
+}
 
 class PartitionSweep : public ::testing::TestWithParam<SweepParam> {};
 

@@ -1,6 +1,9 @@
 // Unit tests: deterministic event engine, RNG, hashing, trace buffer.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "sim/engine.hpp"
 #include "sim/hash.hpp"
 #include "sim/json.hpp"
@@ -150,12 +153,54 @@ TEST(Hash, OrderSensitive) {
   EXPECT_NE(a.digest(), b.digest());
 }
 
-TEST(Hash, BytesMatchManualMix) {
-  const std::uint8_t raw[] = {1, 2, 3, 4};
-  const auto bytes = std::as_bytes(std::span(raw));
-  Fnv1a a;
-  a.mixBytes(bytes);
-  EXPECT_EQ(a.digest(), hashBytes(bytes));
+/// Deterministic non-trivial bytes for the hashBytes contract tests.
+std::vector<std::byte> patternBytes(std::size_t n) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::byte>((i * 37 + 11) & 0xFF);
+  }
+  return v;
+}
+
+// The link and fault models corrupt exactly one byte per packet; the
+// seal must catch every such corruption. Lengths 0..100 cover inputs
+// shorter than one 32-byte block, several blocks, and every tail size.
+TEST(Hash, BytesAnySingleByteFlipChangesDigest) {
+  for (std::size_t n = 0; n <= 100; ++n) {
+    std::vector<std::byte> v = patternBytes(n);
+    const std::uint64_t base = hashBytes(v);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::byte mask : {std::byte{0x01}, std::byte{0x40},
+                             std::byte{0x80}}) {
+        v[i] ^= mask;
+        EXPECT_NE(hashBytes(v), base) << "len " << n << " byte " << i;
+        v[i] ^= mask;
+      }
+    }
+  }
+}
+
+TEST(Hash, BytesAppendedZeroChangesDigest) {
+  for (std::size_t n = 0; n <= 100; ++n) {
+    std::vector<std::byte> v = patternBytes(n);
+    const std::uint64_t base = hashBytes(v);
+    v.push_back(std::byte{0});
+    EXPECT_NE(hashBytes(v), base) << "len " << n;
+  }
+}
+
+// Words 0 and 4 feed the same lane in consecutive rounds. With a round
+// like (acc ^ w) * P the two bit-63 flips would cancel exactly.
+TEST(Hash, BytesBit63FlipsInOneLaneDoNotCancel) {
+  std::vector<std::byte> v = patternBytes(64);
+  const std::uint64_t base = hashBytes(v);
+  v[7] ^= std::byte{0x80};
+  v[39] ^= std::byte{0x80};
+  EXPECT_NE(hashBytes(v), base);
+}
+
+TEST(Hash, BytesPinnedValue) {
+  EXPECT_EQ(hashBytes(patternBytes(77)), 0xe169f2b2b4c134bbULL);
 }
 
 TEST(Trace, DigestReflectsEveryRecord) {

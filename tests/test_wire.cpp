@@ -113,7 +113,7 @@ TEST(Wire, SealAppendsFnvChecksum) {
   const std::vector<std::byte> sealed = msg::wire::seal(std::move(w));
   ASSERT_EQ(sealed.size(), bodyBytes.size() + 8);
 
-  // The trailer is the little-endian FNV-1a of the body.
+  // The trailer is the little-endian sim::hashBytes of the body.
   Reader tail(std::span<const std::byte>(sealed).subspan(bodyBytes.size()));
   std::uint64_t sum = 0;
   ASSERT_TRUE(tail.u64(&sum));
