@@ -16,10 +16,15 @@
 // every crash and restart — runs on the deterministic event engine, so
 // two runs with the same seed produce an identical schedule hash
 // (verified every run).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "fault_schedule.hpp"
@@ -237,13 +242,14 @@ void printMetrics(const char* title, const StreamResult& res,
               static_cast<unsigned long long>(m.rasThrottled),
               static_cast<unsigned long long>(m.rasDropped));
   std::printf("failover: %llu svc crashes, %llu restarts (%llu cold), "
-              "%llu checkpoint saves (%llu bytes last), "
+              "%llu checkpoint saves (%llu bytes last, %llu failed), "
               "%llu predictive drains\n",
               static_cast<unsigned long long>(m.serviceCrashes),
               static_cast<unsigned long long>(m.serviceRestarts),
               static_cast<unsigned long long>(res.coldStarts),
               static_cast<unsigned long long>(m.checkpointSaves),
               static_cast<unsigned long long>(m.checkpointBytes),
+              static_cast<unsigned long long>(m.checkpointFailedSaves),
               static_cast<unsigned long long>(m.predictiveDrains));
   std::printf("I/O path: %llu ops shipped, %llu retransmits, "
               "%llu ciod errors, %llu replays, "
@@ -286,44 +292,74 @@ void printMetrics(const char* title, const StreamResult& res,
               static_cast<unsigned long long>(m.scheduleHash));
 }
 
+constexpr const char* kUsage =
+    "usage: bench_jobstream [--jobs N] [--nodes N] [--seed S] [--fifo]\n"
+    "                       [--crashes N] [--restart-delay CYCLES]\n"
+    "                       [--mem-ues N] [--ce-storms N] [--hangs N]\n"
+    "                       [--hang-timeout CYCLES] [--budget N]\n"
+    "                       [--link-deaths N] [--link-storms N]\n"
+    "                       [--ras-log PATH] [--json PATH] [--help]\n";
+
+/// Strict command line: every flag but --fifo and --help takes a value.
+/// Returns the exit code to stop with (0 after --help, 2 on an unknown
+/// flag or a missing value, with usage on stderr), or -1 to run.
+int parseArgs(int argc, char** argv, StreamParams& p, std::string& jsonPath) {
+  const auto toInt = [](const char* v) { return std::atoi(v); };
+  const auto toU64 = [](const char* v) {
+    return static_cast<std::uint64_t>(std::atoll(v));
+  };
+  const std::pair<const char*, std::function<void(const char*)>> valued[] = {
+      {"--jobs", [&](const char* v) { p.jobs = toInt(v); }},
+      {"--nodes", [&](const char* v) { p.nodes = toInt(v); }},
+      {"--seed", [&](const char* v) { p.seed = toU64(v); }},
+      {"--crashes", [&](const char* v) { p.crashes = toInt(v); }},
+      {"--restart-delay", [&](const char* v) { p.restartDelay = toU64(v); }},
+      {"--mem-ues", [&](const char* v) { p.memUes = toInt(v); }},
+      {"--ce-storms", [&](const char* v) { p.ceStorms = toInt(v); }},
+      {"--hangs", [&](const char* v) { p.coreHangs = toInt(v); }},
+      {"--hang-timeout", [&](const char* v) { p.hangTimeout = toU64(v); }},
+      {"--budget",
+       [&](const char* v) { p.budget = static_cast<std::uint32_t>(toInt(v)); }},
+      {"--link-deaths", [&](const char* v) { p.linkDeaths = toInt(v); }},
+      {"--link-storms", [&](const char* v) { p.linkStorms = toInt(v); }},
+      {"--ras-log", [&](const char* v) { p.rasLogPath = v; }},
+      {"--json", [&](const char* v) { jsonPath = v; }},
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    if (arg == "--fifo") {
+      p.policy = svc::SchedPolicyKind::kFifo;
+      continue;
+    }
+    const auto* flag = std::find_if(
+        std::begin(valued), std::end(valued),
+        [&](const auto& f) { return arg == f.first; });
+    const char* reason = nullptr;
+    if (flag == std::end(valued)) {
+      reason = "unknown argument";
+    } else if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      reason = "missing value for";
+    }
+    if (reason != nullptr) {
+      std::fprintf(stderr, "bench_jobstream: %s '%s'\n", reason, argv[i]);
+      std::fputs(kUsage, stderr);
+      return 2;
+    }
+    flag->second(argv[++i]);
+  }
+  return -1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   StreamParams p;
   std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      p.jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      p.nodes = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      p.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--fifo") == 0) {
-      p.policy = svc::SchedPolicyKind::kFifo;
-    } else if (std::strcmp(argv[i], "--crashes") == 0 && i + 1 < argc) {
-      p.crashes = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--restart-delay") == 0 && i + 1 < argc) {
-      p.restartDelay = static_cast<sim::Cycle>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--mem-ues") == 0 && i + 1 < argc) {
-      p.memUes = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--ce-storms") == 0 && i + 1 < argc) {
-      p.ceStorms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--hangs") == 0 && i + 1 < argc) {
-      p.coreHangs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--hang-timeout") == 0 && i + 1 < argc) {
-      p.hangTimeout = static_cast<sim::Cycle>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      p.budget = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--link-deaths") == 0 && i + 1 < argc) {
-      p.linkDeaths = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--link-storms") == 0 && i + 1 < argc) {
-      p.linkStorms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--ras-log") == 0 && i + 1 < argc) {
-      p.rasLogPath = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      jsonPath = argv[++i];
-    }
-  }
+  if (const int rc = parseArgs(argc, argv, p, jsonPath); rc >= 0) return rc;
   const bool computeFaults =
       p.memUes > 0 || p.ceStorms > 0 || p.coreHangs > 0;
   const bool linkFaults = p.linkDeaths > 0 || p.linkStorms > 0;
@@ -385,6 +421,7 @@ int main(int argc, char** argv) {
     j.set("metrics", run1.metrics.toJson());
     j.set("io", ioCountersJson(run1));
     j.set("cold_starts", run1.coldStarts);
+    j.set("failed_saves", run1.metrics.checkpointFailedSaves);
     j.set("coredumps_shipped", run1.coredumps);
     j.set("ecc_scrubbed", run1.eccScrubbed);
     j.set("replay_hash_match", match);

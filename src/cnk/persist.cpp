@@ -1,5 +1,7 @@
 #include "cnk/persist.hpp"
 
+#include "sim/hash.hpp"
+
 namespace bg::cnk {
 
 void PersistRegistry::configurePool(hw::PAddr base, std::uint64_t size,
@@ -47,6 +49,35 @@ bool PersistRegistry::remove(const std::string& name, std::uint32_t uid) {
   // machine partition's lifetime); the name simply becomes available.
   regions_.erase(it);
   return true;
+}
+
+bool writeSealed(hw::PhysMem& mem, hw::PAddr at, std::uint64_t room,
+                 std::uint64_t magic, std::span<const std::byte> payload) {
+  if (room < kSealedHeaderBytes ||
+      payload.size() > room - kSealedHeaderBytes) {
+    return false;
+  }
+  mem.write64(at, magic);
+  mem.write64(at + 8, payload.size());
+  mem.write64(at + 16, sim::hashBytes(payload));
+  if (!payload.empty()) mem.write(at + kSealedHeaderBytes, payload);
+  return true;
+}
+
+std::optional<std::vector<std::byte>> readSealed(const hw::PhysMem& mem,
+                                                 hw::PAddr at,
+                                                 std::uint64_t room,
+                                                 std::uint64_t magic) {
+  if (room < kSealedHeaderBytes || mem.read64(at) != magic) {
+    return std::nullopt;
+  }
+  const std::uint64_t len = mem.read64(at + 8);
+  if (len > room - kSealedHeaderBytes) return std::nullopt;
+  const std::uint64_t seal = mem.read64(at + 16);
+  std::vector<std::byte> payload(len);
+  if (len != 0) mem.read(at + kSealedHeaderBytes, payload);
+  if (sim::hashBytes(payload) != seal) return std::nullopt;
+  return payload;
 }
 
 }  // namespace bg::cnk

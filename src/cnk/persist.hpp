@@ -11,9 +11,12 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "hw/addr.hpp"
+#include "hw/phys_mem.hpp"
 
 namespace bg::cnk {
 
@@ -54,5 +57,24 @@ class PersistRegistry {
   hw::VAddr vCursor_ = 0;
   std::map<std::string, PersistRegion> regions_;
 };
+
+/// A sealed record in persistent memory: [magic][payload length]
+/// [hashBytes seal of the payload], then the payload. Every image kept
+/// in a persistent region (the service node's checkpoint snapshot and
+/// journal records, the front door's in-flight table) is one, so a torn
+/// or overwritten record is always caught before anything decodes it.
+inline constexpr std::uint64_t kSealedHeaderBytes = 24;
+
+/// Write `payload` as a sealed record at `at`. Writes nothing and
+/// returns false when header plus payload exceed `room` bytes.
+bool writeSealed(hw::PhysMem& mem, hw::PAddr at, std::uint64_t room,
+                 std::uint64_t magic, std::span<const std::byte> payload);
+
+/// The payload of the sealed record at `at`; nullopt when the magic
+/// differs, the length runs past `room`, or the seal does not match.
+std::optional<std::vector<std::byte>> readSealed(const hw::PhysMem& mem,
+                                                 hw::PAddr at,
+                                                 std::uint64_t room,
+                                                 std::uint64_t magic);
 
 }  // namespace bg::cnk

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <utility>
 
+#include "cnk/persist.hpp"
 #include "sim/bytes.hpp"
 
 namespace bg::fd {
 
 namespace {
 constexpr std::uint64_t kFdMagic = 0x42474644'494E464CULL;  // "BGFDINFL"
-constexpr std::uint64_t kFdHeaderBytes = 24;
 // v2: PendingSub carries the resolved account id; stats persist the
 // quota-reject counter.
 constexpr std::uint32_t kFdImageVersion = 2;
@@ -423,29 +423,19 @@ bool FrontDoor::saveImage() {
   svc::CheckpointStore& store = host_.store();
   const auto r = store.registry().openOrCreate(kFdRegionName,
                                                cfg_.persistRegionBytes, 0);
-  if (!r || kFdHeaderBytes + image.size() > r->size) return false;
-  hw::PhysMem& mem = store.mem();
-  mem.write64(r->pbase, kFdMagic);
-  mem.write64(r->pbase + 8, image.size());
-  mem.write64(r->pbase + 16, sim::hashBytes(image));
-  if (!image.empty()) mem.write(r->pbase + kFdHeaderBytes, image);
-  return true;
+  return r && cnk::writeSealed(store.mem(), r->pbase, r->size, kFdMagic,
+                               image);
 }
 
 bool FrontDoor::loadImage() {
   svc::CheckpointStore& store = host_.store();
   const cnk::PersistRegion* r = store.registry().find(kFdRegionName);
   if (r == nullptr) return false;
-  hw::PhysMem& mem = store.mem();
-  if (mem.read64(r->pbase) != kFdMagic) return false;
-  const std::uint64_t len = mem.read64(r->pbase + 8);
-  if (kFdHeaderBytes + len > r->size) return false;
-  const std::uint64_t checksum = mem.read64(r->pbase + 16);
-  std::vector<std::byte> image(len);
-  if (len != 0) mem.read(r->pbase + kFdHeaderBytes, image);
-  if (sim::hashBytes(image) != checksum) return false;
+  const auto image =
+      cnk::readSealed(store.mem(), r->pbase, r->size, kFdMagic);
+  if (!image) return false;
 
-  sim::ByteReader rd(image);
+  sim::ByteReader rd(*image);
   if (rd.u32() != kFdImageVersion) return false;
   const std::uint64_t digest = rd.u64();
   const std::uint64_t nextTicket = rd.u64();

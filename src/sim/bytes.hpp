@@ -97,6 +97,8 @@ class ByteReader {
   /// return zero values.
   bool ok() const { return ok_; }
   bool atEnd() const { return pos_ == in_.size(); }
+  /// Bytes consumed so far.
+  std::size_t pos() const { return pos_; }
 
  private:
   std::uint64_t word(std::size_t n) {

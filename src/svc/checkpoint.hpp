@@ -9,10 +9,21 @@
 // resumes the identical schedule — executables are referenced by name
 // and resolved through the CheckpointStore's image catalog (the
 // simulated shared filesystem), never embedded.
+//
+// The image is persisted as a sealed snapshot plus a journal of
+// per-save records (svc/failover.hpp). A record repeats the small
+// sections whole and carries the large ones only as far as they
+// changed: entries of changed jobs, queue removals and appends, and
+// the timeline lines and RAS events appended since the previous save.
+// ImageReplay applies records to a snapshot and yields exactly the
+// bytes a full encode of the same state gives, so restore keeps one
+// decode path.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,28 +45,11 @@ struct PendingNodeOp {
 };
 
 struct SvcCheckpoint {
-  // v3: the RAS section appended after this image grew two codes
-  // (kClientRejected / kFrontDoorRestart), widening the per-code tally
-  // arrays from 12 to 14 entries. Images are in-run only, but the
-  // version gate keeps a stale-layout image from half-decoding.
-  // v4: multi-tenant control plane — job entries carry account id and
-  // preemption count, the header carries the preemption counter, a
-  // 15th RAS code (kQuotaRejected) widens the tally arrays again, and
-  // an svc::Accounting section follows the RAS section.
-  // v5: application checkpoint/restart — job entries append ckptSeq
-  // (highest committed app-checkpoint sequence; requeued jobs with
-  // ckptSeq > 0 boot into restore), the header appends the four ckpt
-  // counters, and four RAS codes (kCkptBegin/Commit/Restore/Failed)
-  // widen the tally arrays from 15 to 19 entries. decode() still
-  // accepts v4 (new fields default to zero) so an upgrade across a
-  // warm restart never cold-starts the control plane.
-  // v6: torus hard-fault plane — the header appends the six
-  // checkpoint-migrate counters and the link-sick node set (nodes the
-  // RAS link-health predictor flagged; allocation keeps avoiding them
-  // after a control-plane restart), and five RAS codes
-  // (kLinkDead/kLinkDegraded/kCkptMigrate*) widen the tally arrays
-  // from 19 to 24 entries. decode() still accepts v4 and v5 images
-  // (new fields default to zero / empty).
+  // Layout version. Images live only in simulated persistent memory
+  // inside one process, so decode() accepts this version alone; any
+  // other header is rejected and the control plane cold-starts. (v4
+  // added tenancy, v5 application checkpoints, v6 the torus hard-fault
+  // plane's migrate counters and link-sick node set.)
   static constexpr std::uint32_t kVersion = 6;
 
   struct JobEntry {
@@ -72,26 +66,26 @@ struct SvcCheckpoint {
   std::uint64_t predictiveDrains = 0;
   std::uint64_t ioFailovers = 0;  // CIOD deaths resolved onto a spare
   std::uint64_t ioReboots = 0;    // CIOD deaths repaired in place
-  std::uint64_t nodesRetired = 0;  // failure budgets blown (v2)
-  /// Mean-time-to-requeue accounting (v2): fatal RAS cycle -> victim
-  /// job disposition, summed, with the sample count.
+  std::uint64_t nodesRetired = 0;  // failure budgets blown
+  /// Mean-time-to-requeue accounting: fatal RAS cycle -> victim job
+  /// disposition, summed, with the sample count.
   std::uint64_t requeueLatencyTotal = 0;
   std::uint64_t requeueCount = 0;
-  /// Jobs killed and requeued for higher-QOS work (v4).
+  /// Jobs killed and requeued for higher-QOS work.
   std::uint64_t preemptions = 0;
-  /// Checkpoint-then-preempt accounting (v5).
+  /// Checkpoint-then-preempt accounting.
   std::uint64_t ckptRequests = 0;   // preemptions that asked for a ckpt
   std::uint64_t ckptCommits = 0;    // requests every node committed
   std::uint64_t ckptFallbacks = 0;  // deadline/fault -> scratch requeue
   std::uint64_t ckptResumes = 0;    // launches booted into restore
-  /// Checkpoint-then-migrate accounting (v6).
+  /// Checkpoint-then-migrate accounting.
   std::uint64_t migrateRequests = 0;   // link-sick escalations that asked
   std::uint64_t migrateCommits = 0;    // requests every node committed
   std::uint64_t migrateFallbacks = 0;  // window failed -> job stays put
   std::uint64_t migrations = 0;        // jobs requeued onto healthy nodes
   std::uint64_t degradedJobs = 0;      // left running in route-around mode
   std::uint64_t migrateCyclesSaved = 0;  // progress preserved vs scratch
-  /// Nodes the link-health predictor declared link-sick (v6).
+  /// Nodes the link-health predictor declared link-sick.
   std::vector<int> sickNodes;
   sim::Cycle firstSubmit = 0;
   sim::Cycle lastEnd = 0;
@@ -106,12 +100,136 @@ struct SvcCheckpoint {
   std::vector<PendingNodeOp> ops;  // parallel to nodes
   std::vector<std::string> timeline;
 
-  /// `version` exists for tests exercising the upgrade path; real
-  /// callers always write the current layout.
-  void encode(sim::ByteWriter& w, std::uint32_t version = kVersion) const;
-  /// Returns false on version mismatch or truncation. Accepts v4 and
-  /// v5 images (older layouts; the new fields decode as zero).
+  /// The sections of encode() an image writes from live state: the
+  /// header (version through pumpDue), one job entry, and the tables
+  /// (running ids, node snapshots with their pending ops).
+  void encodeHead(sim::ByteWriter& w) const;
+  static void encodeJob(sim::ByteWriter& w, const JobRecord& j,
+                        const std::string& exeName,
+                        const std::vector<std::string>& libNames);
+  void encodeTables(sim::ByteWriter& w) const;
+
+  void encode(sim::ByteWriter& w) const;
+  /// Returns false on a version mismatch or truncation.
   bool decode(sim::ByteReader& r);
+};
+
+/// The sections of a full checkpoint image, in image order. The image
+/// is a table of their byte lengths (u32 each) followed by the
+/// sections back to back. Past the table the bytes are
+/// SvcCheckpoint::encode, then RasAggregator's state and stream, then
+/// Accounting::saveTo: what ServiceNode::loadFrom decodes.
+enum class ImageSection : std::uint8_t {
+  kHead,        // SvcCheckpoint::encodeHead
+  kJobs,        // u64 count, then one entry per job ever submitted
+  kQueue,       // u64 count, then the queued ids in order
+  kTables,      // SvcCheckpoint::encodeTables
+  kTimeline,    // u64 count, then the lines
+  kRasState,    // RasAggregator::saveStateTo
+  kRasStream,   // RasAggregator::saveStreamTo: u64 count, fixed-size events
+  kAccounting,  // Accounting::saveTo
+};
+inline constexpr std::size_t kImageSections = 8;
+inline constexpr std::size_t kImageTableBytes = 4 * kImageSections;
+
+class Accounting;
+class RasAggregator;
+
+/// The live control-plane state an image or journal record is encoded
+/// from: the service node's own members, by reference.
+struct ImageSource {
+  const SvcCheckpoint& head;  // header and tables; jobs etc. left empty
+  const std::vector<JobRecord>& jobs;
+  const std::deque<JobId>& queue;
+  const std::vector<std::string>& timeline;
+  const RasAggregator& ras;
+  const Accounting& accounting;
+};
+
+/// What the store's snapshot and journal already hold, so the next
+/// journal record carries only the difference.
+struct JournalBase {
+  std::size_t jobs = 0;        // jobs submitted
+  std::vector<JobId> queue;    // queued ids in order
+  std::size_t lines = 0;       // timeline lines
+  std::uint64_t rasBegin = 0;  // RasAggregator stream positions held
+  std::uint64_t rasEnd = 0;
+  /// Take `s` as persisted (after a successful save).
+  void advance(const ImageSource& s);
+};
+
+/// The full image of `s`.
+std::vector<std::byte> encodeImage(const ImageSource& s);
+
+/// One journal record taking `base` to `s`. `changed` lists, in
+/// ascending order, every job modified since `base` was taken (jobs
+/// submitted since are added without being listed). The record lists
+/// the sections in image order:
+///   kHead, kTables, kRasState, kAccounting: u32 length, then the
+///     whole section (writeFramed);
+///   kJobs: u32 count, then the entries of changed and new jobs;
+///   kQueue: u32 count of removed positions in the previous queue
+///     (ascending), the positions, u32 count of appended ids, the ids;
+///   kTimeline: u32 count, then the lines appended;
+///   kRasStream: u32 events dropped from the front, u32 count, then
+///     the events appended.
+void encodeJournalRecord(sim::ByteWriter& w, const ImageSource& s,
+                         const JournalBase& base,
+                         std::span<const JobId> changed);
+
+/// Writes a full image: the caller writes each section to out() in
+/// order and calls close() after it, which fills in its length.
+class ImageWriter {
+ public:
+  ImageWriter() { w_.grow(kImageTableBytes); }
+  sim::ByteWriter& out() { return w_; }
+  void close();
+  std::vector<std::byte> take() && { return std::move(w_).take(); }
+
+ private:
+  sim::ByteWriter w_;
+  std::size_t closed_ = 0;
+  std::size_t start_ = kImageTableBytes;
+};
+
+/// The bytes after the section table; empty when `image` is shorter
+/// than the table.
+std::span<const std::byte> imageBody(std::span<const std::byte> image);
+
+/// A whole section inside a journal record: u32 length, then what
+/// `body` writes.
+template <class Body>
+void writeFramed(sim::ByteWriter& w, Body&& body) {
+  const std::size_t at = w.size();
+  w.u32(0);
+  body();
+  w.patchU32(at, static_cast<std::uint32_t>(w.size() - at - 4));
+}
+
+/// Rebuilds the full image from a snapshot and the journal records
+/// written after it.
+class ImageReplay {
+ public:
+  /// Split a snapshot image into its sections. False when the table or
+  /// a section does not parse.
+  bool reset(std::span<const std::byte> image);
+  /// Apply one journal record. False, with nothing changed, when the
+  /// record does not parse against the current state.
+  bool apply(std::span<const std::byte> record);
+  /// The full image of the current state.
+  std::vector<std::byte> image() const;
+
+ private:
+  std::vector<std::byte> head_;
+  std::vector<std::vector<std::byte>> jobs_;  // index = id - 1
+  std::vector<std::uint32_t> queue_;
+  std::vector<std::byte> tables_;
+  std::uint64_t lines_ = 0;
+  std::vector<std::byte> timeline_;  // the lines, without their count
+  std::vector<std::byte> rasState_;
+  std::uint64_t events_ = 0;
+  std::vector<std::byte> stream_;  // the events, without their count
+  std::vector<std::byte> accounting_;
 };
 
 }  // namespace bg::svc

@@ -1,13 +1,33 @@
 #include "svc/failover.hpp"
 
-#include "sim/hash.hpp"
+#include <algorithm>
+
+#include "sim/bytes.hpp"
 
 namespace bg::svc {
 
 namespace {
-constexpr std::uint64_t kStoreMagic = 0x42474356'434B5054ULL;  // "BGCVCKPT"
-constexpr std::uint64_t kHeaderBytes = 24;
+constexpr std::uint64_t kSnapshotMagic = 0x42474356'434B5054ULL;  // "BGCVCKPT"
+constexpr std::uint64_t kJournalMagic = 0x42474356'4A524E4CULL;   // "BGCVJRNL"
+constexpr std::uint64_t kStampBytes = 16;  // generation, sequence number
 constexpr hw::VAddr kSvcPersistVBase = 0x5000'0000ULL;
+
+/// Region bytes a record with a `bodyBytes` body takes.
+constexpr std::uint64_t frameBytes(std::uint64_t bodyBytes) {
+  return cnk::kSealedHeaderBytes + kStampBytes + bodyBytes;
+}
+
+struct Stamp {
+  std::uint64_t gen = 0;
+  std::uint64_t seq = 0;
+};
+
+std::optional<Stamp> stampOf(std::span<const std::byte> payload) {
+  sim::ByteReader r(payload);
+  const Stamp s{r.u64(), r.u64()};
+  if (!r.ok()) return std::nullopt;
+  return s;
+}
 }  // namespace
 
 CheckpointStore::CheckpointStore(Config cfg)
@@ -16,36 +36,91 @@ CheckpointStore::CheckpointStore(Config cfg)
   reg_.openOrCreate(cfg_.regionName, cfg_.regionBytes, cfg_.uid);
 }
 
-bool CheckpointStore::save(const std::vector<std::byte>& image,
-                           sim::Cycle now) {
+bool CheckpointStore::writeRecord(std::uint64_t magic, std::uint64_t at,
+                                  std::uint64_t seq,
+                                  std::span<const std::byte> body,
+                                  sim::Cycle now) {
   // Reopen by name on every save — the same path a restarted daemon
   // takes — so uid and size checks are exercised continuously and the
   // region address provably never moves.
   const auto r = reg_.openOrCreate(cfg_.regionName, cfg_.regionBytes,
                                    cfg_.uid);
-  if (!r) return false;
-  if (kHeaderBytes + image.size() > r->size) return false;
-  mem_.write64(r->pbase, kStoreMagic);
-  mem_.write64(r->pbase + 8, image.size());
-  mem_.write64(r->pbase + 16, sim::hashBytes(image));
-  if (!image.empty()) mem_.write(r->pbase + kHeaderBytes, image);
+  sim::ByteWriter payload;
+  payload.u64(seq == 0 ? gen_ + 1 : gen_);
+  payload.u64(seq);
+  std::ranges::copy(body, payload.grow(body.size()).begin());
+  if (!r || at > r->size ||
+      !cnk::writeSealed(mem_, r->pbase + at, r->size - at, magic,
+                        payload.bytes())) {
+    ++failedSaves_;
+    return false;
+  }
   ++saves_;
-  lastImageBytes_ = image.size();
+  lastImageBytes_ = body.size();
   lastSaveCycle_ = now;
   return true;
+}
+
+bool CheckpointStore::save(std::span<const std::byte> image, sim::Cycle now) {
+  if (!writeRecord(kSnapshotMagic, 0, 0, image, now)) return false;
+  ++gen_;
+  seq_ = 0;
+  snapshotBytes_ = frameBytes(image.size());
+  tail_ = snapshotBytes_;
+  journalBytes_ = 0;
+  return true;
+}
+
+bool CheckpointStore::append(std::span<const std::byte> record,
+                             sim::Cycle now) {
+  if (gen_ == 0) {
+    ++failedSaves_;
+    return false;
+  }
+  if (!writeRecord(kJournalMagic, tail_, seq_ + 1, record, now)) return false;
+  ++seq_;
+  tail_ += frameBytes(record.size());
+  journalBytes_ += frameBytes(record.size());
+  return true;
+}
+
+bool CheckpointStore::wantsSnapshot(std::uint64_t recordBytes) const {
+  const cnk::PersistRegion* r = reg_.find(cfg_.regionName);
+  const std::uint64_t bytes = frameBytes(recordBytes);
+  return gen_ == 0 || r == nullptr ||
+         journalBytes_ + bytes > snapshotBytes_ || tail_ + bytes > r->size;
 }
 
 std::optional<std::vector<std::byte>> CheckpointStore::load() const {
   const cnk::PersistRegion* r = reg_.find(cfg_.regionName);
   if (r == nullptr) return std::nullopt;
-  if (mem_.read64(r->pbase) != kStoreMagic) return std::nullopt;
-  const std::uint64_t len = mem_.read64(r->pbase + 8);
-  if (kHeaderBytes + len > r->size) return std::nullopt;
-  const std::uint64_t checksum = mem_.read64(r->pbase + 16);
-  std::vector<std::byte> image(len);
-  if (len != 0) mem_.read(r->pbase + kHeaderBytes, image);
-  if (sim::hashBytes(image) != checksum) return std::nullopt;
-  return image;
+  std::optional<std::vector<std::byte>> snap =
+      cnk::readSealed(mem_, r->pbase, r->size, kSnapshotMagic);
+  if (!snap) return std::nullopt;
+  const std::optional<Stamp> head = stampOf(*snap);
+  if (!head || head->seq != 0) return std::nullopt;
+  const std::span<const std::byte> image =
+      std::span<const std::byte>(*snap).subspan(kStampBytes);
+
+  std::optional<ImageReplay> replay;
+  std::uint64_t at = frameBytes(image.size());
+  for (std::uint64_t seq = 1;; ++seq) {
+    const std::optional<std::vector<std::byte>> rec =
+        cnk::readSealed(mem_, r->pbase + at, r->size - at, kJournalMagic);
+    if (!rec) break;
+    const std::optional<Stamp> st = stampOf(*rec);
+    if (!st || st->gen != head->gen || st->seq != seq) break;
+    if (!replay) {
+      replay.emplace();
+      if (!replay->reset(image)) return std::nullopt;
+    }
+    if (!replay->apply(std::span<const std::byte>(*rec).subspan(kStampBytes))) {
+      break;
+    }
+    at += cnk::kSealedHeaderBytes + rec->size();
+  }
+  if (replay) return replay->image();
+  return std::vector<std::byte>(image.begin(), image.end());
 }
 
 void CheckpointStore::registerImage(
@@ -130,6 +205,7 @@ SvcMetrics ServiceHost::metrics() {
   m.serviceRestarts = restarts_;
   m.checkpointSaves = store_.saves();
   m.checkpointBytes = store_.lastImageBytes();
+  m.checkpointFailedSaves = store_.failedSaves();
   return m;
 }
 

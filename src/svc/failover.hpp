@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,10 +29,18 @@
 namespace bg::svc {
 
 /// Persistent backing for service-node checkpoints: a PersistRegistry
-/// pool on dedicated DRAM, one named region holding the latest image
-/// behind a [length, checksum] header, plus an executable catalog
-/// standing in for the shared filesystem (checkpoints reference job
-/// images by name; the images themselves survive on "disk").
+/// pool on dedicated DRAM, one named region holding a sealed snapshot
+/// of the full image followed by a journal of sealed per-save records,
+/// plus an executable catalog standing in for the shared filesystem
+/// (checkpoints reference job images by name; the images themselves
+/// survive on "disk").
+///
+/// Every record carries the generation of its snapshot and a sequence
+/// number (the snapshot is 0). A new snapshot starts the next
+/// generation at the front of the region, so records an older
+/// generation left past the new tail are never replayed. The journal is
+/// compacted into a fresh snapshot once it would outgrow the snapshot
+/// or the region.
 class CheckpointStore {
  public:
   struct Config {
@@ -44,12 +53,24 @@ class CheckpointStore {
   CheckpointStore() : CheckpointStore(Config{}) {}
   explicit CheckpointStore(Config cfg);
 
-  /// Persist a checkpoint image. Fails (false) only when the image
-  /// plus header exceeds the region, or the region cannot be opened.
-  bool save(const std::vector<std::byte>& image, sim::Cycle now);
+  /// Persist a full image as a fresh snapshot, which empties the
+  /// journal. Fails (false, region untouched) when the image does not
+  /// fit the region or the region cannot be opened.
+  bool save(std::span<const std::byte> image, sim::Cycle now);
 
-  /// Read back and validate the latest image; nullopt when no valid
-  /// checkpoint exists (never saved, or torn/corrupted).
+  /// Append one journal record (svc/checkpoint.hpp) after the live
+  /// snapshot. Fails (false) when there is no snapshot, the record does
+  /// not fit, or the region cannot be opened.
+  bool append(std::span<const std::byte> record, sim::Cycle now);
+
+  /// True when a save of a `recordBytes` journal record should write a
+  /// snapshot instead: there is none yet, the journal would outgrow the
+  /// snapshot, or the record would not fit the region.
+  bool wantsSnapshot(std::uint64_t recordBytes) const;
+
+  /// The full image at the last valid record: the snapshot with every
+  /// record of its generation applied, up to the first torn, truncated
+  /// or stale one. nullopt when there is no valid snapshot.
   std::optional<std::vector<std::byte>> load() const;
   bool hasCheckpoint() const { return saves_ > 0; }
 
@@ -62,18 +83,40 @@ class CheckpointStore {
   /// in place and watch load() reject it.
   hw::PhysMem& mem() { return mem_; }
 
+  /// Snapshots and journal appends both count as saves; the last one's
+  /// bytes (its image or record, without the seal) are lastImageBytes.
   std::uint64_t saves() const { return saves_; }
   std::uint64_t lastImageBytes() const { return lastImageBytes_; }
   sim::Cycle lastSaveCycle() const { return lastSaveCycle_; }
+  /// Saves that returned false.
+  std::uint64_t failedSaves() const { return failedSaves_; }
+  /// Generation of the live snapshot (0 = none written yet), the
+  /// records in its journal, and the region offset one past the newest
+  /// record (where the next one goes).
+  std::uint64_t generation() const { return gen_; }
+  std::uint64_t journalRecords() const { return seq_; }
+  std::uint64_t journalTail() const { return tail_; }
 
  private:
+  /// Seal `body` behind its generation/sequence stamp at region offset
+  /// `at` (sequence 0, a snapshot, stamps the next generation); counts
+  /// the save or the failure.
+  bool writeRecord(std::uint64_t magic, std::uint64_t at, std::uint64_t seq,
+                   std::span<const std::byte> body, sim::Cycle now);
+
   Config cfg_;
   hw::PhysMem mem_;
   cnk::PersistRegistry reg_;
   std::map<std::string, std::shared_ptr<kernel::ElfImage>> images_;
   std::uint64_t saves_ = 0;
+  std::uint64_t failedSaves_ = 0;
   std::uint64_t lastImageBytes_ = 0;
   sim::Cycle lastSaveCycle_ = 0;
+  std::uint64_t gen_ = 0;
+  std::uint64_t seq_ = 0;            // sequence number of the newest record
+  std::uint64_t tail_ = 0;           // region offset of the next record
+  std::uint64_t snapshotBytes_ = 0;  // region bytes the snapshot takes
+  std::uint64_t journalBytes_ = 0;   // region bytes the records take
 };
 
 /// Owns the control plane across crashes. Everything that must survive

@@ -108,7 +108,8 @@ struct SvcMetrics {
   std::uint64_t serviceCrashes = 0;
   std::uint64_t serviceRestarts = 0;
   std::uint64_t checkpointSaves = 0;
-  std::uint64_t checkpointBytes = 0;  // last image size
+  std::uint64_t checkpointBytes = 0;  // last snapshot or record size
+  std::uint64_t checkpointFailedSaves = 0;  // saves that did not persist
 
   // RAS flow.
   std::uint64_t rasInfo = 0;
@@ -151,6 +152,7 @@ struct SvcMetrics {
     fo.set("service_restarts", serviceRestarts);
     fo.set("checkpoint_saves", checkpointSaves);
     fo.set("checkpoint_bytes", checkpointBytes);
+    fo.set("failed_saves", checkpointFailedSaves);
     j.set("failover", std::move(fo));
     sim::Json ras = sim::Json::object();
     ras.set("info", rasInfo);

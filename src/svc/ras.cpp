@@ -148,7 +148,18 @@ std::uint64_t RasAggregator::dropped() const {
   return sum;
 }
 
-void RasAggregator::saveTo(sim::ByteWriter& w) const {
+void RasAggregator::encodeEvent(sim::ByteWriter& w, const SvcRasEvent& e) {
+  w.u32(static_cast<std::uint32_t>(e.node));
+  w.u64(e.event.cycle);
+  w.u8(static_cast<std::uint8_t>(e.event.code));
+  w.u8(static_cast<std::uint8_t>(e.event.severity));
+  w.u32(e.event.pid);
+  w.u32(e.event.tid);
+  w.u64(e.event.detail);
+  w.u64(e.event.seq);
+}
+
+void RasAggregator::saveStateTo(sim::ByteWriter& w) const {
   w.u64(sources_.size());
   for (const Source& s : sources_) {
     w.u32(static_cast<std::uint32_t>(s.node));
@@ -168,17 +179,11 @@ void RasAggregator::saveTo(sim::ByteWriter& w) const {
   w.u64(accepted_);
   w.u64(throttled_);
   w.u64(streamDropped_);
+}
+
+void RasAggregator::saveStreamTo(sim::ByteWriter& w) const {
   w.u64(stream_.size());
-  for (const SvcRasEvent& se : stream_) {
-    w.u32(static_cast<std::uint32_t>(se.node));
-    w.u64(se.event.cycle);
-    w.u8(static_cast<std::uint8_t>(se.event.code));
-    w.u8(static_cast<std::uint8_t>(se.event.severity));
-    w.u32(se.event.pid);
-    w.u32(se.event.tid);
-    w.u64(se.event.detail);
-    w.u64(se.event.seq);
-  }
+  for (const SvcRasEvent& se : stream_) encodeEvent(w, se);
 }
 
 bool RasAggregator::loadFrom(sim::ByteReader& r) {

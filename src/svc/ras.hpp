@@ -134,7 +134,19 @@ class RasAggregator {
 
   /// Serialize cursors, throttle windows, warn windows, and tallies
   /// (not the kernels themselves) into a checkpoint image.
-  void saveTo(sim::ByteWriter& w) const;
+  void saveStateTo(sim::ByteWriter& w) const;
+  /// Serialize the stream: its length, then each event (encodeEvent,
+  /// kEventBytes each). saveStateTo followed by saveStreamTo is what
+  /// loadFrom reads.
+  void saveStreamTo(sim::ByteWriter& w) const;
+  static void encodeEvent(sim::ByteWriter& w, const SvcRasEvent& e);
+  static constexpr std::size_t kEventBytes = 38;
+
+  /// Stream positions, counted over every event ever stored: the
+  /// first one still held and one past the newest.
+  std::uint64_t streamBegin() const { return accepted_ - stream_.size(); }
+  std::uint64_t streamEnd() const { return accepted_; }
+
   /// Restore from a checkpoint. Sources must already be attach()ed in
   /// the same order; their cursors are overwritten with the persisted
   /// values so polling resumes where the checkpointed instance

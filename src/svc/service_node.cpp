@@ -211,10 +211,10 @@ void ServiceNode::trySchedule() {
   if (queue_.empty()) return;
   SchedContext ctx;
   ctx.now = engine().now();
-  for (JobId id : queue_) ctx.queue.push_back(find(id));
+  for (JobId id : queue_) ctx.queue.push_back(job(id));
   ctx.readyNodes = [this](rt::KernelKind k) { return parts_.readyCount(k); };
   for (JobId id : runningIds_) {
-    const JobRecord* jr = find(id);
+    const JobRecord* jr = job(id);
     ctx.running.push_back(RunningJobInfo{
         jr->id, jr->desc.kernel, jr->desc.nodes,
         jr->startCycle + jr->desc.estCycles, jr->startCycle,
@@ -266,17 +266,17 @@ void ServiceNode::trySchedule() {
   }
   std::vector<JobId> launched;
   for (std::size_t qi : policy_->select(ctx)) {
-    JobRecord* jr = find(queue_[qi]);
+    const JobRecord* jr = job(queue_[qi]);
     // Healthy-preferred: link-sick nodes are a last resort (the avoid
     // set is empty on fault-free streams, so schedules there are
     // bit-identical to the plain allocator).
     const std::vector<int> nodes =
         parts_.allocate(jr->desc.nodes, jr->desc.kernel, linkSick_);
     if (static_cast<int>(nodes.size()) < jr->desc.nodes) continue;
-    if (launch(*jr, nodes)) launched.push_back(jr->id);
+    if (launch(*find(jr->id), nodes)) launched.push_back(jr->id);
   }
   for (JobId id : launched) {
-    accounting_.onDequeued(find(id)->desc.account);
+    accounting_.onDequeued(job(id)->desc.account);
     queue_.erase(std::remove(queue_.begin(), queue_.end(), id),
                  queue_.end());
   }
@@ -881,8 +881,13 @@ void ServiceNode::note(const char* what, JobId id, sim::Cycle cycle,
 }
 
 JobRecord* ServiceNode::find(JobId id) {
-  return id == 0 || id > jobs_.size() ? nullptr
-                                      : &jobs_[static_cast<std::size_t>(id - 1)];
+  if (id == 0 || id > jobs_.size()) return nullptr;
+  dirty_.resize(jobs_.size(), 0);
+  if (dirty_[id - 1] == 0) {
+    dirty_[id - 1] = 1;
+    dirtyIds_.push_back(id);
+  }
+  return &jobs_[static_cast<std::size_t>(id - 1)];
 }
 
 const JobRecord* ServiceNode::job(JobId id) const {
@@ -913,7 +918,7 @@ bool ServiceNode::runUntilDrained(std::uint64_t maxEvents) {
 
 // --- checkpoint/restart -------------------------------------------------
 
-SvcCheckpoint ServiceNode::buildCheckpoint() {
+SvcCheckpoint ServiceNode::checkpointHead() {
   SvcCheckpoint ck;
   ck.takenAt = engine().now();
   ck.scheduleHash = hash_.digest();
@@ -941,32 +946,38 @@ SvcCheckpoint ServiceNode::buildCheckpoint() {
   ck.firstSubmit = firstSubmit_;
   ck.lastEnd = lastEnd_;
   ck.pumpDue = pumpScheduled_ ? pumpDue_ : 0;
-  for (const JobRecord& jr : jobs_) {
-    SvcCheckpoint::JobEntry e;
-    e.rec = jr;
-    if (jr.desc.exe) e.exeName = jr.desc.exe->name();
-    for (const auto& lib : jr.desc.libs) {
-      if (lib) e.libNames.push_back(lib->name());
-    }
-    ck.jobs.push_back(std::move(e));
-  }
-  ck.queue = queue_;
   ck.running = runningIds_;
   for (int n = 0; n < parts_.size(); ++n) {
     ck.nodes.push_back(parts_.snapshot(n));
     ck.ops.push_back(nodeOps_[static_cast<std::size_t>(n)]);
   }
-  ck.timeline = timeline_;
   return ck;
+}
+
+std::vector<std::byte> ServiceNode::encodeImage() {
+  const SvcCheckpoint head = checkpointHead();
+  return svc::encodeImage(
+      {head, jobs_, queue_, timeline_, ras_, accounting_});
 }
 
 bool ServiceNode::saveCheckpoint() {
   if (store_ == nullptr) return false;
-  sim::ByteWriter w;
-  buildCheckpoint().encode(w);
-  ras_.saveTo(w);
-  accounting_.saveTo(w);
-  return store_->save(std::move(w).take(), engine().now());
+  const SvcCheckpoint head = checkpointHead();
+  const ImageSource src{head, jobs_, queue_, timeline_, ras_, accounting_};
+  const sim::Cycle now = engine().now();
+  sim::ByteWriter record;
+  if (journaled_) {
+    std::sort(dirtyIds_.begin(), dirtyIds_.end());
+    encodeJournalRecord(record, src, journalBase_, dirtyIds_);
+  }
+  const bool ok = journaled_ && !store_->wantsSnapshot(record.size())
+                      ? store_->append(record.bytes(), now)
+                      : store_->save(svc::encodeImage(src), now);
+  for (JobId id : dirtyIds_) dirty_[id - 1] = 0;
+  dirtyIds_.clear();
+  journaled_ = ok;
+  if (ok) journalBase_.advance(src);
+  return ok;
 }
 
 bool ServiceNode::checkpointNow() { return saveCheckpoint(); }
@@ -988,7 +999,7 @@ std::unique_ptr<ServiceNode> ServiceNode::restartFrom(rt::Cluster& cluster,
                                                       CheckpointStore& store) {
   const auto image = store.load();
   if (!image) return nullptr;
-  sim::ByteReader r(*image);
+  sim::ByteReader r(imageBody(*image));
   auto sn = std::make_unique<ServiceNode>(cluster, cfg, &store);
   if (!sn->loadFrom(r, store)) return nullptr;
   return sn;

@@ -12,12 +12,13 @@
 // goes fatal).
 //
 // The control plane itself is crash-safe: with a CheckpointStore
-// attached it serializes its whole state (queue, running-job leases,
+// attached it persists its whole state (queue, running-job leases,
 // node lifecycles with pending deadlines, RAS cursors, schedule hash)
-// into a persistent-memory region, and restartFrom() rebuilds a
-// service node mid-stream from that image. Every event the node
-// schedules is epoch-guarded, so events belonging to a crashed
-// instance die with it instead of firing into freed memory.
+// into a persistent-memory region — a snapshot, then one journal
+// record per save holding what changed — and restartFrom() rebuilds a
+// service node mid-stream from the image they replay to. Every event
+// the node schedules is epoch-guarded, so events belonging to a
+// crashed instance die with it instead of firing into freed memory.
 //
 // Everything runs as events on the cluster's deterministic engine, so
 // a whole job stream — including injected node failures and injected
@@ -176,6 +177,10 @@ class ServiceNode {
   /// store is attached or the save failed.
   bool checkpointNow();
 
+  /// The full checkpoint image of the current state: what a snapshot
+  /// holds, and what restore rebuilds from a snapshot plus journal.
+  std::vector<std::byte> encodeImage();
+
   const JobRecord* job(JobId id) const;
   const std::vector<JobRecord>& jobs() const { return jobs_; }
   PartitionManager& partitions() { return parts_; }
@@ -295,11 +300,17 @@ class ServiceNode {
   void scrubNode(int node);  // post-drain kernel cleanup (CNK unload)
   void note(const char* what, JobId id, sim::Cycle cycle,
             const std::vector<int>& nodes = {});
+  /// Mutable access to a job; marks it for the next journal record.
+  /// Every change to a job record goes through here, so read-only
+  /// paths use job() instead.
   JobRecord* find(JobId id);
   bool idle() const;
   bool anyNodeInFlight() const;
 
-  SvcCheckpoint buildCheckpoint();
+  /// The checkpoint's header and tables (no jobs, queue or timeline).
+  SvcCheckpoint checkpointHead();
+  /// Append a journal record, or write a snapshot when nothing is
+  /// journaled yet or the store asks for one.
   bool saveCheckpoint();
   /// Called after every pump per the cadence config.
   void checkpointAfterPump();
@@ -328,6 +339,13 @@ class ServiceNode {
   std::uint32_t pumpsSinceCkpt_ = 0;
   sim::Fnv1a hash_;
   std::vector<std::string> timeline_;
+  /// What the store already holds, when known: false until this
+  /// instance's first snapshot and after a failed save.
+  bool journaled_ = false;
+  JournalBase journalBase_;
+  /// Jobs find() handed out since the last save (flag by id - 1).
+  std::vector<char> dirty_;
+  std::vector<JobId> dirtyIds_;
   std::uint64_t retries_ = 0;
   std::uint64_t failures_ = 0;  // node failures handled
   std::uint64_t predictiveDrains_ = 0;

@@ -1,9 +1,10 @@
 // PersistRegistry misuse: pool exhaustion, uid mismatch on reopen,
 // oversized reopen, page rounding, and the address-stability contract
 // (paper §IV-D) that the service-node checkpoint store leans on.
-// Plus the persistence upgrade/corruption edges the checkpoint planes
-// add: the v4 -> v5 SvcCheckpoint layout change, and torn application
-// checkpoint images rejected by the seal with a scratch fallback.
+// Plus the persistence version/corruption edges the checkpoint planes
+// add: an SvcCheckpoint header of another layout version is rejected
+// (cold start), and torn application checkpoint images are rejected by
+// the seal with a scratch fallback.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -16,6 +17,7 @@
 #include "hw/phys_mem.hpp"
 #include "kernel/syscalls.hpp"
 #include "svc/checkpoint.hpp"
+#include "svc/failover.hpp"
 
 namespace bg {
 namespace {
@@ -105,7 +107,7 @@ TEST(PersistEdges, RemovedNameReusesNoPoolSpace) {
 }
 
 // ---------------------------------------------------------------------
-// SvcCheckpoint v4 -> v5 upgrade path
+// SvcCheckpoint layout versions
 // ---------------------------------------------------------------------
 
 svc::SvcCheckpoint sampleCheckpoint() {
@@ -131,32 +133,6 @@ svc::SvcCheckpoint sampleCheckpoint() {
   return ck;
 }
 
-TEST(PersistEdges, SvcCheckpointV4ImageDecodesWithCkptFieldsZero) {
-  // A v4 image (written by the pre-ckpt control plane) must decode on
-  // the v5 code: everything it carries round-trips, and the fields the
-  // layout predates — the four ckpt counters and per-job ckptSeq —
-  // come back zero, i.e. "no application checkpoint known", which is
-  // exactly the safe default (a requeue after upgrade runs scratch).
-  const svc::SvcCheckpoint src = sampleCheckpoint();
-  sim::ByteWriter w;
-  src.encode(w, 4);
-  sim::ByteReader r(w.bytes());
-  svc::SvcCheckpoint dec;
-  ASSERT_TRUE(dec.decode(r));
-  EXPECT_EQ(dec.takenAt, src.takenAt);
-  EXPECT_EQ(dec.scheduleHash, src.scheduleHash);
-  EXPECT_EQ(dec.nextId, src.nextId);
-  EXPECT_EQ(dec.preemptions, src.preemptions);
-  ASSERT_EQ(dec.jobs.size(), 1u);
-  EXPECT_EQ(dec.jobs[0].rec.id, 7u);
-  EXPECT_EQ(dec.jobs[0].rec.preemptCount, 1);
-  EXPECT_EQ(dec.ckptRequests, 0u);
-  EXPECT_EQ(dec.ckptCommits, 0u);
-  EXPECT_EQ(dec.ckptFallbacks, 0u);
-  EXPECT_EQ(dec.ckptResumes, 0u);
-  EXPECT_EQ(dec.jobs[0].rec.ckptSeq, 0u);
-}
-
 TEST(PersistEdges, SvcCheckpointV5RoundTripsCkptFields) {
   const svc::SvcCheckpoint src = sampleCheckpoint();
   sim::ByteWriter w;
@@ -172,29 +148,40 @@ TEST(PersistEdges, SvcCheckpointV5RoundTripsCkptFields) {
   EXPECT_EQ(dec.jobs[0].rec.ckptSeq, 5u);
 }
 
-TEST(PersistEdges, SvcCheckpointV5ImageDecodesWithMigrateFieldsZero) {
-  // A v5 image (written by the pre-migration control plane) must decode
-  // on the v6 code with the migration block at its safe default: no
-  // migrations known and an empty link-sick set, so allocation after
-  // the upgrade is bit-identical to plain allocate().
-  svc::SvcCheckpoint src = sampleCheckpoint();
-  src.migrateRequests = 2;
-  src.migrateCommits = 2;
-  src.migrations = 1;
-  src.sickNodes = {3, 5};
+TEST(PersistEdges, SvcCheckpointOldVersionHeaderForcesColdStart) {
+  // Images live only in simulated persistent memory inside one
+  // process, so there is no upgrade path: a header of any other layout
+  // version (here v5, the pre-migration layout) fails decode...
   sim::ByteWriter w;
-  src.encode(w, 5);
-  sim::ByteReader r(w.bytes());
+  sampleCheckpoint().encode(w);
+  std::vector<std::byte> image = std::move(w).take();
+  image[0] = std::byte{5};
+  sim::ByteReader r(image);
   svc::SvcCheckpoint dec;
-  ASSERT_TRUE(dec.decode(r));
-  EXPECT_EQ(dec.ckptResumes, 2u) << "v5 payload must still round-trip";
-  EXPECT_EQ(dec.migrateRequests, 0u);
-  EXPECT_EQ(dec.migrateCommits, 0u);
-  EXPECT_EQ(dec.migrateFallbacks, 0u);
-  EXPECT_EQ(dec.migrations, 0u);
-  EXPECT_EQ(dec.degradedJobs, 0u);
-  EXPECT_EQ(dec.migrateCyclesSaved, 0u);
-  EXPECT_TRUE(dec.sickNodes.empty());
+  EXPECT_FALSE(dec.decode(r));
+
+  // ...and a service host whose store holds such an image cold-starts.
+  rt::ClusterConfig cfg;
+  cfg.computeNodes = 2;
+  rt::Cluster cluster(cfg);
+  svc::ServiceHost host(cluster);
+  svc::JobDesc jd;
+  jd.name = "one";
+  jd.nodes = 1;
+  vm::ProgramBuilder b("one");
+  b.compute(20'000);
+  b.halt(0);
+  jd.exe = kernel::ElfImage::makeExecutable("one", std::move(b).build());
+  host.submit(jd);
+  ASSERT_TRUE(host.runUntilDrained(50'000'000));
+  host.crash();
+  std::optional<std::vector<std::byte>> live = host.store().load();
+  ASSERT_TRUE(live.has_value());
+  ASSERT_EQ((*live)[svc::kImageTableBytes], std::byte{6});
+  (*live)[svc::kImageTableBytes] = std::byte{5};
+  ASSERT_TRUE(host.store().save(*live, cluster.engine().now()));
+  EXPECT_FALSE(host.restart()) << "an old-version image restored warm";
+  EXPECT_EQ(host.coldStarts(), 1u);
 }
 
 TEST(PersistEdges, SvcCheckpointV6RoundTripsMigrateFields) {

@@ -8,7 +8,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault_schedule.hpp"
@@ -46,16 +49,10 @@ struct RunResult {
   std::vector<std::string> timeline;
 };
 
-RunResult runStream(std::uint64_t seed, int jobs,
-                    const testing::FaultSchedule& faults,
-                    svc::ServiceNodeConfig snCfg = {},
-                    std::uint64_t repScale = 1) {
-  rt::ClusterConfig cfg;
-  cfg.computeNodes = 4;
-  cfg.seed = seed;
-  rt::Cluster cluster(cfg);
-  svc::ServiceHost host(cluster, snCfg);
-
+/// The seeded stream runStream() submits: `jobs` one- or two-node CNK
+/// jobs of 100K-190K cycles (times `repScale`).
+void submitJobs(svc::ServiceHost& host, std::uint64_t seed, int jobs,
+                std::uint64_t repScale) {
   sim::Rng rng(seed, "svc-restart-test");
   for (int i = 0; i < jobs; ++i) {
     svc::JobDesc jd;
@@ -67,6 +64,18 @@ RunResult runStream(std::uint64_t seed, int jobs,
     jd.estCycles = reps * 10'000 + 50'000;
     host.submit(jd);
   }
+}
+
+RunResult runStream(std::uint64_t seed, int jobs,
+                    const testing::FaultSchedule& faults,
+                    svc::ServiceNodeConfig snCfg = {},
+                    std::uint64_t repScale = 1) {
+  rt::ClusterConfig cfg;
+  cfg.computeNodes = 4;
+  cfg.seed = seed;
+  rt::Cluster cluster(cfg);
+  svc::ServiceHost host(cluster, snCfg);
+  submitJobs(host, seed, jobs, repScale);
   faults.arm(cluster, host);
 
   RunResult out;
@@ -96,6 +105,26 @@ std::vector<sim::Cycle> decisionCycles(const RunResult& r) {
   return cycles;
 }
 
+struct Gap {
+  sim::Cycle start = 0, len = 0;
+};
+
+/// The two widest decision-free windows of a run, widest first.
+std::pair<Gap, Gap> widestGaps(const RunResult& r) {
+  const std::vector<sim::Cycle> cycles = decisionCycles(r);
+  Gap g1, g2;
+  for (std::size_t i = 1; i < cycles.size(); ++i) {
+    const Gap g{cycles[i - 1], cycles[i] - cycles[i - 1]};
+    if (g.len > g1.len) {
+      g2 = g1;
+      g1 = g;
+    } else if (g.len > g2.len) {
+      g2 = g;
+    }
+  }
+  return {g1, g2};
+}
+
 // --- Tentpole witness: restart is schedule-invisible --------------------
 
 TEST(SvcRestart, TwoCrashesHashEqualToUninterruptedRun) {
@@ -110,21 +139,8 @@ TEST(SvcRestart, TwoCrashesHashEqualToUninterruptedRun) {
   // Pick the two widest decision-free windows and crash inside them:
   // with no decision in the outage, a write-through checkpoint restart
   // must continue the identical schedule.
-  const std::vector<sim::Cycle> cycles = decisionCycles(base);
-  ASSERT_GE(cycles.size(), 2u);
-  struct Gap {
-    sim::Cycle start = 0, len = 0;
-  };
-  Gap g1, g2;
-  for (std::size_t i = 1; i < cycles.size(); ++i) {
-    const Gap g{cycles[i - 1], cycles[i] - cycles[i - 1]};
-    if (g.len > g1.len) {
-      g2 = g1;
-      g1 = g;
-    } else if (g.len > g2.len) {
-      g2 = g;
-    }
-  }
+  ASSERT_GE(decisionCycles(base).size(), 2u);
+  const auto [g1, g2] = widestGaps(base);
   const sim::Cycle interval = svc::ServiceNodeConfig{}.pollIntervalCycles;
   ASSERT_GT(g1.len, 6 * interval) << "stream has no quiet window";
   ASSERT_GT(g2.len, 6 * interval) << "stream has no second quiet window";
@@ -350,6 +366,258 @@ TEST(SvcRestart, OversizedImageIsRejectedNotTorn) {
   const auto back = store.load();
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, small);
+}
+
+
+// --- Snapshot + journal -------------------------------------------------
+
+/// Drive `host` until it drains, calling `onSave` after every event in
+/// which the store took a save.
+bool runObservingSaves(rt::Cluster& cluster, svc::ServiceHost& host,
+                       const std::function<void()>& onSave) {
+  host.start();
+  std::uint64_t seen = host.store().saves();
+  return cluster.engine().runWhile(
+      [&] {
+        if (host.store().saves() != seen) {
+          seen = host.store().saves();
+          onSave();
+        }
+        return host.drained();
+      },
+      400'000'000);
+}
+
+TEST(SvcJournal, ReplayEqualsFullEncodeAtEverySave) {
+  // Crashes, a node death and QOS preemptions: at every save the store's
+  // snapshot + journal must replay to exactly the bytes a full encode
+  // of the live state gives.
+  rt::ClusterConfig cfg;
+  cfg.computeNodes = 4;
+  cfg.seed = 5;
+  rt::Cluster cluster(cfg);
+  svc::ServiceNodeConfig snCfg;
+  snCfg.policy = svc::SchedPolicyKind::kFairShare;
+  svc::AccountSpec batch;
+  batch.name = "batch";
+  batch.qos = svc::Qos::kLow;
+  svc::AccountSpec urgent;
+  urgent.name = "urgent";
+  urgent.qos = svc::Qos::kHigh;
+  urgent.preemptable = false;
+  snCfg.fairshare.accounts = {batch, urgent};
+  svc::ServiceHost host(cluster, snCfg);
+
+  sim::Rng rng(5, "svc-journal-test");
+  for (int i = 0; i < 24; ++i) {
+    svc::JobDesc jd;
+    jd.name = "j" + std::to_string(i);
+    jd.nodes = 1 + static_cast<int>(rng.nextBelow(2));
+    jd.account = i % 3 == 2 ? 2 : 1;  // every third job is urgent
+    const std::uint64_t reps = 20 + rng.nextBelow(20);
+    jd.exe = workImage(jd.name, reps, 10'000);
+    jd.estCycles = reps * 10'000 + 50'000;
+    jd.maxRetries = 3;
+    const sim::Cycle at = static_cast<sim::Cycle>(i) * 120'000;
+    cluster.engine().scheduleAt(at, [&host, jd] { host.submit(jd); });
+  }
+  testing::FaultSchedule fs;
+  fs.svcCrash(700'000, 150'000).nodeDeath(1, 1'300'000);
+  fs.svcCrash(2'100'000, 90'000);
+  fs.arm(cluster, host);
+
+  std::uint64_t checks = 0;
+  ASSERT_TRUE(runObservingSaves(cluster, host, [&] {
+    ASSERT_TRUE(host.alive());
+    const std::optional<std::vector<std::byte>> replayed =
+        host.store().load();
+    ASSERT_TRUE(replayed.has_value());
+    ASSERT_EQ(*replayed, host.node().encodeImage())
+        << "save " << host.store().saves();
+    ++checks;
+  }));
+  const svc::SvcMetrics m = host.metrics();
+  EXPECT_EQ(m.jobsCompleted, 24u);
+  EXPECT_EQ(host.crashes(), 2u);
+  EXPECT_EQ(host.coldStarts(), 0u);
+  EXPECT_GE(m.nodeFailures, 1u);
+  EXPECT_GE(m.preemptions, 1u);
+  EXPECT_EQ(m.checkpointFailedSaves, 0u);
+  // An event can save more than once (a restart saves once per
+  // buffered submission it flushes); it is checked after its last save.
+  EXPECT_LE(checks, host.store().saves());
+  EXPECT_GT(checks, host.store().saves() / 2);
+  // Most saves were journal appends, and the journal was compacted.
+  EXPECT_GE(host.store().generation(), 3u);
+  EXPECT_GT(host.store().saves(), 3 * host.store().generation());
+}
+
+TEST(SvcJournal, CorruptedLastRecordRestartsWarmFromTheRecordBefore) {
+  // TwoCrashesHashEqualToUninterruptedRun's stream, crashed in its
+  // widest quiet window with the newest journal record torn: restart
+  // is warm from the record before it and the schedule is unchanged.
+  const RunResult base = runStream(42, 10, {}, {}, 10);
+  ASSERT_TRUE(base.drained);
+  const Gap g = widestGaps(base).first;
+  const sim::Cycle interval = svc::ServiceNodeConfig{}.pollIntervalCycles;
+  ASSERT_GT(g.len, 6 * interval);
+
+  rt::ClusterConfig cfg;
+  cfg.computeNodes = 4;
+  cfg.seed = 42;
+  rt::Cluster cluster(cfg);
+  svc::ServiceHost host(cluster);
+  submitJobs(host, 42, 10, 10);
+  svc::CheckpointStore& store = host.store();
+  std::optional<std::vector<std::byte>> previous;
+  std::optional<std::vector<std::byte>> newest;
+  bool torn = false;
+  sim::Engine& eng = cluster.engine();
+  eng.scheduleAt(g.start + interval + 1, [&] {
+    host.crash();
+    ASSERT_GE(store.journalRecords(), 1u) << "newest save is a snapshot";
+    const cnk::PersistRegion* r = store.registry().find("svc.jobqueue");
+    ASSERT_NE(r, nullptr);
+    // Flip the newest record's last payload byte: its seal fails.
+    const hw::PAddr last = r->pbase + store.journalTail() - 1;
+    std::vector<std::byte> b(1);
+    store.mem().read(last, b);
+    b[0] = ~b[0];
+    store.mem().write(last, b);
+    EXPECT_EQ(store.load(), previous) << "did not fall back one record";
+    EXPECT_NE(store.load(), newest);
+    torn = true;
+    eng.schedule(g.len - 4 * interval, [&] { EXPECT_TRUE(host.restart()); });
+  });
+  ASSERT_TRUE(runObservingSaves(cluster, host, [&] {
+    previous = std::move(newest);
+    newest = store.load();
+  }));
+  EXPECT_TRUE(torn);
+  EXPECT_EQ(host.coldStarts(), 0u);
+  const svc::SvcMetrics m = host.metrics();
+  EXPECT_EQ(m.jobsCompleted, 10u);
+  EXPECT_EQ(m.scheduleHash, base.hash)
+      << "restart from the record before the torn one changed the schedule";
+}
+
+/// A minimal well-formed image: one head byte, the given timeline
+/// lines, every other section empty.
+std::vector<std::byte> tinyImage(std::uint8_t head,
+                                 const std::vector<std::string>& lines) {
+  svc::ImageWriter img;
+  sim::ByteWriter& w = img.out();
+  w.u8(head);  // kHead
+  img.close();
+  w.u64(0);  // kJobs
+  img.close();
+  w.u64(0);  // kQueue
+  img.close();
+  img.close();  // kTables
+  w.u64(lines.size());
+  for (const std::string& l : lines) w.str(l);
+  img.close();  // kTimeline
+  img.close();  // kRasState
+  w.u64(0);
+  img.close();  // kRasStream
+  img.close();  // kAccounting
+  return std::move(img).take();
+}
+
+/// A journal record that replaces the head byte and appends one line.
+std::vector<std::byte> tinyRecord(std::uint8_t head, const std::string& line) {
+  sim::ByteWriter w;
+  svc::writeFramed(w, [&] { w.u8(head); });
+  w.u32(0);  // job entries
+  w.u32(0);  // queue removals
+  w.u32(0);  // queue appends
+  svc::writeFramed(w, [] {});
+  w.u32(1);
+  w.str(line);
+  svc::writeFramed(w, [] {});
+  w.u32(0);  // RAS events dropped
+  w.u32(0);  // RAS events appended
+  svc::writeFramed(w, [] {});
+  return std::move(w).take();
+}
+
+TEST(SvcJournal, StaleRecordsPastANewGenerationsTailAreIgnored) {
+  svc::CheckpointStore store;
+  ASSERT_TRUE(store.save(tinyImage(1, {}), 1));
+  std::uint64_t tailAfterTwo = 0;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(store.append(tinyRecord(1, "old" + std::to_string(i)), 2));
+    if (i == 1) tailAfterTwo = store.journalTail();
+  }
+  EXPECT_EQ(store.load(), tinyImage(1, {"old0", "old1", "old2", "old3"}));
+
+  // Compaction: a same-size snapshot starts generation 2, and two
+  // same-size records end exactly where generation 1's third record
+  // (sealed, sequence 3, the next one expected) begins.
+  ASSERT_TRUE(store.save(tinyImage(2, {}), 3));
+  ASSERT_TRUE(store.append(tinyRecord(2, "new0"), 4));
+  ASSERT_TRUE(store.append(tinyRecord(2, "new1"), 5));
+  EXPECT_EQ(store.generation(), 2u);
+  ASSERT_EQ(store.journalTail(), tailAfterTwo);
+  EXPECT_EQ(store.load(), tinyImage(2, {"new0", "new1"}));
+}
+
+TEST(SvcJournal, CorruptedSnapshotUnderAJournalColdStarts) {
+  rt::ClusterConfig cfg;
+  cfg.computeNodes = 2;
+  rt::Cluster cluster(cfg);
+  svc::ServiceHost host(cluster);
+  submitJobs(host, 3, 4, 1);
+  ASSERT_TRUE(host.runUntilDrained(50'000'000));
+  svc::CheckpointStore& store = host.store();
+  // One more save after a snapshot is always a journal append.
+  if (store.journalRecords() == 0) {
+    ASSERT_TRUE(host.node().checkpointNow());
+  }
+  ASSERT_GE(store.journalRecords(), 1u);
+  ASSERT_TRUE(store.load().has_value());
+
+  // Flip one byte in the middle of the snapshot's image.
+  const cnk::PersistRegion* r = store.registry().find("svc.jobqueue");
+  ASSERT_NE(r, nullptr);
+  const std::uint64_t len = store.mem().read64(r->pbase + 8);
+  const hw::PAddr mid = r->pbase + cnk::kSealedHeaderBytes + len / 2;
+  store.mem().write64(mid, ~store.mem().read64(mid));
+  EXPECT_FALSE(store.load().has_value());
+  host.crash();
+  EXPECT_FALSE(host.restart()) << "a torn snapshot restored warm";
+  EXPECT_EQ(host.coldStarts(), 1u);
+}
+
+TEST(SvcJournal, OverflowingTheRegionCountsFailedSavesAndRestoresTheLastGood) {
+  // Job names of 16 KB make every entry large: a 1 MB region overflows
+  // after some 60 submissions, and every save after that fails.
+  rt::ClusterConfig cfg;
+  cfg.computeNodes = 2;
+  rt::Cluster cluster(cfg);
+  svc::CheckpointStore::Config storeCfg;
+  storeCfg.poolBytes = 4ULL << 20;
+  storeCfg.regionBytes = 1ULL << 20;
+  svc::ServiceHost host(cluster, {}, storeCfg);
+  const std::string pad(16 << 10, 'x');
+  std::uint64_t lastGoodJobs = 0;
+  for (int i = 0; i < 80; ++i) {
+    svc::JobDesc jd;
+    jd.name = pad + std::to_string(i);
+    jd.exe = workImage("overflow", 1, 1'000);
+    host.submit(jd);
+    if (host.store().failedSaves() == 0) lastGoodJobs = i + 1;
+  }
+  const svc::CheckpointStore& store = host.store();
+  EXPECT_GT(store.failedSaves(), 0u);
+  EXPECT_EQ(host.metrics().checkpointFailedSaves, store.failedSaves());
+  ASSERT_GT(lastGoodJobs, 0u);
+  ASSERT_LT(lastGoodJobs, 80u);
+
+  host.crash();
+  EXPECT_TRUE(host.restart()) << "the last good checkpoint did not restore";
+  EXPECT_EQ(host.coldStarts(), 0u);
+  EXPECT_EQ(host.node().jobs().size(), lastGoodJobs);
 }
 
 }  // namespace
