@@ -93,7 +93,9 @@ PhaseResult runEventsMicro(bool quick) {
   const Clock::time_point t0 = Clock::now();
 
   sim::Engine e;
-  // Dense tier: self-rescheduling chains with core-like short delays.
+  // Dense ring traffic: self-rescheduling chains with 1-7 cycle delays,
+  // closer to link hops than to core slices (a slice re-arms about
+  // 5,000 cycles ahead), so every event lands a few buckets on.
   struct Chain {
     sim::Engine* e;
     sim::Cycle delay;

@@ -73,6 +73,10 @@ class Core {
   TouchOutcome memTouch(ThreadCtx& t, VAddr va, std::uint32_t bytes,
                         std::uint32_t stride, bool write);
 
+  /// Cycles a run slice executes before the core re-arms it; the
+  /// event engine's near window is sized against this.
+  static constexpr sim::Cycle kDefaultQuantum = 4000;
+
   sim::Cycle quantum() const { return quantum_; }
   void setQuantum(sim::Cycle q) { quantum_ = q; }
 
@@ -132,7 +136,7 @@ class Core {
   bool sliceScheduled_ = false;
   bool inSlice_ = false;
   sim::Cycle sliceCost_ = 0;  // cost accumulated in the slice in progress
-  sim::Cycle quantum_ = 4000;
+  sim::Cycle quantum_ = kDefaultQuantum;
   SliceTask sliceTask_{this};
   DecTask decTask_{this};
   sim::EventId decEvent_ = 0;

@@ -10,7 +10,7 @@ Engine::~Engine() = default;
 std::uint32_t Engine::allocSlot() {
   if (freeHead_ != kNoSlot) {
     const std::uint32_t s = freeHead_;
-    freeHead_ = slots_[s].nextFree;
+    freeHead_ = slots_[s].next;
     return s;
   }
   slots_.emplace_back();
@@ -24,7 +24,7 @@ void Engine::freeSlot(std::uint32_t s) {
   slot.active = false;
   slot.loc = Loc::kFree;
   ++slot.gen;
-  slot.nextFree = freeHead_;
+  slot.next = freeHead_;
   freeHead_ = s;
 }
 
@@ -65,9 +65,25 @@ EventId Engine::scheduleTaskAt(Cycle when, Task* task) {
 void Engine::pushBucket(std::uint32_t s) {
   const std::uint32_t b =
       static_cast<std::uint32_t>(slots_[s].time) & kRingMask;
-  ring_[b].items.push_back(s);
-  ++ringEntries_;
-  occupied_[b >> 6] |= 1ull << (b & 63);
+  Bucket& bk = ring_[b];
+  slots_[s].next = kNoSlot;
+  if (bk.head == kNoSlot) {
+    bk.head = s;
+    occupied_[b >> 6] |= 1ull << (b & 63);
+    summary_[b >> 12] |= 1ull << ((b >> 6) & 63);
+  } else {
+    slots_[bk.tail].next = s;
+  }
+  bk.tail = s;
+}
+
+void Engine::popBucketHead(std::uint32_t b) {
+  Bucket& bk = ring_[b];
+  bk.head = slots_[bk.head].next;  // tail is stale once head is kNoSlot
+  if (bk.head != kNoSlot) return;
+  std::uint64_t& word = occupied_[b >> 6];
+  word &= ~(1ull << (b & 63));
+  if (word == 0) summary_[b >> 12] &= ~(1ull << ((b >> 6) & 63));
 }
 
 void Engine::cancel(EventId id) {
@@ -91,6 +107,13 @@ void Engine::cancel(EventId id) {
 void Engine::heapDiscardTop() {
   std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
   heap_.pop_back();
+}
+
+void Engine::dropHeapTombstones() {
+  while (!heap_.empty() && !slots_[heap_.front().slot].active) {
+    freeSlot(heap_.front().slot);
+    heapDiscardTop();
+  }
 }
 
 void Engine::maybeCompactHeap() {
@@ -129,95 +152,96 @@ void Engine::migrateInto(Cycle newWinStart) {
 }
 
 void Engine::clearRingTombstones() {
-  for (std::uint32_t w = 0; w < kRingWords; ++w) {
-    std::uint64_t bits = occupied_[w];
-    while (bits != 0) {
-      const std::uint32_t b =
-          (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      Bucket& bk = ring_[b];
-      for (std::uint32_t i = bk.head;
-           i < static_cast<std::uint32_t>(bk.items.size()); ++i) {
-        freeSlot(bk.items[i]);
+  for (std::uint32_t sw = 0; sw < kSummaryWords; ++sw) {
+    std::uint64_t words = summary_[sw];
+    summary_[sw] = 0;
+    while (words != 0) {
+      const std::uint32_t w =
+          (sw << 6) + static_cast<std::uint32_t>(std::countr_zero(words));
+      words &= words - 1;
+      std::uint64_t bits = occupied_[w];
+      occupied_[w] = 0;
+      while (bits != 0) {
+        const std::uint32_t b =
+            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        for (std::uint32_t s = ring_[b].head; s != kNoSlot;) {
+          const std::uint32_t next = slots_[s].next;
+          freeSlot(s);
+          s = next;
+        }
+        ring_[b].head = kNoSlot;
       }
-      ringEntries_ -= bk.items.size() - bk.head;
-      bk.items.clear();
-      bk.head = 0;
     }
-    occupied_[w] = 0;
   }
 }
 
 std::uint32_t Engine::nextOccupiedBucket(std::uint32_t from) const {
-  std::uint32_t w = from >> 6;
-  std::uint64_t word = occupied_[w] & (~0ull << (from & 63));
-  for (std::uint32_t n = 0; n <= kRingWords; ++n) {
-    if (word != 0) {
-      return (w << 6) + static_cast<std::uint32_t>(std::countr_zero(word));
+  const std::uint32_t w = from >> 6;
+  const std::uint64_t word = occupied_[w] & (~0ull << (from & 63));
+  if (word != 0) {
+    return (w << 6) + static_cast<std::uint32_t>(std::countr_zero(word));
+  }
+  // The next nonempty word after w in circular order, found through
+  // the summary; w itself comes last (its bits below `from` are the
+  // window's far end).
+  const std::uint32_t after = (w + 1) & (kRingWords - 1);
+  std::uint32_t sw = after >> 6;
+  std::uint64_t sum = summary_[sw] & (~0ull << (after & 63));
+  for (std::uint32_t n = 0; n <= kSummaryWords; ++n) {
+    if (sum != 0) {
+      const std::uint32_t ow =
+          (sw << 6) + static_cast<std::uint32_t>(std::countr_zero(sum));
+      return (ow << 6) +
+             static_cast<std::uint32_t>(std::countr_zero(occupied_[ow]));
     }
-    w = (w + 1) & (kRingWords - 1);
-    word = occupied_[w];
+    sw = (sw + 1) & (kSummaryWords - 1);
+    sum = summary_[sw];
   }
   return kNoSlot;  // unreachable while ringLive_ > 0
 }
 
-std::uint32_t Engine::peekNextSlot() {
+std::uint32_t Engine::firstLiveBucket() {
+  // Walk occupied buckets in time order from the window start,
+  // freeing tombstoned prefixes.
+  std::uint32_t b = static_cast<std::uint32_t>(winStart_) & kRingMask;
   for (;;) {
-    if (liveCount_ == 0) return kNoSlot;
-    if (ringLive_ == 0) {
-      // Everything live is far-future. Drop ring tombstones wholesale,
-      // skip cancelled heap tops, and slide the window to the next
-      // live time.
-      if (ringEntries_ > 0) clearRingTombstones();
-      while (!heap_.empty() && !slots_[heap_.front().slot].active) {
-        freeSlot(heap_.front().slot);
-        heapDiscardTop();
-      }
-      migrateInto(heap_.front().time);
-      continue;
+    b = nextOccupiedBucket(b);
+    Bucket& bk = ring_[b];
+    while (bk.head != kNoSlot && !slots_[bk.head].active) {
+      const std::uint32_t dead = bk.head;
+      popBucketHead(b);
+      freeSlot(dead);
     }
-    // The earliest live event is in the ring window. Walk occupied
-    // buckets in time order, garbage-collecting tombstoned prefixes.
-    std::uint32_t b = static_cast<std::uint32_t>(winStart_) & kRingMask;
-    for (;;) {
-      const std::uint32_t ob = nextOccupiedBucket(b);
-      Bucket& bk = ring_[ob];
-      while (bk.head < static_cast<std::uint32_t>(bk.items.size()) &&
-             !slots_[bk.items[bk.head]].active) {
-        freeSlot(bk.items[bk.head]);
-        ++bk.head;
-        --ringEntries_;
-      }
-      if (bk.head == bk.items.size()) {
-        bk.items.clear();
-        bk.head = 0;
-        occupied_[ob >> 6] &= ~(1ull << (ob & 63));
-        b = (ob + 1) & kRingMask;
-        continue;
-      }
-      const std::uint32_t s = bk.items[bk.head];
-      // Restore the window invariant before dispatch: heap events must
-      // all lie past the (possibly advanced) window end.
-      migrateInto(slots_[s].time);
-      peekBucket_ = ob;
-      return s;
-    }
+    if (bk.head != kNoSlot) return b;
+    b = (b + 1) & kRingMask;
   }
 }
 
+std::uint32_t Engine::peekNextBucket() {
+  if (liveCount_ == 0) return kNoSlot;
+  if (ringLive_ == 0) {
+    // Everything live is far-future. Drop ring tombstones wholesale,
+    // skip cancelled heap tops, and slide the window to the next live
+    // time (which brings that event into the ring).
+    clearRingTombstones();
+    dropHeapTombstones();
+    migrateInto(heap_.front().time);
+  }
+  const std::uint32_t b = firstLiveBucket();
+  // Restore the window invariant before dispatch: heap events must all
+  // lie past the (possibly advanced) window end.
+  migrateInto(slots_[ring_[b].head].time);
+  return b;
+}
+
 bool Engine::step() {
-  const std::uint32_t s = peekNextSlot();
-  if (s == kNoSlot) return false;
-  Bucket& bk = ring_[peekBucket_];
-  ++bk.head;
-  --ringEntries_;
+  const std::uint32_t b = peekNextBucket();
+  if (b == kNoSlot) return false;
+  const std::uint32_t s = ring_[b].head;
+  popBucketHead(b);
   --ringLive_;
   --liveCount_;
-  if (bk.head == bk.items.size()) {
-    bk.items.clear();
-    bk.head = 0;
-    occupied_[peekBucket_ >> 6] &= ~(1ull << (peekBucket_ & 63));
-  }
   Slot& slot = slots_[s];
   now_ = slot.time;
   ++processed_;
@@ -240,32 +264,9 @@ std::uint64_t Engine::run(std::uint64_t limit) {
 }
 
 Cycle Engine::nextEventTime() {
-  if (ringLive_ > 0) {
-    std::uint32_t b = static_cast<std::uint32_t>(winStart_) & kRingMask;
-    for (;;) {
-      const std::uint32_t ob = nextOccupiedBucket(b);
-      Bucket& bk = ring_[ob];
-      while (bk.head < static_cast<std::uint32_t>(bk.items.size()) &&
-             !slots_[bk.items[bk.head]].active) {
-        freeSlot(bk.items[bk.head]);
-        ++bk.head;
-        --ringEntries_;
-      }
-      if (bk.head == bk.items.size()) {
-        bk.items.clear();
-        bk.head = 0;
-        occupied_[ob >> 6] &= ~(1ull << (ob & 63));
-        b = (ob + 1) & kRingMask;
-        continue;
-      }
-      return slots_[bk.items[bk.head]].time;
-    }
-  }
-  if (ringEntries_ > 0) clearRingTombstones();
-  while (!heap_.empty() && !slots_[heap_.front().slot].active) {
-    freeSlot(heap_.front().slot);
-    heapDiscardTop();
-  }
+  if (ringLive_ > 0) return slots_[ring_[firstLiveBucket()].head].time;
+  clearRingTombstones();
+  dropHeapTombstones();
   return heap_.front().time;
 }
 

@@ -5,15 +5,24 @@
 // scheduling order. This total order is what makes CNK's
 // cycle-reproducibility experiments (paper §III) exactly testable.
 //
-// Internally the engine is a two-tier scheduler tuned for the traffic
+// Internally the engine is a two-tier scheduler sized to the traffic
 // the simulated machine generates:
 //
-//  * a calendar ring of kRingSize near-future buckets (one simulated
-//    cycle per bucket) absorbs the dense short-delay stream from
-//    cores, links, and DMA engines in O(1) per event;
-//  * a binary min-heap holds far-future events (timers, watchdogs,
-//    job arrivals) and migrates them into the ring as the window
-//    slides forward.
+//  * a calendar ring of kNearWindow buckets, one simulated cycle each,
+//    takes every event due inside the window in O(1). The densest
+//    stream is core run slices: a core re-arms its slice one quantum
+//    (hw::Core::kDefaultQuantum, 4,000 cycles) plus the last
+//    instruction's overshoot ahead, ~5,150 cycles on the FWQ workload.
+//    The sizing rule is kNearWindow >= 2 * quantum, so those slices,
+//    link hops and DMA completions all skip the heap;
+//  * a binary min-heap holds the far events (watchdogs, job arrivals,
+//    FWK ticks, a slice ending in a very long compute op) and migrates
+//    each one into the ring once, as the window slides forward.
+//
+// Each bucket is an intrusive FIFO list threaded through the event
+// slots (8 B per bucket). One occupancy bit per bucket, plus one
+// summary bit per 64-bucket word, lets the next occupied bucket be
+// found in a few word operations even when the ring is nearly empty.
 //
 // Events are stored in generation-checked slots: cancel() is O(1),
 // destroys the handler's captures immediately, and never leaves an
@@ -51,6 +60,10 @@ class Task {
 
 class Engine {
  public:
+  /// Span of the near-future ring in cycles: an event due less than
+  /// this far past the window start skips the heap.
+  static constexpr Cycle kNearWindow = Cycle{1} << 13;
+
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -99,10 +112,15 @@ class Engine {
   std::uint64_t eventsProcessed() const { return processed_; }
 
  private:
-  static constexpr std::uint32_t kRingBits = 8;
-  static constexpr std::uint32_t kRingSize = 1u << kRingBits;
+  static constexpr std::uint32_t kRingSize =
+      static_cast<std::uint32_t>(kNearWindow);
   static constexpr std::uint32_t kRingMask = kRingSize - 1;
   static constexpr std::uint32_t kRingWords = kRingSize / 64;
+  static constexpr std::uint32_t kSummaryWords = kRingWords / 64;
+  static_assert((kRingSize & kRingMask) == 0, "ring size is a power of 2");
+  static_assert(kSummaryWords >= 1 &&
+                    (kSummaryWords & (kSummaryWords - 1)) == 0,
+                "the summary covers the occupancy words in whole words");
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   enum class Loc : std::uint8_t { kFree, kRing, kHeap };
@@ -113,14 +131,16 @@ class Engine {
     Cycle time = 0;
     std::uint64_t seq = 0;       // total-order tiebreaker within a cycle
     std::uint32_t gen = 1;       // bumped on free; stale handles no-op
-    std::uint32_t nextFree = kNoSlot;
+    std::uint32_t next = kNoSlot;  // free list, or the bucket's FIFO list
     Loc loc = Loc::kFree;
     bool active = false;
   };
 
+  /// Slot indices of one cycle's events, seq-ascending, linked through
+  /// Slot::next. Empty when its occupancy bit is clear.
   struct Bucket {
-    std::vector<std::uint32_t> items;  // slot indices, seq-ascending
-    std::uint32_t head = 0;            // consumed prefix
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
   };
 
   struct HeapItem {
@@ -139,6 +159,8 @@ class Engine {
   void freeSlot(std::uint32_t s);
   EventId place(Cycle when, std::uint32_t s);
   void pushBucket(std::uint32_t s);
+  /// Unlink bucket b's head, clearing its occupancy when it empties.
+  void popBucketHead(std::uint32_t b);
   void heapDiscardTop();
   void maybeCompactHeap();
   /// Advance the window start and pull now-near heap events into the
@@ -149,13 +171,17 @@ class Engine {
   void clearRingTombstones();
   /// First occupied bucket in circular window order starting at `from`.
   std::uint32_t nextOccupiedBucket(std::uint32_t from) const;
-  /// GC tombstones, slide the window, and return the slot of the next
-  /// live event (kNoSlot when drained). After a successful call the
-  /// event sits at ring_[peekBucket_]. Because this may advance the
-  /// window, the caller MUST dispatch the returned event immediately
-  /// (only step() calls it) — otherwise a later schedule() at a cycle
-  /// below the new window start would alias ring buckets.
-  std::uint32_t peekNextSlot();
+  /// Free tombstones at the front of the ring and return the first
+  /// bucket whose head is live (requires ringLive_ > 0).
+  std::uint32_t firstLiveBucket();
+  /// Free cancelled heap tops (the heap's top is then live, if any).
+  void dropHeapTombstones();
+  /// GC tombstones, slide the window, and return the bucket whose head
+  /// is the next live event (kNoSlot when drained). Because this may
+  /// advance the window, the caller MUST dispatch that event
+  /// immediately (only step() calls it) — otherwise a later schedule()
+  /// at a cycle below the new window start would alias ring buckets.
+  std::uint32_t peekNextBucket();
   /// Earliest live event time, garbage-collecting tombstones but
   /// never sliding the window (safe to call without dispatching).
   /// Only meaningful while liveCount_ > 0.
@@ -167,14 +193,13 @@ class Engine {
   std::uint64_t processed_ = 0;
   std::size_t liveCount_ = 0;    // live events, both tiers
   std::size_t ringLive_ = 0;     // live events in the ring
-  std::size_t ringEntries_ = 0;  // ring entries incl. tombstones
   std::size_t heapLive_ = 0;     // live events in the heap
-  std::uint32_t peekBucket_ = 0;
 
   std::vector<Slot> slots_;
   std::uint32_t freeHead_ = kNoSlot;
   Bucket ring_[kRingSize];
-  std::uint64_t occupied_[kRingWords] = {};
+  std::uint64_t occupied_[kRingWords] = {};   // bit per bucket
+  std::uint64_t summary_[kSummaryWords] = {};  // bit per nonzero word
   std::vector<HeapItem> heap_;  // min-heap by (time, seq)
 };
 

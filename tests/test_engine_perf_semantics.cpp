@@ -4,16 +4,22 @@
 // witness in the repo, so these tests pin the behaviours a scheduler
 // rewrite could silently change: FIFO among same-cycle events even
 // when they arrive via different tiers, cancellation during dispatch,
-// scheduling from a handler into the bucket being drained, and the
-// schedule hashes of a small boot+jobstream run and of the 120-job
-// zero-fault stream (golden values).
+// scheduling from a handler into the bucket being drained, agreement
+// with a plain ordered-set reference model, and the schedule hashes of
+// a small boot+jobstream run and of the 120-job zero-fault stream
+// (golden values). Tier-crossing constants are written in terms of
+// sim::Engine::kNearWindow so they keep crossing tiers if it changes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "hw/core.hpp"
 #include "runtime/app.hpp"
 #include "sim/engine.hpp"
 #include "sim/hash.hpp"
@@ -24,22 +30,31 @@
 namespace bg {
 namespace {
 
+constexpr sim::Cycle kW = sim::Engine::kNearWindow;
+
+// The sizing rule: a core re-arms its run slice one quantum plus one
+// instruction's overshoot ahead, so a window of two quanta keeps the
+// densest event stream in the ring and out of the heap.
+static_assert(kW >= 2 * hw::Core::kDefaultQuantum,
+              "the near window must cover a core slice re-arm");
+
 // --- Same-cycle FIFO across tiers ---------------------------------------
 
 TEST(EngineOrder, SameCycleFifoAcrossTiers) {
   sim::Engine e;
   std::vector<std::string> order;
-  // Cycle 1000 is far future at schedule time: these two go to the
-  // heap tier, in this order.
-  e.scheduleAt(1000, [&] { order.push_back("heap1"); });
-  e.scheduleAt(1000, [&] { order.push_back("heap2"); });
-  // This handler runs at 998, when 1000 is inside the near-future
-  // ring window: its event lands in the ring tier.
-  e.scheduleAt(998, [&] {
-    e.scheduleAt(1000, [&] { order.push_back("ring1"); });
+  const sim::Cycle t = 4 * kW;
+  // Cycle t is far future at schedule time: these two go to the heap
+  // tier, in this order.
+  e.scheduleAt(t, [&] { order.push_back("heap1"); });
+  e.scheduleAt(t, [&] { order.push_back("heap2"); });
+  // This handler runs at t - 2, when t is inside the near-future ring
+  // window: its event lands in the ring tier.
+  e.scheduleAt(t - 2, [&] {
+    e.scheduleAt(t, [&] { order.push_back("ring1"); });
   });
   e.run();
-  EXPECT_EQ(e.now(), 1000u);
+  EXPECT_EQ(e.now(), t);
   // FIFO by scheduling order within the cycle, regardless of tier.
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], "heap1");
@@ -50,14 +65,15 @@ TEST(EngineOrder, SameCycleFifoAcrossTiers) {
 TEST(EngineOrder, HeapEventsMigrateInTimeOrder) {
   sim::Engine e;
   std::vector<int> order;
-  // All far future, scheduled out of time order.
-  e.scheduleAt(5000, [&] { order.push_back(3); });
-  e.scheduleAt(3000, [&] { order.push_back(1); });
-  e.scheduleAt(3001, [&] { order.push_back(2); });
-  e.scheduleAt(9000, [&] { order.push_back(4); });
+  // All far future, scheduled out of time order; each migration slides
+  // the window past the others' times only one at a time.
+  e.scheduleAt(5 * kW, [&] { order.push_back(3); });
+  e.scheduleAt(3 * kW, [&] { order.push_back(1); });
+  e.scheduleAt(3 * kW + 1, [&] { order.push_back(2); });
+  e.scheduleAt(9 * kW, [&] { order.push_back(4); });
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(e.now(), 9000u);
+  EXPECT_EQ(e.now(), 9 * kW);
 }
 
 // --- Cancellation -------------------------------------------------------
@@ -137,18 +153,19 @@ TEST(EngineReentry, RunUntilThenScheduleNear) {
   // ring window without dispatching (empty runUntil) must not corrupt
   // bucket indexing for later near-future events.
   sim::Engine e;
-  e.runUntil(100'000);
-  EXPECT_EQ(e.now(), 100'000u);
+  const sim::Cycle t0 = 12 * kW + 123;  // many windows, off a bucket edge
+  e.runUntil(t0);
+  EXPECT_EQ(e.now(), t0);
   std::vector<int> order;
   e.schedule(3, [&] { order.push_back(1); });
-  e.schedule(300, [&] { order.push_back(2); });  // beyond one window
+  e.schedule(kW + 44, [&] { order.push_back(2); });  // beyond one window
   e.schedule(3, [&] {
     order.push_back(-1);
     e.schedule(1, [&] { order.push_back(-2); });
   });
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, -1, -2, 2}));
-  EXPECT_EQ(e.now(), 100'300u);
+  EXPECT_EQ(e.now(), t0 + kW + 44);
 }
 
 // --- Pre-registered tasks ------------------------------------------------
@@ -196,7 +213,7 @@ TEST(EngineDeterminism, SeededStormReplaysExactly) {
     sim::Fnv1a h;
     std::vector<sim::EventId> ids;
     for (int i = 0; i < 2'000; ++i) {
-      const sim::Cycle d = rng.nextBelow(600);  // spans both tiers
+      const sim::Cycle d = rng.nextBelow(3 * kW);  // spans both tiers
       ids.push_back(e.schedule(d, [&h, i, &e] {
         h.mix(e.now()).mix(static_cast<std::uint64_t>(i));
       }));
@@ -210,6 +227,166 @@ TEST(EngineDeterminism, SeededStormReplaysExactly) {
   const std::uint64_t b = runStorm();
   EXPECT_EQ(a, b);
   EXPECT_NE(a, 0u);
+}
+
+// --- Reference-model oracle --------------------------------------------
+
+// Drives one engine with a seeded mix of every scheduling entry point
+// (schedule, scheduleTask, scheduleAt, cancel, step, runUntil, and
+// scheduling or cancelling from inside handlers) and checks every firing
+// against a std::set of (time, tag). Tags are issued in scheduling
+// order, so the set's order is the engine's contract: (time, sequence).
+// Delays span [0, 3 * kNearWindow] and cluster at the window edge and
+// at zero, so events cross the ring/heap boundary, share cycles, and
+// the ring wraps many times.
+class OrderOracle {
+ public:
+  explicit OrderOracle(std::uint64_t seed) : rng_(seed, "engine-oracle") {}
+
+  void drive(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      // Alternate dense phases with sparse ones, where a handful of
+      // events leaves long empty stretches of ring to search across.
+      const bool sparse = (i / 1'000) % 2 == 1;
+      const std::uint64_t op = rng_.nextBelow(16);
+      if (op < 8) {
+        if (!sparse || model_.size() < 3) scheduleRandom();
+      } else if (op < 10) {
+        cancelRandom();
+      } else if (op < 11) {
+        sameCycleAsPending();
+      } else if (op < 13) {
+        const sim::Cycle t = e_.now() + rng_.nextBelow(2 * kW);
+        e_.runUntil(t);
+        check(e_.now() == t, "runUntil left the clock elsewhere");
+        check(model_.empty() || model_.begin()->first > t,
+              "runUntil left a due event pending");
+      } else {
+        for (std::uint64_t n = rng_.nextBelow(6); n > 0; --n) {
+          const bool due = !model_.empty();
+          check(e_.step() == due, "step disagrees on drain");
+        }
+      }
+      check(e_.pendingEvents() == model_.size(), "pending count differs");
+    }
+    e_.run();
+    check(model_.empty(), "model not drained");
+    check(e_.pendingEvents() == 0, "engine not drained");
+    check(e_.eventsProcessed() == fired_, "processed count differs");
+  }
+
+  std::uint64_t fired() const { return fired_; }
+  std::uint64_t mismatches() const { return mismatches_; }
+  const std::string& firstMismatch() const { return first_; }
+
+ private:
+  struct OracleTask final : sim::Task {
+    OracleTask(OrderOracle* o, std::uint64_t t) : oracle(o), tag(t) {}
+    void run() override { oracle->onFire(tag); }
+    OrderOracle* oracle;
+    std::uint64_t tag;
+  };
+
+  void check(bool ok, const char* what) {
+    if (ok) return;
+    if (mismatches_++ == 0) {
+      first_ = std::string(what) + " at cycle " + std::to_string(e_.now());
+    }
+  }
+
+  sim::Cycle randomDelay() {
+    switch (rng_.nextBelow(4)) {
+      case 0:
+        return rng_.nextBelow(4);
+      case 1:
+        return kW - 2 + rng_.nextBelow(5);
+      default:
+        return rng_.nextBelow(3 * kW + 1);
+    }
+  }
+
+  void scheduleAtTime(sim::Cycle when, std::uint64_t entry) {
+    const std::uint64_t tag = ids_.size();
+    sim::EventId id = 0;
+    if (entry == 0) {
+      id = e_.schedule(when - e_.now(), [this, tag] { onFire(tag); });
+    } else if (entry == 1) {
+      tasks_.emplace_back(this, tag);
+      id = e_.scheduleTask(when - e_.now(), &tasks_.back());
+    } else {
+      id = e_.scheduleAt(when, [this, tag] { onFire(tag); });
+    }
+    ids_.push_back(id);
+    times_.push_back(when);
+    model_.insert({when, tag});
+  }
+
+  void scheduleRandom() {
+    const sim::Cycle d = randomDelay();
+    scheduleAtTime(e_.now() + d, rng_.nextBelow(3));
+  }
+
+  // Another event for the cycle of a random pending one, so buckets and
+  // heap entries hold several same-cycle events.
+  void sameCycleAsPending() {
+    if (model_.empty()) return scheduleRandom();
+    const std::uint64_t tag = rng_.nextBelow(ids_.size());
+    const sim::Cycle when = model_.count({times_[tag], tag}) != 0
+                                ? times_[tag]
+                                : model_.begin()->first;
+    scheduleAtTime(when, rng_.nextBelow(3));
+  }
+
+  // Cancel any handle ever issued: fired and cancelled ones must be
+  // no-ops on both sides.
+  void cancelRandom() {
+    if (ids_.empty()) return;
+    const std::uint64_t tag = rng_.nextBelow(ids_.size());
+    e_.cancel(ids_[tag]);
+    model_.erase({times_[tag], tag});
+  }
+
+  void onFire(std::uint64_t tag) {
+    ++fired_;
+    const std::pair<sim::Cycle, std::uint64_t> got{e_.now(), tag};
+    check(!model_.empty() && *model_.begin() == got,
+          "fired out of (time, seq) order");
+    model_.erase({times_[tag], tag});
+    switch (rng_.nextBelow(8)) {
+      case 0:
+      case 1:
+        scheduleRandom();
+        break;
+      case 2:
+        scheduleAtTime(e_.now(), rng_.nextBelow(3));  // same cycle
+        break;
+      case 3:
+        cancelRandom();
+        break;
+      default:
+        break;
+    }
+  }
+
+  sim::Engine e_;
+  sim::Rng rng_;
+  std::set<std::pair<sim::Cycle, std::uint64_t>> model_;
+  std::vector<sim::EventId> ids_;  // by tag
+  std::vector<sim::Cycle> times_;  // by tag
+  std::deque<OracleTask> tasks_;   // stable addresses
+  std::uint64_t fired_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::string first_;
+};
+
+TEST(EngineOrder, MatchesReferenceModelAcrossWindowWrap) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    OrderOracle o(seed);
+    o.drive(20'000);
+    EXPECT_EQ(o.mismatches(), 0u) << "seed " << seed << ": "
+                                  << o.firstMismatch();
+    EXPECT_GT(o.fired(), 10'000u) << "seed " << seed;
+  }
 }
 
 // --- Golden schedule hashes -----------------------------------------------

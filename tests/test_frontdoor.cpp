@@ -72,7 +72,9 @@ TEST(FdProtocol, RequestRoundTripAllTypes) {
     const auto rb = fd::Request::decode(r.encode());
     ASSERT_TRUE(rb.has_value()) << fd::msgTypeName(t);
     EXPECT_EQ(rb->type, t);
-    if (t != fd::MsgType::kStats) EXPECT_EQ(rb->ticket, 31337u);
+    if (t != fd::MsgType::kStats) {
+      EXPECT_EQ(rb->ticket, 31337u);
+    }
   }
 }
 

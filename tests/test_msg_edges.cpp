@@ -14,7 +14,6 @@ namespace {
 using test::emitExit;
 using test::runProgram;
 
-std::int64_t sys(kernel::Sys s) { return static_cast<std::int64_t>(s); }
 std::int64_t rtc(rt::Rt r) { return static_cast<std::int64_t>(r); }
 
 TEST(MsgEdges, RecvTruncatesToPostedBufferSize) {
