@@ -31,11 +31,13 @@
 #include "sim/hash.hpp"
 #include "sim/rng.hpp"
 #include "svc/failover.hpp"
+#include "svc_test_util.hpp"
 
 namespace bg {
 namespace {
 
 using test::emitExit;
+using test::svcCounters;
 
 std::int64_t sys(kernel::Sys s) { return static_cast<std::int64_t>(s); }
 
@@ -380,6 +382,12 @@ TEST(CkptSvc, PreemptChecksPointsThenResumesVictim) {
   std::uint64_t kernelRestores = 0;
   for (int n = 0; n < 2; ++n) kernelRestores += cluster.cnkOn(n)->ckptRestores();
   EXPECT_EQ(kernelRestores, 2u);
+  // Pinned outcome: moving, dropping or reordering any note or counter
+  // increment on the window's commit path changes one of these.
+  EXPECT_EQ(sn.scheduleHash(), 0x4088fd92253fea67ULL);
+  EXPECT_EQ(svcCounters(sn),
+            (std::vector<std::uint64_t>{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1,
+                                        0, 0, 0, 0, 0, 0}));
 }
 
 TEST(CkptSvc, BlownDeadlineFallsBackToScratchRequeue) {
@@ -441,6 +449,11 @@ TEST(CkptSvc, BlownDeadlineFallsBackToScratchRequeue) {
     if (line.find("ckpt_timeout") != std::string::npos) ++timeoutNotes;
   }
   EXPECT_EQ(timeoutNotes, 1);
+  // Pinned outcome of the deadline path (see the commit-path pin).
+  EXPECT_EQ(sn.scheduleHash(), 0x75e0a0ab9bee0255ULL);
+  EXPECT_EQ(svcCounters(sn),
+            (std::vector<std::uint64_t>{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0,
+                                        0, 0, 0, 0, 0, 0}));
 }
 
 TEST(CkptSvc, UeRequeueResumesFromCommittedSequence) {

@@ -26,11 +26,13 @@
 #include "kernel/syscalls.hpp"
 #include "sim/rng.hpp"
 #include "svc/failover.hpp"
+#include "svc_test_util.hpp"
 
 namespace bg {
 namespace {
 
 using test::emitExit;
+using test::svcCounters;
 
 std::int64_t sys(kernel::Sys s) { return static_cast<std::int64_t>(s); }
 
@@ -97,6 +99,8 @@ int countNotes(const svc::ServiceNode& sn, const char* what) {
 struct MigRun {
   bool drained = false;
   std::vector<std::uint64_t> samples;  // rank 0's sample sink
+  std::uint64_t hash = 0;
+  std::vector<std::uint64_t> counters;  // svcCounters
   std::uint64_t migrateRequests = 0;
   std::uint64_t migrateCommits = 0;
   std::uint64_t migrations = 0;
@@ -104,23 +108,46 @@ struct MigRun {
   std::uint64_t degradedJobs = 0;
   std::uint64_t migrateCyclesSaved = 0;
   std::uint64_t ckptResumes = 0;
+  std::uint64_t rasMigrateFallbacks = 0;
+  int migrateReqNotes = 0;
+  int migrateCommitNotes = 0;
+  int migrateTimeoutNotes = 0;
+  int migrateFallbackNotes = 0;
+  int resumeNotes = 0;
   std::vector<std::uint64_t> restoresByNode;
   svc::JobState state = svc::JobState::kQueued;
   int attempts = 0;
   bool node0Sick = false;
 };
 
-/// One 2-node job on an 8-node (2x2x2 torus) machine; optionally a hard
-/// directed-link death on node 0 mid-run. Migration armed either way.
-MigRun runLinkDeathJob(bool withLinkDeath) {
+struct LinkDeathSetup {
+  bool linkDeath = true;
+  sim::Cycle windowDeadline = 2'000'000;
+  /// Crash the pset's CIOD this long after the link death, so the
+  /// migrate window's image ship is severed (0 = no crash).
+  sim::Cycle ciodCrashDelay = 0;
+};
+
+/// One 2-node job on an 8-node (2x2x2) machine with migration armed;
+/// optionally a hard directed-link death on node 0 mid-run.
+MigRun runLinkDeathJob(const LinkDeathSetup& setup) {
   rt::ClusterConfig cfg;
   cfg.computeNodes = 8;
   cfg.seed = 41;
+  if (setup.ciodCrashDelay != 0) {
+    // Tight fship reliability so the severed ship chain fails fast,
+    // and a spare I/O node so the death fails over instead of
+    // requeueing the job.
+    cfg.cnk.fship.requestTimeout = 20'000;
+    cfg.cnk.fship.maxTimeout = 80'000;
+    cfg.cnk.fship.maxRetries = 2;
+    cfg.spareIoNodes = 1;
+  }
   rt::Cluster cluster(cfg);
 
   svc::ServiceNodeConfig snCfg;
   snCfg.migrate.enabled = true;
-  snCfg.migrate.deadlineCycles = 2'000'000;
+  snCfg.migrate.deadlineCycles = setup.windowDeadline;
   svc::ServiceHost host(cluster, snCfg);
 
   MigRun out;
@@ -136,10 +163,16 @@ MigRun runLinkDeathJob(bool withLinkDeath) {
     host.submit(std::move(jd));
     ++arrived;
   });
-  if (withLinkDeath) {
+  if (setup.linkDeath) {
     cluster.engine().scheduleAt(1'000'000, [&cluster, &host] {
       cluster.machine().torus().killLink(0, 0, true);
       if (host.alive()) host.node().poke();
+    });
+  }
+  if (setup.ciodCrashDelay != 0) {
+    cluster.engine().scheduleAt(1'000'000 + setup.ciodCrashDelay,
+                                [&cluster] {
+      if (!cluster.ciod(0).crashed()) cluster.ciod(0).crash();
     });
   }
 
@@ -147,6 +180,8 @@ MigRun runLinkDeathJob(bool withLinkDeath) {
   out.drained = cluster.engine().runWhile(
       [&] { return arrived == 1 && host.drained(); }, 2'000'000'000);
   svc::ServiceNode& sn = host.node();
+  out.hash = sn.scheduleHash();
+  out.counters = svcCounters(sn);
   out.migrateRequests = sn.migrateRequests();
   out.migrateCommits = sn.migrateCommits();
   out.migrations = sn.migrations();
@@ -154,6 +189,13 @@ MigRun runLinkDeathJob(bool withLinkDeath) {
   out.degradedJobs = sn.degradedJobs();
   out.migrateCyclesSaved = sn.migrateCyclesSaved();
   out.ckptResumes = sn.ckptResumes();
+  out.rasMigrateFallbacks =
+      sn.ras().countByCode(kernel::RasEvent::Code::kCkptMigrateFallback);
+  out.migrateReqNotes = countNotes(sn, "migrate_req");
+  out.migrateCommitNotes = countNotes(sn, "migrate_commit");
+  out.migrateTimeoutNotes = countNotes(sn, "migrate_timeout");
+  out.migrateFallbackNotes = countNotes(sn, "migrate_fallback");
+  out.resumeNotes = countNotes(sn, "resume");
   out.node0Sick = sn.linkSick(0);
   for (int n = 0; n < 8; ++n) {
     out.restoresByNode.push_back(cluster.cnkOn(n)->ckptRestores());
@@ -163,18 +205,15 @@ MigRun runLinkDeathJob(bool withLinkDeath) {
     out.state = sn.jobs()[0].state;
     out.attempts = sn.jobs()[0].attempts;
   }
-  if (withLinkDeath) {
+  if (setup.linkDeath) {
     EXPECT_EQ(countNotes(sn, "link_sick"), 1);
-    EXPECT_EQ(countNotes(sn, "migrate_req"), 1);
-    EXPECT_EQ(countNotes(sn, "migrate_commit"), 1);
-    EXPECT_EQ(countNotes(sn, "resume"), 1);
   }
   return out;
 }
 
 TEST(MigrationSvc, LinkDeathMigratesOntoHealthyNodesSameFinalAnswer) {
-  const MigRun faulted = runLinkDeathJob(/*withLinkDeath=*/true);
-  const MigRun clean = runLinkDeathJob(/*withLinkDeath=*/false);
+  const MigRun faulted = runLinkDeathJob({});
+  const MigRun clean = runLinkDeathJob({.linkDeath = false});
 
   ASSERT_TRUE(faulted.drained);
   ASSERT_TRUE(clean.drained);
@@ -194,6 +233,9 @@ TEST(MigrationSvc, LinkDeathMigratesOntoHealthyNodesSameFinalAnswer) {
   EXPECT_EQ(faulted.migrateFallbacks, 0u);
   EXPECT_EQ(faulted.degradedJobs, 0u);
   EXPECT_GT(faulted.migrateCyclesSaved, 0u);
+  EXPECT_EQ(faulted.migrateReqNotes, 1);
+  EXPECT_EQ(faulted.migrateCommitNotes, 1);
+  EXPECT_EQ(faulted.resumeNotes, 1);
   EXPECT_TRUE(faulted.node0Sick);
   EXPECT_EQ(faulted.attempts, 2) << "migration relaunches once";
 
@@ -211,6 +253,66 @@ TEST(MigrationSvc, LinkDeathMigratesOntoHealthyNodesSameFinalAnswer) {
   EXPECT_EQ(clean.migrations, 0u);
   EXPECT_EQ(clean.ckptResumes, 0u);
   EXPECT_EQ(clean.attempts, 1);
+
+  // Pinned outcomes: moving, dropping or reordering any note or counter
+  // increment on the migrate window's commit path changes one of these.
+  EXPECT_EQ(faulted.hash, 0xa76a6640951b392aULL);
+  EXPECT_EQ(faulted.counters,
+            (std::vector<std::uint64_t>{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1,
+                                        1, 1, 0, 1, 0, 1'039'899}));
+  EXPECT_EQ(clean.hash, 0x88a3a5a51a4fcb3eULL);
+  EXPECT_EQ(clean.counters, std::vector<std::uint64_t>(19, 0));
+}
+
+// ---------------------------------------------------------------------
+// Failed migrate windows: the job stays where it is
+// ---------------------------------------------------------------------
+
+TEST(MigrationSvc, BlownMigrateDeadlineLeavesJobRunningDegraded) {
+  const MigRun r = runLinkDeathJob({.windowDeadline = 1});
+  ASSERT_TRUE(r.drained);
+  EXPECT_EQ(r.migrateReqNotes, 1);
+  EXPECT_EQ(r.migrateTimeoutNotes, 1);
+  EXPECT_EQ(r.migrateFallbackNotes, 0);
+  EXPECT_EQ(r.migrateRequests, 1u);
+  EXPECT_EQ(r.migrateCommits, 0u);
+  EXPECT_EQ(r.migrateFallbacks, 1u);
+  EXPECT_EQ(r.degradedJobs, 1u);
+  EXPECT_EQ(r.migrations, 0u);
+  EXPECT_EQ(r.rasMigrateFallbacks, 1u);
+  // Finished in place: no requeue, same final answer.
+  EXPECT_EQ(r.state, svc::JobState::kCompleted);
+  EXPECT_EQ(r.attempts, 1);
+  ASSERT_EQ(r.samples.size(), 1u);
+  EXPECT_EQ(r.samples[0], 600u * 5);
+  EXPECT_EQ(r.hash, 0x766307c07bccb6d3ULL);
+  EXPECT_EQ(r.counters,
+            (std::vector<std::uint64_t>{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        1, 0, 1, 0, 1, 0}));
+}
+
+TEST(MigrationSvc, FailedMigrateCommitLeavesJobRunningDegraded) {
+  // The window opens at the link death; the CIOD dies 60k cycles into
+  // it, so the image ship fails and the pset fails over to the spare.
+  const MigRun r = runLinkDeathJob({.ciodCrashDelay = 60'000});
+  ASSERT_TRUE(r.drained);
+  EXPECT_EQ(r.migrateReqNotes, 1);
+  EXPECT_EQ(r.migrateFallbackNotes, 1);
+  EXPECT_EQ(r.migrateTimeoutNotes, 0);
+  EXPECT_EQ(r.migrateCommitNotes, 0);
+  EXPECT_EQ(r.migrateFallbacks, 1u);
+  EXPECT_EQ(r.degradedJobs, 1u);
+  EXPECT_EQ(r.migrations, 0u);
+  EXPECT_EQ(r.rasMigrateFallbacks, 1u);
+  // A failed window never kills the job.
+  EXPECT_EQ(r.state, svc::JobState::kCompleted);
+  EXPECT_EQ(r.attempts, 1);
+  ASSERT_EQ(r.samples.size(), 1u);
+  EXPECT_EQ(r.samples[0], 600u * 5);
+  EXPECT_EQ(r.hash, 0x5669ac647d159f25ULL);
+  EXPECT_EQ(r.counters,
+            (std::vector<std::uint64_t>{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        1, 0, 1, 0, 1, 0}));
 }
 
 // ---------------------------------------------------------------------
@@ -341,6 +443,7 @@ struct SweepOutcome {
   std::uint64_t detours = 0;
   std::uint64_t crcRetries = 0;
   std::uint64_t sickNodes = 0;
+  std::vector<std::uint64_t> counters;  // svcCounters (empty if down)
   bool drained = false;
 };
 
@@ -437,7 +540,10 @@ SweepOutcome runMigrationSweep(std::uint64_t seed, int jobCount,
   out.detours = m.linkDetours;
   out.crcRetries = m.linkCrcRetries;
   out.sickNodes = m.linkSickNodes;
-  if (host.alive()) out.timeline = host.node().timeline();
+  if (host.alive()) {
+    out.timeline = host.node().timeline();
+    out.counters = svcCounters(host.node());
+  }
 
   EXPECT_TRUE(out.drained) << "stream wedged (seed " << seed << ")";
   EXPECT_EQ(out.completed + out.failed,
@@ -471,6 +577,13 @@ TEST(MigrationSvc, ComposedAllPlaneStreamReplaysBitIdentically) {
   const SweepOutcome a = runMigrationSweep(seed, 24, /*composed=*/true);
   const SweepOutcome b = runMigrationSweep(seed, 24, /*composed=*/true);
   expectIdentical(a, b, seed);
+  EXPECT_EQ(a.counters, b.counters);
+  // Pinned outcome: node deaths, an I/O death, a control-plane crash
+  // and two checkpoint-then-preempt windows in one stream.
+  EXPECT_EQ(a.hash, 0x087c1a890c121873ULL);
+  EXPECT_EQ(a.counters,
+            (std::vector<std::uint64_t>{4, 1, 0, 0, 1, 0, 36'766, 1, 1, 2, 1, 0,
+                                        2, 0, 0, 0, 0, 0, 0}));
 }
 
 // ---------------------------------------------------------------------
