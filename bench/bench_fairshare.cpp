@@ -170,7 +170,8 @@ void printResult(const char* title, const FsResult& r) {
               static_cast<unsigned long long>(r.metrics.jobsSubmitted),
               static_cast<unsigned long long>(r.metrics.jobsCompleted),
               static_cast<unsigned long long>(r.metrics.jobsFailed),
-              static_cast<unsigned long long>(r.metrics.preemptions),
+              static_cast<unsigned long long>(
+                  r.metrics.count(svc::SvcCounter::kPreemptions)),
               100.0 * r.metrics.utilization);
   std::printf("%-8s %-7s %6s  %9s  %9s  %6s  %6s %10s %10s\n", "account",
               "qos", "shares", "cfg-share", "ach-share", "done", "preempt",
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
       arr.push(std::move(aj));
     }
     j.set("accounts", std::move(arr));
-    j.set("preemptions", run1.metrics.preemptions);
+    j.set("preemptions", run1.metrics.count(svc::SvcCounter::kPreemptions));
     j.set("svc", run1.metrics.toJson());
     j.set("accounting_digest", run1.accountingDigest);
     j.set("determinism_hash", run1.determinismHash);

@@ -163,7 +163,7 @@ StreamResult runStream(const StreamParams& p) {
       [&] { return submitted == p.jobs && host.drained(); },
       2'000'000'000ULL);
   r.metrics = host.metrics();
-  r.retries = r.metrics.jobRetries;
+  r.retries = r.metrics.count(svc::SvcCounter::kRetries);
   r.coldStarts = host.coldStarts();
   r.fship = cluster.fshipTotals();
   r.ciod = cluster.ciodTotals();
@@ -217,6 +217,9 @@ sim::Json ioCountersJson(const StreamResult& r) {
 void printMetrics(const char* title, const StreamResult& res,
                   bool showFaultPlane, bool showLinkPlane) {
   const svc::SvcMetrics& m = res.metrics;
+  const auto count = [&m](svc::SvcCounter c) {
+    return static_cast<unsigned long long>(m.count(c));
+  };
   std::printf("\n%s\n", title);
   bg::bench::printRule();
   std::printf("jobs: %llu submitted, %llu completed, %llu failed, "
@@ -224,7 +227,7 @@ void printMetrics(const char* title, const StreamResult& res,
               static_cast<unsigned long long>(m.jobsSubmitted),
               static_cast<unsigned long long>(m.jobsCompleted),
               static_cast<unsigned long long>(m.jobsFailed),
-              static_cast<unsigned long long>(m.jobRetries));
+              count(svc::SvcCounter::kRetries));
   std::printf("throughput: %.1f jobs/sec over %.3f simulated sec\n",
               m.jobsPerSecond, m.elapsedSeconds);
   std::printf("queue wait: mean %.0f cycles, max %llu cycles\n",
@@ -232,7 +235,7 @@ void printMetrics(const char* title, const StreamResult& res,
               static_cast<unsigned long long>(m.maxQueueWaitCycles));
   std::printf("utilization: %.1f%% across %d nodes (%llu node failures)\n",
               100.0 * m.utilization, m.nodes,
-              static_cast<unsigned long long>(m.nodeFailures));
+              count(svc::SvcCounter::kNodeFailures));
   std::printf("RAS: %llu info / %llu warn / %llu error / %llu fatal; "
               "%llu throttled, %llu dropped\n",
               static_cast<unsigned long long>(m.rasInfo),
@@ -250,7 +253,7 @@ void printMetrics(const char* title, const StreamResult& res,
               static_cast<unsigned long long>(m.checkpointSaves),
               static_cast<unsigned long long>(m.checkpointBytes),
               static_cast<unsigned long long>(m.checkpointFailedSaves),
-              static_cast<unsigned long long>(m.predictiveDrains));
+              count(svc::SvcCounter::kPredictiveDrains));
   std::printf("I/O path: %llu ops shipped, %llu retransmits, "
               "%llu ciod errors, %llu replays, "
               "%llu io failovers + %llu io reboots\n",
@@ -258,8 +261,8 @@ void printMetrics(const char* title, const StreamResult& res,
               static_cast<unsigned long long>(res.fship.retransmits),
               static_cast<unsigned long long>(res.ciod.errors),
               static_cast<unsigned long long>(res.ciod.replays),
-              static_cast<unsigned long long>(m.ioFailovers),
-              static_cast<unsigned long long>(m.ioReboots));
+              count(svc::SvcCounter::kIoFailovers),
+              count(svc::SvcCounter::kIoReboots));
   if (showFaultPlane) {
     std::printf("fault plane: %llu CE scrubbed, %llu coredumps shipped, "
                 "%llu hangs detected, %llu nodes retired, "
@@ -267,20 +270,20 @@ void printMetrics(const char* title, const StreamResult& res,
                 static_cast<unsigned long long>(res.eccScrubbed),
                 static_cast<unsigned long long>(res.coredumps),
                 static_cast<unsigned long long>(m.hangsDetected),
-                static_cast<unsigned long long>(m.nodesRetired),
-                m.meanRequeueCycles,
-                static_cast<unsigned long long>(m.requeueSamples));
+                count(svc::SvcCounter::kNodesRetired),
+                m.meanRequeueCycles(),
+                count(svc::SvcCounter::kRequeueCount));
   }
   if (showLinkPlane) {
     std::printf("link plane: %llu migrations (%llu requests, "
                 "%llu fallbacks), %llu degraded jobs, %llu sick nodes, "
                 "%llu cycles saved vs scratch\n",
-                static_cast<unsigned long long>(m.migrations),
-                static_cast<unsigned long long>(m.migrateRequests),
-                static_cast<unsigned long long>(m.migrateFallbacks),
-                static_cast<unsigned long long>(m.degradedJobs),
+                count(svc::SvcCounter::kMigrations),
+                count(svc::SvcCounter::kMigrateRequests),
+                count(svc::SvcCounter::kMigrateFallbacks),
+                count(svc::SvcCounter::kDegradedJobs),
                 static_cast<unsigned long long>(m.linkSickNodes),
-                static_cast<unsigned long long>(m.migrateCyclesSaved));
+                count(svc::SvcCounter::kMigrateCyclesSaved));
     std::printf("route-around: %llu detours (+%llu hops), "
                 "%llu unroutable, %llu CRC retries\n",
                 static_cast<unsigned long long>(m.linkDetours),

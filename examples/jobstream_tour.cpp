@@ -98,8 +98,10 @@ int main() {
               "%llu node failure(s) repaired\n",
               static_cast<unsigned long long>(m.jobsCompleted),
               static_cast<unsigned long long>(m.jobsSubmitted),
-              static_cast<unsigned long long>(m.jobRetries),
-              static_cast<unsigned long long>(m.nodeFailures));
+              static_cast<unsigned long long>(
+                  m.count(svc::SvcCounter::kRetries)),
+              static_cast<unsigned long long>(
+                  m.count(svc::SvcCounter::kNodeFailures)));
   std::printf("utilization %.1f%%, mean queue wait %.0f cycles, RAS "
               "%llu info / %llu warn / %llu error / %llu fatal\n",
               100.0 * m.utilization, m.meanQueueWaitCycles,

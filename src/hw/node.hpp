@@ -13,7 +13,6 @@
 #include "hw/kernel_if.hpp"
 #include "hw/phys_mem.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace bg::hw {
 
@@ -68,8 +67,6 @@ class Node {
   void attachKernel(KernelIf* k) { kernel_ = k; }
   RuntimeIf* runtime() { return runtime_; }
   void attachRuntime(RuntimeIf* r) { runtime_ = r; }
-
-  sim::TraceBuffer& trace() { return trace_; }
 
   CollectiveNet* collective() { return collective_; }
   void attachCollective(CollectiveNet* n) { collective_ = n; }
@@ -137,7 +134,6 @@ class Node {
   Ddr ddr_;
   SharedCache l3_;
   std::vector<std::unique_ptr<Core>> cores_;
-  sim::TraceBuffer trace_;
   KernelIf* kernel_ = nullptr;
   RuntimeIf* runtime_ = nullptr;
   CollectiveNet* collective_ = nullptr;

@@ -77,25 +77,7 @@ void SvcCheckpoint::encodeHead(sim::ByteWriter& w) const {
   w.u64(takenAt);
   w.u64(scheduleHash);
   w.u32(nextId);
-  w.u64(retries);
-  w.u64(failures);
-  w.u64(predictiveDrains);
-  w.u64(ioFailovers);
-  w.u64(ioReboots);
-  w.u64(nodesRetired);
-  w.u64(requeueLatencyTotal);
-  w.u64(requeueCount);
-  w.u64(preemptions);
-  w.u64(ckptRequests);
-  w.u64(ckptCommits);
-  w.u64(ckptFallbacks);
-  w.u64(ckptResumes);
-  w.u64(migrateRequests);
-  w.u64(migrateCommits);
-  w.u64(migrateFallbacks);
-  w.u64(migrations);
-  w.u64(degradedJobs);
-  w.u64(migrateCyclesSaved);
+  for (std::uint64_t v : counters.values) w.u64(v);
   w.u64(sickNodes.size());
   for (int n : sickNodes) w.u32(static_cast<std::uint32_t>(n));
   w.u64(firstSubmit);
@@ -169,25 +151,7 @@ bool SvcCheckpoint::decode(sim::ByteReader& r) {
   takenAt = r.u64();
   scheduleHash = r.u64();
   nextId = r.u32();
-  retries = r.u64();
-  failures = r.u64();
-  predictiveDrains = r.u64();
-  ioFailovers = r.u64();
-  ioReboots = r.u64();
-  nodesRetired = r.u64();
-  requeueLatencyTotal = r.u64();
-  requeueCount = r.u64();
-  preemptions = r.u64();
-  ckptRequests = r.u64();
-  ckptCommits = r.u64();
-  ckptFallbacks = r.u64();
-  ckptResumes = r.u64();
-  migrateRequests = r.u64();
-  migrateCommits = r.u64();
-  migrateFallbacks = r.u64();
-  migrations = r.u64();
-  degradedJobs = r.u64();
-  migrateCyclesSaved = r.u64();
+  for (std::uint64_t& v : counters.values) v = r.u64();
   const std::uint64_t ns = r.u64();
   for (std::uint64_t i = 0; i < ns && r.ok(); ++i) {
     sickNodes.push_back(static_cast<int>(r.u32()));

@@ -29,6 +29,7 @@
 
 #include "sim/bytes.hpp"
 #include "sim/types.hpp"
+#include "svc/counters.hpp"
 #include "svc/job.hpp"
 #include "svc/partition.hpp"
 
@@ -61,30 +62,7 @@ struct SvcCheckpoint {
   sim::Cycle takenAt = 0;
   std::uint64_t scheduleHash = 0;
   JobId nextId = 1;
-  std::uint64_t retries = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t predictiveDrains = 0;
-  std::uint64_t ioFailovers = 0;  // CIOD deaths resolved onto a spare
-  std::uint64_t ioReboots = 0;    // CIOD deaths repaired in place
-  std::uint64_t nodesRetired = 0;  // failure budgets blown
-  /// Mean-time-to-requeue accounting: fatal RAS cycle -> victim job
-  /// disposition, summed, with the sample count.
-  std::uint64_t requeueLatencyTotal = 0;
-  std::uint64_t requeueCount = 0;
-  /// Jobs killed and requeued for higher-QOS work.
-  std::uint64_t preemptions = 0;
-  /// Checkpoint-then-preempt accounting.
-  std::uint64_t ckptRequests = 0;   // preemptions that asked for a ckpt
-  std::uint64_t ckptCommits = 0;    // requests every node committed
-  std::uint64_t ckptFallbacks = 0;  // deadline/fault -> scratch requeue
-  std::uint64_t ckptResumes = 0;    // launches booted into restore
-  /// Checkpoint-then-migrate accounting.
-  std::uint64_t migrateRequests = 0;   // link-sick escalations that asked
-  std::uint64_t migrateCommits = 0;    // requests every node committed
-  std::uint64_t migrateFallbacks = 0;  // window failed -> job stays put
-  std::uint64_t migrations = 0;        // jobs requeued onto healthy nodes
-  std::uint64_t degradedJobs = 0;      // left running in route-around mode
-  std::uint64_t migrateCyclesSaved = 0;  // progress preserved vs scratch
+  SvcCounters counters;  // written in SvcCounter order
   /// Nodes the link-health predictor declared link-sick.
   std::vector<int> sickNodes;
   sim::Cycle firstSubmit = 0;

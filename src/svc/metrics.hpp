@@ -10,6 +10,7 @@
 
 #include "sim/json.hpp"
 #include "sim/types.hpp"
+#include "svc/counters.hpp"
 
 namespace bg::svc {
 
@@ -55,7 +56,6 @@ struct SvcMetrics {
   std::uint64_t jobsCompleted = 0;
   std::uint64_t jobsFailed = 0;
   std::uint64_t jobsCancelled = 0;  // pulled from queue via front door
-  std::uint64_t jobRetries = 0;     // relaunches after node loss
 
   // Time base.
   sim::Cycle elapsedCycles = 0;
@@ -69,35 +69,24 @@ struct SvcMetrics {
   // Node usage.
   int nodes = 0;
   double utilization = 0;  // busy node-cycles / (nodes * elapsed)
-  std::uint64_t nodeFailures = 0;
-  std::uint64_t predictiveDrains = 0;  // warn-storm drains before fatal
-  std::uint64_t ioFailovers = 0;       // CIOD deaths re-homed to a spare
-  std::uint64_t ioReboots = 0;         // CIOD deaths repaired in place
 
-  // Compute-node fault plane.
-  std::uint64_t hangsDetected = 0;   // heartbeat watchdog declarations
-  std::uint64_t nodesRetired = 0;    // failure budgets blown
-  double meanRequeueCycles = 0;      // fatal RAS -> victim job requeued
-  std::uint64_t requeueSamples = 0;  // fatals that had a victim job
+  // The service node's persisted counters (retries, every fault
+  // plane's dispositions, checkpoint windows, migrations).
+  SvcCounters counters;
+  std::uint64_t count(SvcCounter c) const { return counters[c]; }
+  /// Fatal RAS -> victim job requeued, over fatals that had a victim.
+  double meanRequeueCycles() const {
+    const std::uint64_t n = count(SvcCounter::kRequeueCount);
+    return n > 0 ? static_cast<double>(
+                       count(SvcCounter::kRequeueLatencyTotal)) /
+                       static_cast<double>(n)
+                 : 0;
+  }
 
-  // Multi-tenant plane.
-  std::uint64_t preemptions = 0;  // jobs killed+requeued for QOS
-  std::vector<AccountMetrics> accounts;
+  std::uint64_t hangsDetected = 0;  // heartbeat watchdog declarations
+  std::vector<AccountMetrics> accounts;  // multi-tenant plane
 
-  // Application checkpoint/restart plane.
-  std::uint64_t ckptRequests = 0;   // preemptions that asked for a ckpt
-  std::uint64_t ckptCommits = 0;    // requests every node committed
-  std::uint64_t ckptFallbacks = 0;  // deadline/fault -> scratch requeue
-  std::uint64_t ckptResumes = 0;    // launches booted into restore
-
-  // Torus hard-fault plane: RAS-driven checkpoint-migrate and the
-  // fabric's deterministic route-around.
-  std::uint64_t migrateRequests = 0;   // link-sick escalations that asked
-  std::uint64_t migrateCommits = 0;    // requests every node committed
-  std::uint64_t migrateFallbacks = 0;  // window failed -> job stays put
-  std::uint64_t migrations = 0;        // jobs requeued onto healthy nodes
-  std::uint64_t degradedJobs = 0;      // left running in route-around mode
-  std::uint64_t migrateCyclesSaved = 0;  // progress preserved vs scratch
+  // Torus hard-fault plane: the fabric's deterministic route-around.
   std::uint64_t linkSickNodes = 0;     // nodes flagged by the predictor
   std::uint64_t linkDetours = 0;       // transfers routed around a death
   std::uint64_t linkDetourHops = 0;    // extra hops beyond minimal routes
@@ -135,7 +124,7 @@ struct SvcMetrics {
     j.set("jobs_completed", jobsCompleted);
     j.set("jobs_failed", jobsFailed);
     j.set("jobs_cancelled", jobsCancelled);
-    j.set("job_retries", jobRetries);
+    j.set("job_retries", count(SvcCounter::kRetries));
     j.set("elapsed_cycles", elapsedCycles);
     j.set("elapsed_seconds", elapsedSeconds);
     j.set("jobs_per_second", jobsPerSecond);
@@ -143,10 +132,10 @@ struct SvcMetrics {
     j.set("max_queue_wait_cycles", maxQueueWaitCycles);
     j.set("nodes", static_cast<std::int64_t>(nodes));
     j.set("utilization", utilization);
-    j.set("node_failures", nodeFailures);
-    j.set("predictive_drains", predictiveDrains);
-    j.set("io_failovers", ioFailovers);
-    j.set("io_reboots", ioReboots);
+    j.set("node_failures", count(SvcCounter::kNodeFailures));
+    j.set("predictive_drains", count(SvcCounter::kPredictiveDrains));
+    j.set("io_failovers", count(SvcCounter::kIoFailovers));
+    j.set("io_reboots", count(SvcCounter::kIoReboots));
     sim::Json fo = sim::Json::object();
     fo.set("service_crashes", serviceCrashes);
     fo.set("service_restarts", serviceRestarts);
@@ -168,23 +157,23 @@ struct SvcMetrics {
     j.set("ras", std::move(ras));
     sim::Json fault = sim::Json::object();
     fault.set("hangs_detected", hangsDetected);
-    fault.set("nodes_retired", nodesRetired);
-    fault.set("mean_requeue_cycles", meanRequeueCycles);
-    fault.set("requeue_samples", requeueSamples);
+    fault.set("nodes_retired", count(SvcCounter::kNodesRetired));
+    fault.set("mean_requeue_cycles", meanRequeueCycles());
+    fault.set("requeue_samples", count(SvcCounter::kRequeueCount));
     j.set("fault", std::move(fault));
     sim::Json ck = sim::Json::object();
-    ck.set("requests", ckptRequests);
-    ck.set("commits", ckptCommits);
-    ck.set("fallbacks", ckptFallbacks);
-    ck.set("resumes", ckptResumes);
+    ck.set("requests", count(SvcCounter::kCkptRequests));
+    ck.set("commits", count(SvcCounter::kCkptCommits));
+    ck.set("fallbacks", count(SvcCounter::kCkptFallbacks));
+    ck.set("resumes", count(SvcCounter::kCkptResumes));
     j.set("ckpt", std::move(ck));
     sim::Json mig = sim::Json::object();
-    mig.set("requests", migrateRequests);
-    mig.set("commits", migrateCommits);
-    mig.set("fallbacks", migrateFallbacks);
-    mig.set("migrations", migrations);
-    mig.set("degraded_jobs", degradedJobs);
-    mig.set("cycles_saved", migrateCyclesSaved);
+    mig.set("requests", count(SvcCounter::kMigrateRequests));
+    mig.set("commits", count(SvcCounter::kMigrateCommits));
+    mig.set("fallbacks", count(SvcCounter::kMigrateFallbacks));
+    mig.set("migrations", count(SvcCounter::kMigrations));
+    mig.set("degraded_jobs", count(SvcCounter::kDegradedJobs));
+    mig.set("cycles_saved", count(SvcCounter::kMigrateCyclesSaved));
     mig.set("link_sick_nodes", linkSickNodes);
     mig.set("detours", linkDetours);
     mig.set("detour_hops", linkDetourHops);
@@ -193,7 +182,7 @@ struct SvcMetrics {
     j.set("migration", std::move(mig));
     if (!accounts.empty()) {
       sim::Json fs = sim::Json::object();
-      fs.set("preemptions", preemptions);
+      fs.set("preemptions", count(SvcCounter::kPreemptions));
       sim::Json arr = sim::Json::array();
       for (const AccountMetrics& a : accounts) arr.push(a.toJson());
       fs.set("accounts", std::move(arr));

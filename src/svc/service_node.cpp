@@ -7,6 +7,8 @@
 
 namespace bg::svc {
 
+using enum SvcCounter;
+
 ServiceNode::ServiceNode(rt::Cluster& cluster, ServiceNodeConfig cfg,
                          CheckpointStore* store)
     : cluster_(cluster),
@@ -182,13 +184,7 @@ void ServiceNode::pollCompletions() {
     // committed (application ckpt_save or a preempt window), so a
     // later requeue relaunches into restore. Poll-only: no hash note,
     // so checkpoint-free streams keep their pinned schedule digests.
-    if (jr->desc.kernel == rt::KernelKind::kCnk) {
-      for (int n : jr->nodesHeld) {
-        if (auto* c = cluster_.cnkOn(n)) {
-          jr->ckptSeq = std::max(jr->ckptSeq, c->ckptSeqCommitted());
-        }
-      }
-    }
+    if (jr->desc.kernel == rt::KernelKind::kCnk) recordCkptSeq(*jr);
     bool allExited = true;
     bool anyBad = false;
     std::int64_t status = 0;
@@ -338,7 +334,7 @@ bool ServiceNode::launch(JobRecord& jr, const std::vector<int>& nodes) {
   accounting_.onLaunch(jr.desc.account, static_cast<int>(nodes.size()));
   note("launch", jr.id, now, nodes);
   if (jr.ckptSeq > 0) {
-    ++ckptResumes_;
+    ++counters_[kCkptResumes];
     note("resume", jr.id, now, nodes);
   }
   return true;
@@ -365,9 +361,7 @@ void ServiceNode::finishJob(JobRecord& jr, bool ok, std::int64_t status) {
   lastEnd_ = now;
   note(ok ? "complete" : "fail", jr.id, now, jr.nodesHeld);
   jr.nodesHeld.clear();
-  runningIds_.erase(
-      std::remove(runningIds_.begin(), runningIds_.end(), jr.id),
-      runningIds_.end());
+  dropRunning(jr.id);
 }
 
 void ServiceNode::requeueOrFail(JobRecord& jr, sim::Cycle now) {
@@ -378,7 +372,7 @@ void ServiceNode::requeueOrFail(JobRecord& jr, sim::Cycle now) {
     jr.state = JobState::kQueued;
     queue_.push_back(jr.id);
     accounting_.onQueued(jr.desc.account);
-    ++retries_;
+    ++counters_[kRetries];
     note("retry", jr.id, now);
   } else {
     jr.state = JobState::kFailed;
@@ -391,106 +385,139 @@ void ServiceNode::requeueOrFail(JobRecord& jr, sim::Cycle now) {
 }
 
 void ServiceNode::preemptJob(JobRecord& jr, sim::Cycle now) {
-  if (pendingCkpts_.count(jr.id) != 0) return;  // window already open
-  if (cfg_.ckpt.onPreempt && !jr.nodesHeld.empty()) {
-    bool allCnk = true;
-    for (int n : jr.nodesHeld) {
-      if (cluster_.kernelKindOn(n) != rt::KernelKind::kCnk) {
-        allCnk = false;
-        break;
-      }
-    }
-    if (allCnk) {
-      // Open a checkpoint window: every held node cuts + commits an
-      // application image while the job keeps running; the kill is
-      // deferred to the last ack (or the deadline, whichever first).
-      ++ckptRequests_;
-      note("ckpt_req", jr.id, now, jr.nodesHeld);
-      const std::uint64_t token = ++ckptTokens_;
-      PendingCkpt& pc = pendingCkpts_[jr.id];
-      pc.remaining = static_cast<int>(jr.nodesHeld.size());
-      pc.failed = false;
-      pc.token = token;
-      const JobId id = jr.id;
-      // A kernel may refuse synchronously, and the resulting last ack
-      // tears the window down and edits jr.nodesHeld — iterate a copy.
-      const std::vector<int> held = jr.nodesHeld;
-      for (int n : held) {
-        cluster_.cnkOn(n)->requestCheckpoint(
-            [alive = std::weak_ptr<bool>(alive_), this, id, token](bool ok) {
-              if (alive.expired()) return;
-              onCkptAck(id, token, ok);
-            });
-      }
-      engine().scheduleAt(
-          now + cfg_.ckpt.deadlineCycles,
-          guarded([this, id, token] { onCkptDeadline(id, token); }));
-      return;
-    }
+  if (hasWindow(jr.id, CkptWindow::Purpose::kPreempt)) return;
+  if (cfg_.ckpt.onPreempt && allHeldCnk(jr)) {
+    // The kill is deferred to the window's end.
+    ++counters_[kCkptRequests];
+    note("ckpt_req", jr.id, now, jr.nodesHeld);
+    openWindow(jr, CkptWindow::Purpose::kPreempt, now);
+    return;
   }
   finishPreempt(jr, now);
 }
 
-void ServiceNode::onCkptAck(JobId id, std::uint64_t token, bool ok) {
-  const auto it = pendingCkpts_.find(id);
-  if (it == pendingCkpts_.end() || it->second.token != token) return;
-  if (!ok) it->second.failed = true;
-  if (--it->second.remaining > 0) return;
-  const bool committed = !it->second.failed;
-  pendingCkpts_.erase(it);
-  JobRecord* jr = find(id);
-  if (jr == nullptr || jr->state != JobState::kRunning) return;
-  const sim::Cycle now = engine().now();
-  if (committed) {
-    ++ckptCommits_;
-    for (int n : jr->nodesHeld) {
-      if (auto* c = cluster_.cnkOn(n)) {
-        jr->ckptSeq = std::max(jr->ckptSeq, c->ckptSeqCommitted());
-      }
-    }
-    note("ckpt_commit", id, now, jr->nodesHeld);
-  } else {
-    // Some node refused or its commit failed; the requeue falls back
-    // to whatever the job had committed before (possibly nothing).
-    ++ckptFallbacks_;
-    note("ckpt_fallback", id, now, jr->nodesHeld);
-  }
-  finishPreempt(*jr, now);
-  schedulePump();
-  checkpointWriteThrough();
-}
-
-void ServiceNode::onCkptDeadline(JobId id, std::uint64_t token) {
-  const auto it = pendingCkpts_.find(id);
-  if (it == pendingCkpts_.end() || it->second.token != token) return;
-  pendingCkpts_.erase(it);  // late acks for this window become stale
-  ++ckptFallbacks_;
-  JobRecord* jr = find(id);
-  if (jr == nullptr || jr->state != JobState::kRunning) return;
-  const sim::Cycle now = engine().now();
-  note("ckpt_timeout", id, now, jr->nodesHeld);
-  finishPreempt(*jr, now);
-  schedulePump();
-  checkpointWriteThrough();
-}
-
 void ServiceNode::finishPreempt(JobRecord& jr, sim::Cycle now) {
-  ++preemptions_;
+  ++counters_[kPreemptions];
   ++jr.preemptCount;
   note("preempt", jr.id, now, jr.nodesHeld);
-  runningIds_.erase(
-      std::remove(runningIds_.begin(), runningIds_.end(), jr.id),
-      runningIds_.end());
+  accounting_.onPreempted(jr.desc.account);
+  requeueAtBack(jr, now);
+}
+
+void ServiceNode::requeueAtBack(JobRecord& jr, sim::Cycle now) {
+  dropRunning(jr.id);
   drainHeldNodes(jr, now, -1);
   chargeStopped(jr, now);
-  accounting_.onPreempted(jr.desc.account);
   jr.nodesHeld.clear();
   jr.pids.clear();
-  // Back of the queue, exactly once, and no retry budget consumed:
-  // preemption is the scheduler's fault, not the job's.
   jr.state = JobState::kQueued;
   queue_.push_back(jr.id);
   accounting_.onQueued(jr.desc.account);
+}
+
+// --- checkpoint windows (preempt and migrate) ---------------------------
+
+void ServiceNode::openWindow(JobRecord& jr, CkptWindow::Purpose purpose,
+                             sim::Cycle now) {
+  const std::uint64_t token = ++windowTokens_;
+  windows_[token] = CkptWindow{purpose, jr.id,
+                               static_cast<int>(jr.nodesHeld.size())};
+  // A kernel may refuse synchronously, and the resulting last ack
+  // tears the window down and edits jr.nodesHeld — iterate a copy.
+  const std::vector<int> held = jr.nodesHeld;
+  for (int n : held) {
+    cluster_.cnkOn(n)->requestCheckpoint(
+        [alive = std::weak_ptr<bool>(alive_), this, token](bool ok) {
+          if (alive.expired()) return;
+          onWindowAck(token, ok);
+        });
+  }
+  engine().scheduleAt(now + cfg_.ckptWindowDeadlineCycles,
+                      guarded([this, token] { onWindowDeadline(token); }));
+}
+
+void ServiceNode::onWindowAck(std::uint64_t token, bool ok) {
+  const auto it = windows_.find(token);
+  if (it == windows_.end()) return;
+  if (!ok) it->second.failed = true;
+  if (--it->second.remaining > 0) return;
+  closeWindow(token, it->second.failed ? CkptWindow::End::kFailed
+                                       : CkptWindow::End::kCommitted);
+}
+
+void ServiceNode::onWindowDeadline(std::uint64_t token) {
+  if (windows_.count(token) != 0) {
+    closeWindow(token, CkptWindow::End::kTimedOut);
+  }
+}
+
+void ServiceNode::closeWindow(std::uint64_t token, CkptWindow::End end) {
+  using End = CkptWindow::End;
+  const auto it = windows_.find(token);
+  const CkptWindow w = it->second;
+  windows_.erase(it);  // late acks and the deadline become stale
+  const bool preempt = w.purpose == CkptWindow::Purpose::kPreempt;
+  const SvcCounter fallbacks = preempt ? kCkptFallbacks : kMigrateFallbacks;
+  // A blown deadline is a fallback even when the job has already
+  // stopped; a failed commit counts only against a running job.
+  if (end == End::kTimedOut) ++counters_[fallbacks];
+  JobRecord* jr = find(w.job);
+  if (jr == nullptr || jr->state != JobState::kRunning) return;
+  const sim::Cycle now = engine().now();
+  static constexpr const char* kNotes[2][3] = {
+      {"ckpt_commit", "ckpt_fallback", "ckpt_timeout"},
+      {"migrate_commit", "migrate_fallback", "migrate_timeout"}};
+  const char* what =
+      kNotes[static_cast<int>(w.purpose)][static_cast<int>(end)];
+  if (end == End::kCommitted) {
+    ++counters_[preempt ? kCkptCommits : kMigrateCommits];
+    recordCkptSeq(*jr);
+  } else {
+    if (end == End::kFailed) ++counters_[fallbacks];
+    if (!preempt) ++counters_[kDegradedJobs];
+  }
+  note(what, w.job, now, jr->nodesHeld);
+  if (preempt) {
+    // A failed window requeues from whatever the job had committed
+    // before (possibly nothing).
+    finishPreempt(*jr, now);
+  } else if (end == End::kCommitted) {
+    finishMigrate(*jr, now);
+  } else {
+    // Migrating now would lose work, so unlike a preemption window
+    // there is no kill: the job keeps running in degraded route-around
+    // mode.
+    reportMigrateRas(kernel::RasEvent::Code::kCkptMigrateFallback, w.job);
+  }
+  schedulePump();
+  checkpointWriteThrough();
+}
+
+bool ServiceNode::hasWindow(JobId id, CkptWindow::Purpose purpose) const {
+  return std::any_of(windows_.begin(), windows_.end(), [&](const auto& kv) {
+    return kv.second.job == id && kv.second.purpose == purpose;
+  });
+}
+
+bool ServiceNode::allHeldCnk(const JobRecord& jr) const {
+  // Only CNK nodes can cut application images.
+  return !jr.nodesHeld.empty() &&
+         std::all_of(jr.nodesHeld.begin(), jr.nodesHeld.end(), [&](int n) {
+           return cluster_.kernelKindOn(n) == rt::KernelKind::kCnk;
+         });
+}
+
+void ServiceNode::recordCkptSeq(JobRecord& jr) {
+  for (int n : jr.nodesHeld) {
+    if (auto* c = cluster_.cnkOn(n)) {
+      jr.ckptSeq = std::max(jr.ckptSeq, c->ckptSeqCommitted());
+    }
+  }
+}
+
+void ServiceNode::dropRunning(JobId id) {
+  runningIds_.erase(std::remove(runningIds_.begin(), runningIds_.end(), id),
+                    runningIds_.end());
 }
 
 // --- torus hard-fault plane: checkpoint-then-migrate --------------------
@@ -518,19 +545,11 @@ void ServiceNode::onLinkSick(int node, sim::Cycle cycle, bool dead) {
   if (victim == 0) return;
   JobRecord* jr = find(victim);
   if (jr == nullptr || jr->state != JobState::kRunning) return;
-  if (pendingMigrates_.count(victim) != 0 ||
-      pendingCkpts_.count(victim) != 0) {
+  if (hasWindow(victim, CkptWindow::Purpose::kMigrate) ||
+      hasWindow(victim, CkptWindow::Purpose::kPreempt)) {
     return;  // a window is already open for this job
   }
-  bool can = cfg_.migrate.enabled && !jr->nodesHeld.empty();
-  if (can) {
-    for (int n : jr->nodesHeld) {
-      if (cluster_.kernelKindOn(n) != rt::KernelKind::kCnk) {
-        can = false;  // only CNK nodes can cut application images
-        break;
-      }
-    }
-  }
+  bool can = cfg_.migrate.enabled && allHeldCnk(*jr);
   if (can) {
     // Healthy capacity after the drain: link-healthy ready nodes now,
     // plus the victim's own link-healthy nodes (they return to the
@@ -552,107 +571,30 @@ void ServiceNode::onLinkSick(int node, sim::Cycle cycle, bool dead) {
     // the job keeps running where it is. The fabric's deterministic
     // route-around carries its traffic at a latency penalty; the
     // metrics block reports the degradation.
-    ++degradedJobs_;
+    ++counters_[kDegradedJobs];
     note("degraded_mode", victim, now, {node});
     reportMigrateRas(kernel::RasEvent::Code::kCkptMigrateFallback, victim);
     return;
   }
-  beginMigrate(*jr, now);
-}
-
-void ServiceNode::beginMigrate(JobRecord& jr, sim::Cycle now) {
-  ++migrateRequests_;
-  note("migrate_req", jr.id, now, jr.nodesHeld);
-  reportMigrateRas(kernel::RasEvent::Code::kCkptMigrateBegin, jr.id);
-  const std::uint64_t token = ++ckptTokens_;
-  PendingCkpt& pm = pendingMigrates_[jr.id];
-  pm.remaining = static_cast<int>(jr.nodesHeld.size());
-  pm.failed = false;
-  pm.token = token;
-  const JobId id = jr.id;
-  // Same synchronous-refusal hazard as preemptJob: iterate a copy.
-  const std::vector<int> held = jr.nodesHeld;
-  for (int n : held) {
-    cluster_.cnkOn(n)->requestCheckpoint(
-        [alive = std::weak_ptr<bool>(alive_), this, id, token](bool ok) {
-          if (alive.expired()) return;
-          onMigrateAck(id, token, ok);
-        });
-  }
-  engine().scheduleAt(
-      now + cfg_.migrate.deadlineCycles,
-      guarded([this, id, token] { onMigrateDeadline(id, token); }));
-}
-
-void ServiceNode::onMigrateAck(JobId id, std::uint64_t token, bool ok) {
-  const auto it = pendingMigrates_.find(id);
-  if (it == pendingMigrates_.end() || it->second.token != token) return;
-  if (!ok) it->second.failed = true;
-  if (--it->second.remaining > 0) return;
-  const bool committed = !it->second.failed;
-  pendingMigrates_.erase(it);
-  JobRecord* jr = find(id);
-  if (jr == nullptr || jr->state != JobState::kRunning) return;
-  const sim::Cycle now = engine().now();
-  if (committed) {
-    ++migrateCommits_;
-    for (int n : jr->nodesHeld) {
-      if (auto* c = cluster_.cnkOn(n)) {
-        jr->ckptSeq = std::max(jr->ckptSeq, c->ckptSeqCommitted());
-      }
-    }
-    note("migrate_commit", id, now, jr->nodesHeld);
-    finishMigrate(*jr, now);
-  } else {
-    // A node refused or its commit failed: migrating now would lose
-    // work, so unlike a preemption window there is no kill — the job
-    // keeps running in degraded route-around mode.
-    ++migrateFallbacks_;
-    ++degradedJobs_;
-    note("migrate_fallback", id, now, jr->nodesHeld);
-    reportMigrateRas(kernel::RasEvent::Code::kCkptMigrateFallback, id);
-  }
-  schedulePump();
-  checkpointWriteThrough();
-}
-
-void ServiceNode::onMigrateDeadline(JobId id, std::uint64_t token) {
-  const auto it = pendingMigrates_.find(id);
-  if (it == pendingMigrates_.end() || it->second.token != token) return;
-  pendingMigrates_.erase(it);  // late acks for this window become stale
-  ++migrateFallbacks_;
-  JobRecord* jr = find(id);
-  if (jr == nullptr || jr->state != JobState::kRunning) return;
-  const sim::Cycle now = engine().now();
-  ++degradedJobs_;
-  note("migrate_timeout", id, now, jr->nodesHeld);
-  reportMigrateRas(kernel::RasEvent::Code::kCkptMigrateFallback, id);
-  schedulePump();
-  checkpointWriteThrough();
+  ++counters_[kMigrateRequests];
+  note("migrate_req", victim, now, jr->nodesHeld);
+  reportMigrateRas(kernel::RasEvent::Code::kCkptMigrateBegin, victim);
+  openWindow(*jr, CkptWindow::Purpose::kMigrate, now);
 }
 
 void ServiceNode::finishMigrate(JobRecord& jr, sim::Cycle now) {
-  ++migrations_;
+  ++counters_[kMigrations];
   // Versus a scratch requeue the committed image preserves the whole
   // attempt's progress: the relaunch restores it instead of
   // recomputing it.
-  if (now >= jr.startCycle) migrateCyclesSaved_ += now - jr.startCycle;
+  if (now >= jr.startCycle) {
+    counters_[kMigrateCyclesSaved] += now - jr.startCycle;
+  }
   note("migrate", jr.id, now, jr.nodesHeld);
   reportMigrateRas(kernel::RasEvent::Code::kCkptMigrateDone, jr.id);
-  runningIds_.erase(
-      std::remove(runningIds_.begin(), runningIds_.end(), jr.id),
-      runningIds_.end());
-  drainHeldNodes(jr, now, -1);
-  chargeStopped(jr, now);
-  jr.nodesHeld.clear();
-  jr.pids.clear();
-  // Back of the queue with no retry budget consumed: the fault is the
-  // fabric's, not the job's. The relaunch allocates healthy-preferred
-  // nodes and boots into restore (ckptSeq > 0) under the remapped
-  // rank -> node assignment.
-  jr.state = JobState::kQueued;
-  queue_.push_back(jr.id);
-  accounting_.onQueued(jr.desc.account);
+  // The relaunch allocates healthy-preferred nodes and boots into
+  // restore (ckptSeq > 0) under the remapped rank -> node assignment.
+  requeueAtBack(jr, now);
 }
 
 void ServiceNode::drainHeldNodes(JobRecord& jr, sim::Cycle now,
@@ -713,7 +655,7 @@ void ServiceNode::onNodeFatal(int node, const kernel::RasEvent& e) {
   }
   const sim::Cycle now = engine().now();
   const JobId victim = parts_.jobOn(node);
-  ++failures_;
+  ++counters_[kNodeFailures];
   note("node_fatal", victim, now, {node});
 
   killUserThreadsOn(node);
@@ -723,7 +665,7 @@ void ServiceNode::onNodeFatal(int node, const kernel::RasEvent& e) {
     // Budget blown: this node has proven itself unreliable. Park it
     // for good instead of burning another repair window on it.
     parts_.markRetired(node);
-    ++nodesRetired_;
+    ++counters_[kNodesRetired];
     note("node_retired", 0, now, {node});
   } else {
     scheduleRepairDone(node, now + cfg_.repairCycles);
@@ -731,16 +673,14 @@ void ServiceNode::onNodeFatal(int node, const kernel::RasEvent& e) {
 
   if (victim == 0) return;
   JobRecord* jr = find(victim);
-  runningIds_.erase(
-      std::remove(runningIds_.begin(), runningIds_.end(), victim),
-      runningIds_.end());
+  dropRunning(victim);
   drainHeldNodes(*jr, now, node);
   requeueOrFail(*jr, now);
   // Mean-time-to-requeue: from the fatal event's logged cycle to the
   // victim's disposition (requeued or failed out) here.
   if (e.cycle <= now) {
-    requeueLatencyTotal_ += now - e.cycle;
-    ++requeueCount_;
+    counters_[kRequeueLatencyTotal] += now - e.cycle;
+    ++counters_[kRequeueCount];
   }
 }
 
@@ -752,7 +692,7 @@ void ServiceNode::onWarnStorm(int node, sim::Cycle cycle) {
   }
   const sim::Cycle now = engine().now();
   const JobId victim = parts_.jobOn(node);
-  ++predictiveDrains_;
+  ++counters_[kPredictiveDrains];
   note("node_predrain", victim, now, {node});
   ras_.clearWarns(node);
   if (victim != 0) {
@@ -760,9 +700,7 @@ void ServiceNode::onWarnStorm(int node, sim::Cycle cycle) {
     // off through the same bounded-retry path a node loss takes, but
     // the node itself only needs a drain + scrub, not a repair.
     JobRecord* jr = find(victim);
-    runningIds_.erase(
-        std::remove(runningIds_.begin(), runningIds_.end(), victim),
-        runningIds_.end());
+    dropRunning(victim);
     drainHeldNodes(*jr, now, -1);
     requeueOrFail(*jr, now);
   } else {
@@ -786,7 +724,7 @@ void ServiceNode::onIoNodeDead(int node, const kernel::RasEvent& e) {
     // A cold spare took over: the pset's kernels re-homed, rebuilt
     // their ioproxies from shadow state, and their in-flight syscalls
     // complete on the spare. Jobs never notice.
-    ++ioFailovers_;
+    ++counters_[kIoFailovers];
     note("io_failover", 0, now, {node});
     schedulePump();
     checkpointWriteThrough();
@@ -798,7 +736,7 @@ void ServiceNode::onIoNodeDead(int node, const kernel::RasEvent& e) {
   // compute nodes, and repair the CIOD in place. The repair event is
   // scheduled *first* so that at the shared deadline the daemon is
   // back before any node finishes rebooting.
-  ++ioReboots_;
+  ++counters_[kIoReboots];
   ioRepairPending_[static_cast<std::size_t>(ioIdx)] = 1;
   note("io_dead", 0, now, {node});
   const sim::Cycle due = now + cfg_.repairCycles;
@@ -825,9 +763,7 @@ void ServiceNode::onIoNodeDead(int node, const kernel::RasEvent& e) {
   for (JobId id : victims) {
     JobRecord* jr = find(id);
     if (jr == nullptr || jr->state != JobState::kRunning) continue;
-    runningIds_.erase(
-        std::remove(runningIds_.begin(), runningIds_.end(), id),
-        runningIds_.end());
+    dropRunning(id);
     // Nodes the job held outside the dead pset only need a drain.
     drainHeldNodes(*jr, now, -1);
     requeueOrFail(*jr, now);
@@ -923,25 +859,7 @@ SvcCheckpoint ServiceNode::checkpointHead() {
   ck.takenAt = engine().now();
   ck.scheduleHash = hash_.digest();
   ck.nextId = nextId_;
-  ck.retries = retries_;
-  ck.failures = failures_;
-  ck.predictiveDrains = predictiveDrains_;
-  ck.ioFailovers = ioFailovers_;
-  ck.ioReboots = ioReboots_;
-  ck.nodesRetired = nodesRetired_;
-  ck.requeueLatencyTotal = requeueLatencyTotal_;
-  ck.requeueCount = requeueCount_;
-  ck.preemptions = preemptions_;
-  ck.ckptRequests = ckptRequests_;
-  ck.ckptCommits = ckptCommits_;
-  ck.ckptFallbacks = ckptFallbacks_;
-  ck.ckptResumes = ckptResumes_;
-  ck.migrateRequests = migrateRequests_;
-  ck.migrateCommits = migrateCommits_;
-  ck.migrateFallbacks = migrateFallbacks_;
-  ck.migrations = migrations_;
-  ck.degradedJobs = degradedJobs_;
-  ck.migrateCyclesSaved = migrateCyclesSaved_;
+  ck.counters = counters_;
   ck.sickNodes.assign(linkSick_.begin(), linkSick_.end());
   ck.firstSubmit = firstSubmit_;
   ck.lastEnd = lastEnd_;
@@ -1029,25 +947,7 @@ bool ServiceNode::loadFrom(sim::ByteReader& r, CheckpointStore& store) {
   runningIds_ = ck.running;
   nodeOps_ = ck.ops;
   nextId_ = ck.nextId;
-  retries_ = ck.retries;
-  failures_ = ck.failures;
-  predictiveDrains_ = ck.predictiveDrains;
-  ioFailovers_ = ck.ioFailovers;
-  ioReboots_ = ck.ioReboots;
-  nodesRetired_ = ck.nodesRetired;
-  requeueLatencyTotal_ = ck.requeueLatencyTotal;
-  requeueCount_ = ck.requeueCount;
-  preemptions_ = ck.preemptions;
-  ckptRequests_ = ck.ckptRequests;
-  ckptCommits_ = ck.ckptCommits;
-  ckptFallbacks_ = ck.ckptFallbacks;
-  ckptResumes_ = ck.ckptResumes;
-  migrateRequests_ = ck.migrateRequests;
-  migrateCommits_ = ck.migrateCommits;
-  migrateFallbacks_ = ck.migrateFallbacks;
-  migrations_ = ck.migrations;
-  degradedJobs_ = ck.degradedJobs;
-  migrateCyclesSaved_ = ck.migrateCyclesSaved;
+  counters_ = ck.counters;
   linkSick_ = std::set<int>(ck.sickNodes.begin(), ck.sickNodes.end());
   firstSubmit_ = ck.firstSubmit;
   lastEnd_ = ck.lastEnd;
@@ -1101,9 +1001,7 @@ bool ServiceNode::loadFrom(sim::ByteReader& r, CheckpointStore& store) {
       }
     }
     if (ok) continue;
-    runningIds_.erase(
-        std::remove(runningIds_.begin(), runningIds_.end(), id),
-        runningIds_.end());
+    dropRunning(id);
     if (jr == nullptr) continue;
     drainHeldNodes(*jr, now, -1);
     requeueOrFail(*jr, now);
@@ -1149,11 +1047,11 @@ bool ServiceNode::loadFrom(sim::ByteReader& r, CheckpointStore& store) {
     if (!cluster_.ciod(i).crashed()) continue;
     const int netId = cluster_.failoverIoNode(i);
     if (netId >= 0) {
-      ++ioFailovers_;
+      ++counters_[kIoFailovers];
       note("io_failover", 0, now, {});
     } else {
       cluster_.rebootIoNode(i);
-      ++ioReboots_;
+      ++counters_[kIoReboots];
       note("io_reboot", 0, now, {i});
     }
   }
@@ -1204,7 +1102,6 @@ SvcMetrics ServiceNode::metrics() {
     if (jr.state == JobState::kFailed) ++m.jobsFailed;
     if (jr.state == JobState::kCancelled) ++m.jobsCancelled;
   }
-  m.jobRetries = retries_;
   const sim::Cycle end = lastEnd_ != 0 ? lastEnd_ : now;
   m.elapsedCycles = end > firstSubmit_ ? end - firstSubmit_ : 0;
   m.elapsedSeconds = sim::cyclesToSec(m.elapsedCycles);
@@ -1230,10 +1127,7 @@ SvcMetrics ServiceNode::metrics() {
                     (static_cast<double>(m.elapsedCycles) *
                      static_cast<double>(m.nodes));
   }
-  m.nodeFailures = failures_;
-  m.predictiveDrains = predictiveDrains_;
-  m.ioFailovers = ioFailovers_;
-  m.ioReboots = ioReboots_;
+  m.counters = counters_;
   using Sev = kernel::RasEvent::Severity;
   m.rasInfo = ras_.countBySeverity(Sev::kInfo);
   m.rasWarn = ras_.countBySeverity(Sev::kWarn);
@@ -1250,18 +1144,6 @@ SvcMetrics ServiceNode::metrics() {
                              ras_.countByCode(code));
   }
   m.hangsDetected = watchdog_.hangsDetected();
-  m.nodesRetired = nodesRetired_;
-  m.preemptions = preemptions_;
-  m.ckptRequests = ckptRequests_;
-  m.ckptCommits = ckptCommits_;
-  m.ckptFallbacks = ckptFallbacks_;
-  m.ckptResumes = ckptResumes_;
-  m.migrateRequests = migrateRequests_;
-  m.migrateCommits = migrateCommits_;
-  m.migrateFallbacks = migrateFallbacks_;
-  m.migrations = migrations_;
-  m.degradedJobs = degradedJobs_;
-  m.migrateCyclesSaved = migrateCyclesSaved_;
   m.linkSickNodes = linkSick_.size();
   {
     // Route-around accounting straight from the fabric: detours and
@@ -1295,11 +1177,6 @@ SvcMetrics ServiceNode::metrics() {
       m.accounts.push_back(std::move(am));
     }
   }
-  m.requeueSamples = requeueCount_;
-  m.meanRequeueCycles =
-      requeueCount_ > 0 ? static_cast<double>(requeueLatencyTotal_) /
-                              static_cast<double>(requeueCount_)
-                        : 0;
   m.scheduleHash = hash_.digest();
   return m;
 }

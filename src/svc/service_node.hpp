@@ -89,7 +89,6 @@ struct ServiceNodeConfig {
   /// hash note, so pinned fair-share schedules stay bit-identical.
   struct CkptConfig {
     bool onPreempt = false;
-    sim::Cycle deadlineCycles = 400'000;
   } ckpt;
   /// RAS-driven checkpoint-then-migrate: when the link-health
   /// predictor declares a node link-sick (a dead link, or a CRC-retry
@@ -103,8 +102,10 @@ struct ServiceNodeConfig {
   /// pinned fault-free schedules stay bit-identical.
   struct MigrateConfig {
     bool enabled = false;
-    sim::Cycle deadlineCycles = 400'000;
   } migrate;
+  /// How long a checkpoint window (preempt or migrate) waits for every
+  /// node to commit before it falls back.
+  sim::Cycle ckptWindowDeadlineCycles = 400'000;
   RasAggregatorConfig ras;
 };
 
@@ -186,35 +187,14 @@ class ServiceNode {
   PartitionManager& partitions() { return parts_; }
   RasAggregator& ras() { return ras_; }
   const SchedulerPolicy& policy() const { return *policy_; }
-  std::uint64_t predictiveDrains() const { return predictiveDrains_; }
-  /// CIOD deaths resolved by re-homing the pset onto a spare I/O node
-  /// (jobs keep running) vs. repaired in place (jobs requeued).
-  std::uint64_t ioFailovers() const { return ioFailovers_; }
-  std::uint64_t ioReboots() const { return ioReboots_; }
-  /// Compute-node fault plane: hangs the heartbeat watchdog declared
-  /// and nodes taken out of service for good by the failure budget.
+  /// One persisted counter (see SvcCounter for what each one counts).
+  std::uint64_t count(SvcCounter c) const { return counters_[c]; }
+  /// Hangs the heartbeat watchdog declared (not persisted).
   std::uint64_t hangsDetected() const { return watchdog_.hangsDetected(); }
-  std::uint64_t nodesRetired() const { return nodesRetired_; }
-  /// Multi-tenant plane: per-account usage/limit state and the count
-  /// of jobs killed + requeued to make room for higher-QOS work.
+  /// Multi-tenant plane: per-account usage/limit state.
   Accounting& accounting() { return accounting_; }
   const Accounting& accounting() const { return accounting_; }
-  std::uint64_t preemptions() const { return preemptions_; }
-  /// Checkpoint-then-preempt accounting: requests issued, requests
-  /// every node committed, fallbacks to kill-and-requeue (deadline or
-  /// commit failure), and launches that booted into restore.
-  std::uint64_t ckptRequests() const { return ckptRequests_; }
-  std::uint64_t ckptCommits() const { return ckptCommits_; }
-  std::uint64_t ckptFallbacks() const { return ckptFallbacks_; }
-  std::uint64_t ckptResumes() const { return ckptResumes_; }
-  /// Torus hard-fault plane: checkpoint-then-migrate accounting plus
-  /// the link-sick node set the allocator steers around.
-  std::uint64_t migrateRequests() const { return migrateRequests_; }
-  std::uint64_t migrateCommits() const { return migrateCommits_; }
-  std::uint64_t migrateFallbacks() const { return migrateFallbacks_; }
-  std::uint64_t migrations() const { return migrations_; }
-  std::uint64_t degradedJobs() const { return degradedJobs_; }
-  std::uint64_t migrateCyclesSaved() const { return migrateCyclesSaved_; }
+  /// The link-sick node set the allocator steers around.
   bool linkSick(int node) const { return linkSick_.count(node) != 0; }
   std::size_t linkSickCount() const { return linkSick_.size(); }
 
@@ -229,6 +209,18 @@ class ServiceNode {
   const std::vector<std::string>& timeline() const { return timeline_; }
 
  private:
+  /// A checkpoint window: the job keeps running while every held node
+  /// cuts and commits an application image. Preempt windows then kill
+  /// and requeue the job; migrate windows requeue it onto healthy nodes.
+  struct CkptWindow {
+    enum class Purpose : std::uint8_t { kPreempt, kMigrate };
+    enum class End : std::uint8_t { kCommitted, kFailed, kTimedOut };
+    Purpose purpose = Purpose::kPreempt;
+    JobId job = 0;
+    int remaining = 0;    // node acks still outstanding
+    bool failed = false;  // any node reported a failed commit
+  };
+
   sim::Engine& engine() { return cluster_.engine(); }
 
   /// Wrap an event so it dies with this instance: a crashed service
@@ -261,27 +253,38 @@ class ServiceNode {
   /// predictive drain, and restart reconciliation.
   void requeueOrFail(JobRecord& jr, sim::Cycle now);
   /// Preemption entry point: with ckpt.onPreempt set and the victim
-  /// all-CNK, opens a checkpoint window (job keeps running while every
-  /// held node cuts + commits an image) and defers the actual kill to
-  /// onCkptAck/onCkptDeadline; otherwise kills and requeues directly.
+  /// all-CNK, opens a checkpoint window and defers the actual kill to
+  /// the window's end; otherwise kills and requeues directly.
   void preemptJob(JobRecord& jr, sim::Cycle now);
-  /// The pre-checkpoint preemption body: kill, drain, requeue at the
-  /// back of the queue with no retry budget consumed.
+  /// The pre-checkpoint preemption body: kill, drain, requeue.
   void finishPreempt(JobRecord& jr, sim::Cycle now);
-  void onCkptAck(JobId id, std::uint64_t token, bool ok);
-  void onCkptDeadline(JobId id, std::uint64_t token);
   /// Link-health escalation: the RAS predictor declared `node`
   /// link-sick. Opens a checkpoint-then-migrate window for the job
   /// running there when migration is armed and healthy capacity
   /// exists; otherwise leaves the job running in degraded
   /// route-around mode.
   void onLinkSick(int node, sim::Cycle cycle, bool dead);
-  void beginMigrate(JobRecord& jr, sim::Cycle now);
-  void onMigrateAck(JobId id, std::uint64_t token, bool ok);
-  void onMigrateDeadline(JobId id, std::uint64_t token);
-  /// Commit succeeded: requeue the victim (no retry charge) so the
-  /// relaunch restores onto healthy-preferred nodes.
+  /// Commit succeeded: requeue the victim so the relaunch restores
+  /// onto healthy-preferred nodes.
   void finishMigrate(JobRecord& jr, sim::Cycle now);
+  /// The tail shared by preempt and migrate: stop the job, drain its
+  /// nodes, and requeue it at the back with no retry budget consumed
+  /// (the fault is the scheduler's or the fabric's, not the job's).
+  void requeueAtBack(JobRecord& jr, sim::Cycle now);
+  /// Every held node cuts and commits an application image while the
+  /// job keeps running; the window ends at the last ack or at
+  /// ckptWindowDeadlineCycles, whichever comes first.
+  void openWindow(JobRecord& jr, CkptWindow::Purpose purpose,
+                  sim::Cycle now);
+  void onWindowAck(std::uint64_t token, bool ok);
+  void onWindowDeadline(std::uint64_t token);
+  void closeWindow(std::uint64_t token, CkptWindow::End end);
+  bool hasWindow(JobId id, CkptWindow::Purpose purpose) const;
+  bool allHeldCnk(const JobRecord& jr) const;
+  /// Note the highest application-checkpoint sequence the job's nodes
+  /// have committed, so a later requeue relaunches into restore.
+  void recordCkptSeq(JobRecord& jr);
+  void dropRunning(JobId id);
   /// Service-node-originated migration RAS event (node -1 stream).
   void reportMigrateRas(kernel::RasEvent::Code code, JobId id);
   /// Accounting hook shared by every running-job-release path: charge
@@ -346,46 +349,17 @@ class ServiceNode {
   /// Jobs find() handed out since the last save (flag by id - 1).
   std::vector<char> dirty_;
   std::vector<JobId> dirtyIds_;
-  std::uint64_t retries_ = 0;
-  std::uint64_t failures_ = 0;  // node failures handled
-  std::uint64_t predictiveDrains_ = 0;
-  std::uint64_t ioFailovers_ = 0;
-  std::uint64_t ioReboots_ = 0;
-  std::uint64_t nodesRetired_ = 0;
-  std::uint64_t preemptions_ = 0;
-  /// Open checkpoint-then-preempt windows, keyed by victim job id. Not
-  /// checkpointed: a control-plane crash mid-window simply loses the
-  /// preemption decision (the job keeps running, its leases verify on
-  /// restart, and the policy re-selects a victim on a later pump).
-  struct PendingCkpt {
-    int remaining = 0;          // node acks still outstanding
-    bool failed = false;        // any node reported a failed commit
-    std::uint64_t token = 0;    // invalidates stale acks/deadlines
-  };
-  std::map<JobId, PendingCkpt> pendingCkpts_;
-  std::uint64_t ckptTokens_ = 0;
-  std::uint64_t ckptRequests_ = 0;
-  std::uint64_t ckptCommits_ = 0;
-  std::uint64_t ckptFallbacks_ = 0;
-  std::uint64_t ckptResumes_ = 0;
-  /// Open checkpoint-then-migrate windows (same crash semantics as
-  /// pendingCkpts_: a control-plane crash mid-window loses only the
-  /// migration decision — the job keeps running and a later storm
-  /// re-triggers the predictor).
-  std::map<JobId, PendingCkpt> pendingMigrates_;
+  SvcCounters counters_;
+  /// Open checkpoint windows, keyed by token (a job can hold a preempt
+  /// and a migrate window at once). Not checkpointed: a control-plane
+  /// crash mid-window loses only the decision — the job keeps running,
+  /// its leases verify on restart, and the policy or the predictor
+  /// re-triggers later.
+  std::map<std::uint64_t, CkptWindow> windows_;
+  std::uint64_t windowTokens_ = 0;
   /// Nodes the link-health predictor declared link-sick. Persisted
   /// (v6): allocation keeps preferring healthy nodes after a restart.
   std::set<int> linkSick_;
-  std::uint64_t migrateRequests_ = 0;
-  std::uint64_t migrateCommits_ = 0;
-  std::uint64_t migrateFallbacks_ = 0;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t degradedJobs_ = 0;
-  std::uint64_t migrateCyclesSaved_ = 0;
-  /// Mean-time-to-requeue accounting: fatal RAS event raised (its
-  /// logged cycle) -> victim job back on the queue (or failed out).
-  std::uint64_t requeueLatencyTotal_ = 0;
-  std::uint64_t requeueCount_ = 0;
   /// Per-primary-I/O-node flag: an in-place repair is scheduled, so
   /// further kIoNodeDead reports for the same death are duplicates.
   std::vector<char> ioRepairPending_;

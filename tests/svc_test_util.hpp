@@ -9,18 +9,12 @@
 
 namespace bg::test {
 
-inline std::vector<std::uint64_t> svcCounters(svc::ServiceNode& sn) {
-  const std::vector<std::byte> image = sn.encodeImage();
-  sim::ByteReader r(svc::imageBody(image));
-  svc::SvcCheckpoint ck;
-  EXPECT_TRUE(ck.decode(r));
-  return {ck.retries,         ck.failures,         ck.predictiveDrains,
-          ck.ioFailovers,     ck.ioReboots,        ck.nodesRetired,
-          ck.requeueLatencyTotal, ck.requeueCount, ck.preemptions,
-          ck.ckptRequests,    ck.ckptCommits,      ck.ckptFallbacks,
-          ck.ckptResumes,     ck.migrateRequests,  ck.migrateCommits,
-          ck.migrateFallbacks, ck.migrations,      ck.degradedJobs,
-          ck.migrateCyclesSaved};
+inline std::vector<std::uint64_t> svcCounters(const svc::ServiceNode& sn) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < svc::kNumSvcCounters; ++i) {
+    out.push_back(sn.count(static_cast<svc::SvcCounter>(i)));
+  }
+  return out;
 }
 
 }  // namespace bg::test

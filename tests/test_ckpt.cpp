@@ -37,6 +37,7 @@ namespace bg {
 namespace {
 
 using test::emitExit;
+using svc::SvcCounter;
 using test::svcCounters;
 
 std::int64_t sys(kernel::Sys s) { return static_cast<std::int64_t>(s); }
@@ -315,7 +316,7 @@ TEST(CkptSvc, PreemptChecksPointsThenResumesVictim) {
   high.qos = svc::Qos::kHigh;
   snCfg.fairshare.accounts = {low, high};
   snCfg.ckpt.onPreempt = true;
-  snCfg.ckpt.deadlineCycles = 2'000'000;
+  snCfg.ckptWindowDeadlineCycles = 2'000'000;
   svc::ServiceHost host(cluster, snCfg);
 
   int arrived = 0;
@@ -345,11 +346,11 @@ TEST(CkptSvc, PreemptChecksPointsThenResumesVictim) {
       [&] { return arrived == 2 && host.drained(); }, 2'000'000'000));
 
   svc::ServiceNode& sn = host.node();
-  EXPECT_EQ(sn.preemptions(), 1u);
-  EXPECT_EQ(sn.ckptRequests(), 1u);
-  EXPECT_EQ(sn.ckptCommits(), 1u);
-  EXPECT_EQ(sn.ckptFallbacks(), 0u);
-  EXPECT_EQ(sn.ckptResumes(), 1u);
+  EXPECT_EQ(sn.count(SvcCounter::kPreemptions), 1u);
+  EXPECT_EQ(sn.count(SvcCounter::kCkptRequests), 1u);
+  EXPECT_EQ(sn.count(SvcCounter::kCkptCommits), 1u);
+  EXPECT_EQ(sn.count(SvcCounter::kCkptFallbacks), 0u);
+  EXPECT_EQ(sn.count(SvcCounter::kCkptResumes), 1u);
   const svc::JobRecord* lowJr = nullptr;
   for (const auto& jr : sn.jobs()) {
     EXPECT_EQ(jr.state, svc::JobState::kCompleted) << jr.desc.name;
@@ -373,9 +374,9 @@ TEST(CkptSvc, PreemptChecksPointsThenResumesVictim) {
   EXPECT_EQ(resumeNotes, 1);
   // Metrics surface the same counters.
   const svc::SvcMetrics m = host.metrics();
-  EXPECT_EQ(m.ckptRequests, 1u);
-  EXPECT_EQ(m.ckptCommits, 1u);
-  EXPECT_EQ(m.ckptResumes, 1u);
+  EXPECT_EQ(m.count(SvcCounter::kCkptRequests), 1u);
+  EXPECT_EQ(m.count(SvcCounter::kCkptCommits), 1u);
+  EXPECT_EQ(m.count(SvcCounter::kCkptResumes), 1u);
   // And the kernels really restored (the resume was not a silent
   // scratch fallback): every node of the relaunched 2-node victim
   // applied an image.
@@ -406,7 +407,7 @@ TEST(CkptSvc, BlownDeadlineFallsBackToScratchRequeue) {
   high.qos = svc::Qos::kHigh;
   snCfg.fairshare.accounts = {low, high};
   snCfg.ckpt.onPreempt = true;
-  snCfg.ckpt.deadlineCycles = 1;  // expires before any node can commit
+  snCfg.ckptWindowDeadlineCycles = 1;  // expires before any node can commit
   svc::ServiceHost host(cluster, snCfg);
 
   int arrived = 0;
@@ -436,11 +437,12 @@ TEST(CkptSvc, BlownDeadlineFallsBackToScratchRequeue) {
       [&] { return arrived == 2 && host.drained(); }, 2'000'000'000));
 
   svc::ServiceNode& sn = host.node();
-  EXPECT_EQ(sn.preemptions(), 1u);
-  EXPECT_EQ(sn.ckptRequests(), 1u);
-  EXPECT_EQ(sn.ckptFallbacks(), 1u);
-  EXPECT_EQ(sn.ckptCommits(), 0u);
-  EXPECT_EQ(sn.ckptResumes(), 0u) << "fallback relaunches from scratch";
+  EXPECT_EQ(sn.count(SvcCounter::kPreemptions), 1u);
+  EXPECT_EQ(sn.count(SvcCounter::kCkptRequests), 1u);
+  EXPECT_EQ(sn.count(SvcCounter::kCkptFallbacks), 1u);
+  EXPECT_EQ(sn.count(SvcCounter::kCkptCommits), 0u);
+  EXPECT_EQ(sn.count(SvcCounter::kCkptResumes), 0u)
+      << "fallback relaunches from scratch";
   for (const auto& jr : sn.jobs()) {
     EXPECT_EQ(jr.state, svc::JobState::kCompleted) << jr.desc.name;
   }
@@ -493,7 +495,7 @@ TEST(CkptSvc, UeRequeueResumesFromCommittedSequence) {
   EXPECT_EQ(jr.state, svc::JobState::kCompleted);
   EXPECT_EQ(jr.attempts, 2) << "one node loss, one retry";
   EXPECT_GE(jr.ckptSeq, 1u);
-  EXPECT_EQ(sn.ckptResumes(), 1u)
+  EXPECT_EQ(sn.count(SvcCounter::kCkptResumes), 1u)
       << "the retry must boot into restore, not scratch";
   int resumeNotes = 0;
   for (const std::string& line : sn.timeline()) {
@@ -588,8 +590,8 @@ SweepOutcome runCkptSweep(std::uint64_t seed, int jobCount) {
   out.hash = m.scheduleHash;
   out.completed = m.jobsCompleted;
   out.failed = m.jobsFailed;
-  out.ckptRequests = m.ckptRequests;
-  out.ckptResumes = m.ckptResumes;
+  out.ckptRequests = m.count(SvcCounter::kCkptRequests);
+  out.ckptResumes = m.count(SvcCounter::kCkptResumes);
   if (host.alive()) out.timeline = host.node().timeline();
 
   EXPECT_TRUE(out.drained) << "stream wedged (seed " << seed << ")";

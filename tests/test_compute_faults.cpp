@@ -184,9 +184,9 @@ FaultStreamOutcome runFaultStream(const FaultStreamParams& p) {
   out.completed = m.jobsCompleted;
   out.failed = m.jobsFailed;
   out.hangsDetected = m.hangsDetected;
-  out.nodesRetired = m.nodesRetired;
-  out.requeueSamples = m.requeueSamples;
-  out.meanRequeue = m.meanRequeueCycles;
+  out.nodesRetired = m.count(svc::SvcCounter::kNodesRetired);
+  out.requeueSamples = m.count(svc::SvcCounter::kRequeueCount);
+  out.meanRequeue = m.meanRequeueCycles();
   out.fatals = m.rasFatal;
   svc::RasAggregator& ras = host.node().ras();
   out.ueFatals =
@@ -428,7 +428,7 @@ TEST(ComputeFaults, FailureBudgetRetiresRepeatOffender) {
 
   EXPECT_EQ(host.node().partitions().state(0),
             svc::NodeLifecycle::kRetired);
-  EXPECT_EQ(host.node().nodesRetired(), 1u);
+  EXPECT_EQ(host.node().count(svc::SvcCounter::kNodesRetired), 1u);
   EXPECT_GE(host.node().partitions().failuresOf(0), 2u);
   // The machine kept scheduling around the corpse.
   svc::SvcMetrics m = host.metrics();

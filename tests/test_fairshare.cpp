@@ -184,7 +184,7 @@ TortureOutcome runFairShareTorture(std::uint64_t seed, int jobCount,
   out.hash = m.scheduleHash;
   out.completed = m.jobsCompleted;
   out.failed = m.jobsFailed;
-  out.preemptions = m.preemptions;
+  out.preemptions = m.count(svc::SvcCounter::kPreemptions);
   if (host.alive()) {
     out.timeline = host.node().timeline();
     out.accountingDigest = host.node().accounting().stateDigest();
@@ -510,7 +510,7 @@ TEST(FairShare, PreemptionFreesNodesForHighQosExactlyOnce) {
       [&] { return arrived == 5 && host.drained(); }, 1'000'000'000));
 
   // Exactly the shortfall was preempted: 3 nodes needed, 0 free.
-  EXPECT_EQ(host.node().preemptions(), 3u);
+  EXPECT_EQ(host.node().count(svc::SvcCounter::kPreemptions), 3u);
   const svc::JobRecord* hij = nullptr;
   int victims = 0;
   for (const auto& jr : host.node().jobs()) {
@@ -529,7 +529,7 @@ TEST(FairShare, PreemptionFreesNodesForHighQosExactlyOnce) {
   // The high job ran long before the 4.2M-cycle low jobs would have
   // finished on their own.
   EXPECT_LT(hij->startCycle, 4'000'000u);
-  EXPECT_EQ(host.metrics().preemptions, 3u);
+  EXPECT_EQ(host.metrics().count(svc::SvcCounter::kPreemptions), 3u);
 }
 
 TEST(FairShare, NonPreemptableAndPeerQosAreNeverVictims) {
@@ -576,7 +576,7 @@ TEST(FairShare, NonPreemptableAndPeerQosAreNeverVictims) {
       [&] { return arrived == 3 && host.drained(); }, 1'000'000'000));
   // Nothing could legally be killed: the low job is pinned and the
   // peer is not in a strictly lower band. The rush job just waits.
-  EXPECT_EQ(host.node().preemptions(), 0u);
+  EXPECT_EQ(host.node().count(svc::SvcCounter::kPreemptions), 0u);
   for (const auto& jr : host.node().jobs()) {
     EXPECT_EQ(jr.preemptCount, 0) << jr.desc.name;
     EXPECT_EQ(jr.state, svc::JobState::kCompleted) << jr.desc.name;

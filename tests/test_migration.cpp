@@ -32,6 +32,7 @@ namespace bg {
 namespace {
 
 using test::emitExit;
+using svc::SvcCounter;
 using test::svcCounters;
 
 std::int64_t sys(kernel::Sys s) { return static_cast<std::int64_t>(s); }
@@ -147,7 +148,7 @@ MigRun runLinkDeathJob(const LinkDeathSetup& setup) {
 
   svc::ServiceNodeConfig snCfg;
   snCfg.migrate.enabled = true;
-  snCfg.migrate.deadlineCycles = setup.windowDeadline;
+  snCfg.ckptWindowDeadlineCycles = setup.windowDeadline;
   svc::ServiceHost host(cluster, snCfg);
 
   MigRun out;
@@ -182,13 +183,13 @@ MigRun runLinkDeathJob(const LinkDeathSetup& setup) {
   svc::ServiceNode& sn = host.node();
   out.hash = sn.scheduleHash();
   out.counters = svcCounters(sn);
-  out.migrateRequests = sn.migrateRequests();
-  out.migrateCommits = sn.migrateCommits();
-  out.migrations = sn.migrations();
-  out.migrateFallbacks = sn.migrateFallbacks();
-  out.degradedJobs = sn.degradedJobs();
-  out.migrateCyclesSaved = sn.migrateCyclesSaved();
-  out.ckptResumes = sn.ckptResumes();
+  out.migrateRequests = sn.count(SvcCounter::kMigrateRequests);
+  out.migrateCommits = sn.count(SvcCounter::kMigrateCommits);
+  out.migrations = sn.count(SvcCounter::kMigrations);
+  out.migrateFallbacks = sn.count(SvcCounter::kMigrateFallbacks);
+  out.degradedJobs = sn.count(SvcCounter::kDegradedJobs);
+  out.migrateCyclesSaved = sn.count(SvcCounter::kMigrateCyclesSaved);
+  out.ckptResumes = sn.count(SvcCounter::kCkptResumes);
   out.rasMigrateFallbacks =
       sn.ras().countByCode(kernel::RasEvent::Code::kCkptMigrateFallback);
   out.migrateReqNotes = countNotes(sn, "migrate_req");
@@ -352,9 +353,9 @@ TEST(MigrationSvc, NoHealthyCapacityLeavesJobRunningDegraded) {
       [&] { return arrived == 1 && host.drained(); }, 2'000'000'000));
 
   svc::ServiceNode& sn = host.node();
-  EXPECT_EQ(sn.migrateRequests(), 0u);
-  EXPECT_EQ(sn.migrations(), 0u);
-  EXPECT_EQ(sn.degradedJobs(), 1u);
+  EXPECT_EQ(sn.count(SvcCounter::kMigrateRequests), 0u);
+  EXPECT_EQ(sn.count(SvcCounter::kMigrations), 0u);
+  EXPECT_EQ(sn.count(SvcCounter::kDegradedJobs), 1u);
   EXPECT_TRUE(sn.linkSick(3));
   EXPECT_EQ(countNotes(sn, "degraded_mode"), 1);
   ASSERT_EQ(sn.jobs().size(), 1u);
@@ -382,7 +383,7 @@ StormRun runStormJob(std::uint32_t threshold, int burst) {
 
   svc::ServiceNodeConfig snCfg;
   snCfg.migrate.enabled = true;
-  snCfg.migrate.deadlineCycles = 2'000'000;
+  snCfg.ckptWindowDeadlineCycles = 2'000'000;
   snCfg.ras.linkSickThreshold = threshold;
   svc::ServiceHost host(cluster, snCfg);
 
@@ -406,8 +407,8 @@ StormRun runStormJob(std::uint32_t threshold, int burst) {
   out.completed = cluster.engine().runWhile(
       [&] { return arrived == 1 && host.drained(); }, 2'000'000'000);
   svc::ServiceNode& sn = host.node();
-  out.migrateRequests = sn.migrateRequests();
-  out.migrations = sn.migrations();
+  out.migrateRequests = sn.count(SvcCounter::kMigrateRequests);
+  out.migrations = sn.count(SvcCounter::kMigrations);
   out.sickNodes = sn.linkSickCount();
   return out;
 }
@@ -534,9 +535,9 @@ SweepOutcome runMigrationSweep(std::uint64_t seed, int jobCount,
   out.hash = m.scheduleHash;
   out.completed = m.jobsCompleted;
   out.failed = m.jobsFailed;
-  out.migrateRequests = m.migrateRequests;
-  out.migrations = m.migrations;
-  out.degradedJobs = m.degradedJobs;
+  out.migrateRequests = m.count(SvcCounter::kMigrateRequests);
+  out.migrations = m.count(SvcCounter::kMigrations);
+  out.degradedJobs = m.count(SvcCounter::kDegradedJobs);
   out.detours = m.linkDetours;
   out.crcRetries = m.linkCrcRetries;
   out.sickNodes = m.linkSickNodes;

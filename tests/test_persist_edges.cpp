@@ -7,6 +7,7 @@
 // the seal with a scratch fallback.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -115,11 +116,6 @@ svc::SvcCheckpoint sampleCheckpoint() {
   ck.takenAt = 123'456;
   ck.scheduleHash = 0xFEEDFACE;
   ck.nextId = 9;
-  ck.preemptions = 3;
-  ck.ckptRequests = 4;
-  ck.ckptCommits = 3;
-  ck.ckptFallbacks = 1;
-  ck.ckptResumes = 2;
   svc::SvcCheckpoint::JobEntry e;
   e.rec.id = 7;
   e.rec.desc.name = "upgradee";
@@ -133,19 +129,35 @@ svc::SvcCheckpoint sampleCheckpoint() {
   return ck;
 }
 
-TEST(PersistEdges, SvcCheckpointV5RoundTripsCkptFields) {
-  const svc::SvcCheckpoint src = sampleCheckpoint();
+TEST(PersistEdges, SvcCheckpointRoundTripsEveryCounter) {
+  // Distinct values catch a counter written or read out of order.
+  svc::SvcCheckpoint src = sampleCheckpoint();
+  for (std::size_t i = 0; i < svc::kNumSvcCounters; ++i) {
+    src.counters.values[i] = 1'000 * (i + 1) + i;
+  }
+  src.sickNodes = {1, 6};
   sim::ByteWriter w;
   src.encode(w);
   sim::ByteReader r(w.bytes());
   svc::SvcCheckpoint dec;
   ASSERT_TRUE(dec.decode(r));
-  EXPECT_EQ(dec.ckptRequests, 4u);
-  EXPECT_EQ(dec.ckptCommits, 3u);
-  EXPECT_EQ(dec.ckptFallbacks, 1u);
-  EXPECT_EQ(dec.ckptResumes, 2u);
+  EXPECT_EQ(dec.counters.values, src.counters.values);
+  EXPECT_EQ(dec.sickNodes, (std::vector<int>{1, 6}));
+  EXPECT_EQ(dec.nextId, 9u);
   ASSERT_EQ(dec.jobs.size(), 1u);
   EXPECT_EQ(dec.jobs[0].rec.ckptSeq, 5u);
+  EXPECT_EQ(dec.jobs[0].rec.preemptCount, 1);
+  EXPECT_EQ(dec.queue, (std::deque<svc::JobId>{7}));
+  // In the image they follow the version, takenAt, scheduleHash and
+  // nextId, in SvcCounter order.
+  sim::ByteReader raw(w.bytes());
+  raw.u32();
+  raw.u64();
+  raw.u64();
+  raw.u32();
+  for (std::size_t i = 0; i < svc::kNumSvcCounters; ++i) {
+    EXPECT_EQ(raw.u64(), src.counters.values[i]) << "counter " << i;
+  }
 }
 
 TEST(PersistEdges, SvcCheckpointOldVersionHeaderForcesColdStart) {
@@ -182,29 +194,6 @@ TEST(PersistEdges, SvcCheckpointOldVersionHeaderForcesColdStart) {
   ASSERT_TRUE(host.store().save(*live, cluster.engine().now()));
   EXPECT_FALSE(host.restart()) << "an old-version image restored warm";
   EXPECT_EQ(host.coldStarts(), 1u);
-}
-
-TEST(PersistEdges, SvcCheckpointV6RoundTripsMigrateFields) {
-  svc::SvcCheckpoint src = sampleCheckpoint();
-  src.migrateRequests = 4;
-  src.migrateCommits = 3;
-  src.migrateFallbacks = 1;
-  src.migrations = 3;
-  src.degradedJobs = 2;
-  src.migrateCyclesSaved = 987'654;
-  src.sickNodes = {1, 6};
-  sim::ByteWriter w;
-  src.encode(w);
-  sim::ByteReader r(w.bytes());
-  svc::SvcCheckpoint dec;
-  ASSERT_TRUE(dec.decode(r));
-  EXPECT_EQ(dec.migrateRequests, 4u);
-  EXPECT_EQ(dec.migrateCommits, 3u);
-  EXPECT_EQ(dec.migrateFallbacks, 1u);
-  EXPECT_EQ(dec.migrations, 3u);
-  EXPECT_EQ(dec.degradedJobs, 2u);
-  EXPECT_EQ(dec.migrateCyclesSaved, 987'654u);
-  EXPECT_EQ(dec.sickNodes, (std::vector<int>{1, 6}));
 }
 
 // ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Unit tests: deterministic event engine, RNG, hashing, trace buffer.
+// Unit tests: deterministic event engine, RNG, hashing.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -8,7 +8,6 @@
 #include "sim/hash.hpp"
 #include "sim/json.hpp"
 #include "sim/rng.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace bg::sim {
@@ -201,26 +200,6 @@ TEST(Hash, BytesBit63FlipsInOneLaneDoNotCancel) {
 
 TEST(Hash, BytesPinnedValue) {
   EXPECT_EQ(hashBytes(patternBytes(77)), 0xe169f2b2b4c134bbULL);
-}
-
-TEST(Trace, DigestReflectsEveryRecord) {
-  TraceBuffer t(4);
-  for (int i = 0; i < 100; ++i) t.record(i, 1, i);
-  TraceBuffer u(4);
-  for (int i = 0; i < 100; ++i) u.record(i, 1, i);
-  EXPECT_EQ(t.digest(), u.digest());
-  u.record(100, 1, 1);
-  EXPECT_NE(t.digest(), u.digest());
-  EXPECT_EQ(t.totalRecords(), 100u);
-}
-
-TEST(Trace, RingKeepsMostRecent) {
-  TraceBuffer t(4);
-  for (int i = 0; i < 10; ++i) t.record(i, 0, i);
-  const auto recent = t.recent();
-  ASSERT_EQ(recent.size(), 4u);
-  EXPECT_EQ(recent.front().value, 6u);
-  EXPECT_EQ(recent.back().value, 9u);
 }
 
 TEST(Types, CycleConversionsRoundTrip) {

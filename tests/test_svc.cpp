@@ -265,7 +265,7 @@ StreamOutcome runSeededStream(std::uint64_t seed, bool injectFailure) {
   const svc::SvcMetrics m = sn.metrics();
   out.hash = m.scheduleHash;
   out.completed = m.jobsCompleted;
-  out.retries = m.jobRetries;
+  out.retries = m.count(svc::SvcCounter::kRetries);
   return out;
 }
 

@@ -84,8 +84,8 @@ RunResult runStream(std::uint64_t seed, int jobs,
   out.hash = m.scheduleHash;
   out.completed = m.jobsCompleted;
   out.failed = m.jobsFailed;
-  out.retries = m.jobRetries;
-  out.predictiveDrains = m.predictiveDrains;
+  out.retries = m.count(svc::SvcCounter::kRetries);
+  out.predictiveDrains = m.count(svc::SvcCounter::kPredictiveDrains);
   out.rasFatal = m.rasFatal;
   out.crashes = m.serviceCrashes;
   out.restarts = m.serviceRestarts;
@@ -440,8 +440,8 @@ TEST(SvcJournal, ReplayEqualsFullEncodeAtEverySave) {
   EXPECT_EQ(m.jobsCompleted, 24u);
   EXPECT_EQ(host.crashes(), 2u);
   EXPECT_EQ(host.coldStarts(), 0u);
-  EXPECT_GE(m.nodeFailures, 1u);
-  EXPECT_GE(m.preemptions, 1u);
+  EXPECT_GE(m.count(svc::SvcCounter::kNodeFailures), 1u);
+  EXPECT_GE(m.count(svc::SvcCounter::kPreemptions), 1u);
   EXPECT_EQ(m.checkpointFailedSaves, 0u);
   // An event can save more than once (a restart saves once per
   // buffered submission it flushes); it is checked after its last save.

@@ -142,9 +142,10 @@ TortureOutcome runTorture(std::uint64_t seed, svc::SchedPolicyKind policy,
   out.hash = m.scheduleHash;
   out.completed = m.jobsCompleted;
   out.failed = m.jobsFailed;
-  out.retries = m.jobRetries;
-  out.predictiveDrains = m.predictiveDrains;
-  out.ioReboots = m.ioReboots + m.ioFailovers;
+  out.retries = m.count(svc::SvcCounter::kRetries);
+  out.predictiveDrains = m.count(svc::SvcCounter::kPredictiveDrains);
+  out.ioReboots = m.count(svc::SvcCounter::kIoReboots) +
+                  m.count(svc::SvcCounter::kIoFailovers);
   out.crashes = m.serviceCrashes;
   out.coldStarts = host.coldStarts();
   if (host.alive()) out.timeline = host.node().timeline();
