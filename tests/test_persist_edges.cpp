@@ -129,6 +129,48 @@ svc::SvcCheckpoint sampleCheckpoint() {
   return ck;
 }
 
+TEST(PersistEdges, SvcCheckpointV5RoundTripsCkptFields) {
+  svc::SvcCheckpoint src = sampleCheckpoint();
+  src.counters[svc::SvcCounter::kCkptRequests] = 4;
+  src.counters[svc::SvcCounter::kCkptCommits] = 3;
+  src.counters[svc::SvcCounter::kCkptFallbacks] = 1;
+  src.counters[svc::SvcCounter::kCkptResumes] = 2;
+  sim::ByteWriter w;
+  src.encode(w);
+  sim::ByteReader r(w.bytes());
+  svc::SvcCheckpoint dec;
+  ASSERT_TRUE(dec.decode(r));
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kCkptRequests], 4u);
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kCkptCommits], 3u);
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kCkptFallbacks], 1u);
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kCkptResumes], 2u);
+  ASSERT_EQ(dec.jobs.size(), 1u);
+  EXPECT_EQ(dec.jobs[0].rec.ckptSeq, 5u);
+}
+
+TEST(PersistEdges, SvcCheckpointV6RoundTripsMigrateFields) {
+  svc::SvcCheckpoint src = sampleCheckpoint();
+  src.counters[svc::SvcCounter::kMigrateRequests] = 4;
+  src.counters[svc::SvcCounter::kMigrateCommits] = 3;
+  src.counters[svc::SvcCounter::kMigrateFallbacks] = 1;
+  src.counters[svc::SvcCounter::kMigrations] = 3;
+  src.counters[svc::SvcCounter::kDegradedJobs] = 2;
+  src.counters[svc::SvcCounter::kMigrateCyclesSaved] = 987'654;
+  src.sickNodes = {1, 6};
+  sim::ByteWriter w;
+  src.encode(w);
+  sim::ByteReader r(w.bytes());
+  svc::SvcCheckpoint dec;
+  ASSERT_TRUE(dec.decode(r));
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kMigrateRequests], 4u);
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kMigrateCommits], 3u);
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kMigrateFallbacks], 1u);
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kMigrations], 3u);
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kDegradedJobs], 2u);
+  EXPECT_EQ(dec.counters[svc::SvcCounter::kMigrateCyclesSaved], 987'654u);
+  EXPECT_EQ(dec.sickNodes, (std::vector<int>{1, 6}));
+}
+
 TEST(PersistEdges, SvcCheckpointRoundTripsEveryCounter) {
   // Distinct values catch a counter written or read out of order.
   svc::SvcCheckpoint src = sampleCheckpoint();
