@@ -75,8 +75,8 @@ bool CnkKernel::loadJob(const JobSpec& spec) {
   req.textBytes = spec.exe->textBytes();
   req.dataBytes = spec.exe->dataBytes();
   req.sharedBytes = spec.sharedMemBytes;
-  part_ = partitionMemory(req);
-  if (!part_.ok) return false;
+  const PartitionResult part = partitionMemory(req);
+  if (!part.ok) return false;
 
   for (const auto& lib : spec.libs) libImages_[lib->name()] = lib;
 
@@ -94,7 +94,7 @@ bool CnkKernel::loadJob(const JobSpec& spec) {
   std::vector<Process*> newProcs;
 
   for (int i = 0; i < spec.processes; ++i) {
-    const ProcLayout& lay = part_.procs[static_cast<std::size_t>(i)];
+    const ProcLayout& lay = part.procs[static_cast<std::size_t>(i)];
     const std::uint32_t pid = allocPid();
     auto proc = std::make_unique<Process>(pid, spec.exe);
     Process& p = *proc;
@@ -754,9 +754,10 @@ hw::HandlerResult CnkKernel::onInterrupt(hw::Core& core, hw::Irq irq) {
     case hw::Irq::kMachineCheck: {
       hw::McSyndrome syn;
       if (!node_.takeMc(&syn)) {
-        // No latched syndrome: legacy/external injection
-        // (injectL1ParityError). Signal the application so it can
-        // recover without a checkpoint/restart cycle (§V-B).
+        // No latched syndrome (every fault plane latches one, so this
+        // is defensive): treat it as a recoverable parity error and
+        // signal the application so it can recover without a
+        // checkpoint/restart cycle (§V-B).
         hw::ThreadCtx* cur = core.current();
         if (cur != nullptr && !cur->done()) {
           Thread& t = threadOf(*cur);
@@ -790,7 +791,6 @@ hw::HandlerResult CnkKernel::onInterrupt(hw::Core& core, hw::Irq irq) {
           case hw::McSyndrome::Kind::kParity:
             // L1 parity flip on a clean line: invalidate and refill
             // from L3/DDR. The application never notices (§V-B).
-            ++parityRecovered_;
             logRas(kernel::RasEvent::Code::kMachineCheck,
                    kernel::RasEvent::Severity::kWarn, pid, tid, syn.paddr);
             cost += 150;
@@ -833,10 +833,6 @@ hw::ThreadCtx* CnkKernel::pickNext(hw::Core& core) {
   if (t == nullptr) return nullptr;
   applyGuardDac(core, *t);
   return &t->ctx;
-}
-
-void CnkKernel::injectL1ParityError(int coreId) {
-  node_.core(coreId).raise(hw::Irq::kMachineCheck);
 }
 
 sim::Cycle CnkKernel::panicOnUncorrectable(const hw::McSyndrome& syn) {

@@ -79,13 +79,11 @@ class CnkKernel final : public kernel::KernelBase {
 
   // ---- job/service API ----
   void unloadJob();  // persistent regions survive
-  const PartitionResult& partition() const { return part_; }
   const Config& config() const { return cfg_; }
 
   FshipClient& fship() { return *fship_; }
   Linker& linker() { return *linker_; }
   PersistRegistry& persist() { return persist_; }
-  CnkScheduler& scheduler() { return sched_; }
   kernel::FutexTable& futexes() { return futex_; }
   kernel::FutexTable* futexTable() override { return &futex_; }
   MmapTracker& mmapOf(kernel::Process& p) { return mmap_[p.pid()]; }
@@ -97,13 +95,8 @@ class CnkKernel final : public kernel::KernelBase {
   /// stdout/stderr collected from write(1/2) — host-visible console.
   const std::string& console() const { return console_; }
 
-  /// Inject an L1 parity machine check on a core (RAS test path,
-  /// paper §V-B: the 2007 Gordon Bell recovery story).
-  void injectL1ParityError(int coreId);
-
   /// Compute-node fault plane counters (machine-check handler).
   std::uint64_t eccScrubbed() const { return eccScrubbed_; }
-  std::uint64_t parityRecovered() const { return parityRecovered_; }
   std::uint64_t spuriousMcs() const { return spuriousMcs_; }
   std::uint64_t coredumpsShipped() const { return coredumpsShipped_; }
   bool panicked() const { return panicked_; }
@@ -125,10 +118,6 @@ class CnkKernel final : public kernel::KernelBase {
   std::uint64_t tlbRefills() const { return tlbRefills_; }
   std::uint64_t ipisSent() const { return ipisSent_; }
 
-  /// The node's Clock-Stop unit (armable via the kClockStop syscall or
-  /// directly by bringup harnesses).
-  hw::ClockStop& clockStop() { return *clockStop_; }
-
   // ---- application checkpoint/restart ----
   /// Service-initiated transparent checkpoint of the loaded job. The
   /// image is cut at an event boundary (every thread context is
@@ -147,7 +136,6 @@ class CnkKernel final : public kernel::KernelBase {
   std::uint64_t ckptCommits() const { return ckpt_.commits; }
   std::uint64_t ckptFailures() const { return ckpt_.failures; }
   std::uint64_t ckptRestores() const { return ckpt_.restores; }
-  bool ckptInProgress() const { return ckpt_.inProgress; }
 
  protected:
   const char* unameRelease() const override {
@@ -189,7 +177,6 @@ class CnkKernel final : public kernel::KernelBase {
                             std::uint32_t pid,
                             const std::vector<int>& cores);
   void applyGuardDac(hw::Core& core, const kernel::Thread& t);
-  void repositionMainGuard(kernel::Process& p);
 
   Config cfg_;
   CnkScheduler sched_;
@@ -198,7 +185,6 @@ class CnkKernel final : public kernel::KernelBase {
   std::unique_ptr<FshipClient> fship_;
   std::unique_ptr<Linker> linker_;
   std::unique_ptr<hw::ClockStop> clockStop_;
-  PartitionResult part_;
   std::map<std::uint32_t, MmapTracker> mmap_;
   std::map<std::uint32_t, std::vector<int>> procCores_;
   std::map<std::string, std::shared_ptr<kernel::ElfImage>> libImages_;
@@ -211,7 +197,6 @@ class CnkKernel final : public kernel::KernelBase {
   std::uint64_t ipisSent_ = 0;
   std::uint64_t reproResets_ = 0;
   std::uint64_t eccScrubbed_ = 0;
-  std::uint64_t parityRecovered_ = 0;
   std::uint64_t spuriousMcs_ = 0;
   std::uint64_t coredumpsShipped_ = 0;
   bool panicked_ = false;

@@ -102,12 +102,6 @@ void Linker::step3CloseAndMap(Thread& t, const std::string& name,
       });
 }
 
-const LoadedLib* Linker::byHandle(std::uint32_t pid,
-                                  std::uint64_t handle) const {
-  auto it = libs_.find({pid, handle});
-  return it == libs_.end() ? nullptr : &it->second;
-}
-
 const LoadedLib* Linker::byName(std::uint32_t pid,
                                 const std::string& name) const {
   for (const auto& [key, lib] : libs_) {

@@ -41,7 +41,6 @@ class Linker {
   /// it wakes with a handle (> 0) or -errno.
   hw::HandlerResult dlopen(kernel::Thread& t, const std::string& libName);
 
-  const LoadedLib* byHandle(std::uint32_t pid, std::uint64_t handle) const;
   const LoadedLib* byName(std::uint32_t pid, const std::string& name) const;
   std::size_t loadedCount(std::uint32_t pid) const;
 

@@ -22,22 +22,6 @@ void CnkScheduler::remove(kernel::Thread& t) {
   }
 }
 
-int CnkScheduler::coreWithFreeSlot(
-    std::uint32_t pid, const std::vector<int>& candidateCores) const {
-  // Prefer an empty core of the process, then the least-loaded one.
-  int best = -1;
-  std::size_t bestLoad = static_cast<std::size_t>(maxThreadsPerCore_);
-  for (int c : candidateCores) {
-    const auto& slot = slots_[static_cast<std::size_t>(c)];
-    (void)pid;
-    if (slot.size() < bestLoad) {
-      bestLoad = slot.size();
-      best = c;
-    }
-  }
-  return best;
-}
-
 kernel::Thread* CnkScheduler::pickNext(int core) {
   auto& slot = slots_[static_cast<std::size_t>(core)];
   // A thread spinning in-kernel (no-yield block) holds the core.

@@ -28,17 +28,9 @@ class CnkScheduler {
   bool assign(kernel::Thread& t, int core);
   void remove(kernel::Thread& t);
 
-  /// First core assigned to `pid` with a free slot, or -1.
-  int coreWithFreeSlot(std::uint32_t pid,
-                       const std::vector<int>& candidateCores) const;
-
   /// Scheduling decision for a core. Returns nullptr when no thread may
   /// run — including when a no-yield thread is spinning in a syscall.
   kernel::Thread* pickNext(int core);
-
-  const std::vector<kernel::Thread*>& threadsOn(int core) const {
-    return slots_[static_cast<std::size_t>(core)];
-  }
 
   std::size_t threadCount(int core) const {
     return slots_[static_cast<std::size_t>(core)].size();

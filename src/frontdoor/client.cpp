@@ -37,21 +37,6 @@ void FdClient::scheduleSubmitAt(sim::Cycle at, SubmitOp op) {
   });
 }
 
-void FdClient::scheduleStatsAt(sim::Cycle at) {
-  ++outstanding_;
-  engine_.scheduleAt(at, [this] {
-    Op op;
-    op.req.type = MsgType::kStats;
-    op.req.clientId = clientId_;
-    op.req.seq = nextSeq_++;
-    op.firstSend = engine_.now();
-    const std::uint64_t seq = op.req.seq;
-    auto [it, ok] = ops_.emplace(seq, std::move(op));
-    (void)ok;
-    transmit(it->second);
-  });
-}
-
 void FdClient::startSubmit(const SubmitOp& s, sim::Cycle firstSend,
                            int busyRetries) {
   Op op;
@@ -240,10 +225,6 @@ void FdClient::onPacket(hw::CollPacket&& p) {
       break;
     case MsgType::kQueryResp:
       ++counters_.queriesDone;
-      finish(seq, false);
-      break;
-    case MsgType::kStatsResp:
-      ++counters_.statsDone;
       finish(seq, false);
       break;
     default:

@@ -72,7 +72,6 @@ class FdClient {
     std::uint64_t cancelsAcked = 0;
     std::uint64_t cancelsTooLate = 0;
     std::uint64_t queriesDone = 0;
-    std::uint64_t statsDone = 0;
   };
 
   FdClient(sim::Engine& engine, hw::CollectiveNet& net, int serverNetId,
@@ -86,8 +85,6 @@ class FdClient {
   /// taken now, so quiescent() is false until the op (and any chained
   /// follow-up or busy-retry) reaches a terminal state.
   void scheduleSubmitAt(sim::Cycle at, SubmitOp op);
-  /// Schedule a stats request at an absolute cycle.
-  void scheduleStatsAt(sim::Cycle at);
 
   bool quiescent() const { return outstanding_ == 0; }
   const Counters& counters() const { return counters_; }

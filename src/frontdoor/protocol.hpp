@@ -83,19 +83,6 @@ enum class Status : std::uint8_t {
   kQuotaExceeded,  // account hit a fair-share limit; not a retry hint
 };
 
-constexpr const char* statusName(Status s) {
-  switch (s) {
-    case Status::kOk: return "ok";
-    case Status::kServerBusy: return "server_busy";
-    case Status::kBadVersion: return "bad_version";
-    case Status::kBadRequest: return "bad_request";
-    case Status::kUnknownTicket: return "unknown_ticket";
-    case Status::kTooLate: return "too_late";
-    case Status::kQuotaExceeded: return "quota_exceeded";
-  }
-  return "?";
-}
-
 /// Client -> server. Submit carries the job description (executable by
 /// catalog name, never by content); cancel/query carry the ticket the
 /// matching submit response returned.

@@ -21,12 +21,12 @@ FwkKernel::FwkKernel(hw::Node& node, Config cfg)
   buddy_ = std::make_unique<BuddyAllocator>(
       cfg_.kernelReservedBytes,
       node.mem().size() - cfg_.kernelReservedBytes);
-  rootFs_ = std::make_shared<io::RamFs>();
+  auto rootFs = std::make_shared<io::RamFs>();
   nfs_ = std::make_shared<io::NfsSim>();
-  vfs_.mount("/", rootFs_);
+  vfs_.mount("/", rootFs);
   vfs_.mount("/nfs", nfs_);
-  rootFs_->mkdir("/tmp");
-  rootFs_->mkdir("/lib");
+  rootFs->mkdir("/tmp");
+  rootFs->mkdir("/lib");
 }
 
 FwkKernel::~FwkKernel() = default;
@@ -369,9 +369,10 @@ hw::HandlerResult FwkKernel::onInterrupt(hw::Core& core, hw::Irq irq) {
     case hw::Irq::kMachineCheck: {
       hw::McSyndrome syn;
       if (!node_.takeMc(&syn)) {
-        // Legacy injection: Linux treats an L1 parity machine check
-        // as fatal to the task (no application-recovery path —
-        // contrast with CNK §V-B).
+        // No latched syndrome (every fault plane latches one, so this
+        // is defensive): Linux treats an unexplained machine check as
+        // fatal to the task (no application-recovery path — contrast
+        // with CNK §V-B).
         hw::ThreadCtx* cur = core.current();
         if (cur != nullptr && !cur->done()) killThread(threadOf(*cur));
         return HandlerResult::done(0, 2'000);

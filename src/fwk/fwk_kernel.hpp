@@ -75,13 +75,10 @@ class FwkKernel final : public kernel::KernelBase {
 
   // ---- services ----
   io::Vfs& vfs() { return vfs_; }
-  io::RamFs& rootFs() { return *rootFs_; }
   io::NfsSim& nfs() { return *nfs_; }
-  FwkScheduler& scheduler() { return sched_; }
   kernel::FutexTable& futexes() { return futex_; }
   kernel::FutexTable* futexTable() override { return &futex_; }
   BuddyAllocator& buddy() { return *buddy_; }
-  AddressSpace& spaceOf(kernel::Process& p) { return spaces_[p.pid()]; }
   const std::string& console() const { return console_; }
   const Config& config() const { return cfg_; }
 
@@ -125,7 +122,6 @@ class FwkKernel final : public kernel::KernelBase {
   std::map<std::uint32_t, AddressSpace> spaces_;
   std::map<std::uint32_t, std::unique_ptr<io::VfsClient>> clients_;
   io::Vfs vfs_;
-  std::shared_ptr<io::RamFs> rootFs_;
   std::shared_ptr<io::NfsSim> nfs_;
   std::map<std::string, std::shared_ptr<kernel::ElfImage>> libImages_;
   std::vector<vm::Program> daemonPrograms_;

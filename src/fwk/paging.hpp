@@ -59,15 +59,6 @@ class AddressSpace {
   void mapPage(hw::VAddr va, hw::PAddr frame, std::uint8_t perms);
   void unmapPage(hw::VAddr va);
 
-  std::size_t presentPages() const { return pages_.size(); }
-  std::size_t vmaCount() const { return vmas_.size(); }
-  template <typename Fn>
-  void forEachPresentPage(Fn&& fn) const {
-    for (const auto& [vp, pe] : pages_) {
-      fn(vp * hw::kPage4K, pe);
-    }
-  }
-
  private:
   std::vector<Vma> vmas_;
   std::unordered_map<std::uint64_t, PageEntry> pages_;  // keyed by vpage

@@ -82,24 +82,10 @@ bool FwkScheduler::hasOtherReady(int core,
          std::any_of(q.users.begin(), q.users.end(), otherReady);
 }
 
-std::size_t FwkScheduler::queueLength(int core) const {
-  const CoreQ& q = queues_[static_cast<std::size_t>(core)];
-  return q.daemons.size() + q.users.size();
-}
-
-int FwkScheduler::coreOf(const kernel::Thread& t) const {
-  return t.ctx.coreAffinity;
-}
-
 int FwkScheduler::nextUserCore() {
   const int c = rrCursor_;
   rrCursor_ = (rrCursor_ + 1) % static_cast<int>(queues_.size());
   return c;
-}
-
-void FwkScheduler::clearUserThreads() {
-  for (CoreQ& q : queues_) q.users.clear();
-  rrCursor_ = 0;
 }
 
 }  // namespace bg::fwk

@@ -38,12 +38,8 @@ class FwkScheduler {
   /// True if any other ready thread shares the core with t.
   bool hasOtherReady(int core, const kernel::Thread& t) const;
 
-  std::size_t queueLength(int core) const;
-  int coreOf(const kernel::Thread& t) const;
   /// Round-robin core assignment for new user threads.
   int nextUserCore();
-
-  void clearUserThreads();
 
  private:
   struct CoreQ {

@@ -39,7 +39,6 @@ class BarrierNet {
   /// (paper: "the barrier network was set to remain active and
   /// configured" across reproducible reboots).
   void setPersistentAcrossReset(bool v) { persistent_ = v; }
-  bool persistentAcrossReset() const { return persistent_; }
 
   /// Reset volatile arbiter state (non-reproducible boot path drops
   /// group state; reproducible path preserves it).

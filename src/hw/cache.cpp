@@ -14,7 +14,8 @@ CacheArray::CacheArray(std::uint64_t sizeBytes, std::uint32_t lineBytes,
   lines_.resize(static_cast<std::size_t>(sets_) * ways_);
 }
 
-bool CacheArray::accessSlow(std::uint64_t lineAddr) {
+bool CacheArray::access(PAddr pa) {
+  const std::uint64_t lineAddr = pa / lineBytes_;
   ++stats_.accesses;
   const std::uint32_t set = static_cast<std::uint32_t>(lineAddr % sets_);
   const std::uint64_t tag = lineAddr / sets_;
@@ -24,8 +25,6 @@ bool CacheArray::accessSlow(std::uint64_t lineAddr) {
     if (base[w].valid && base[w].tag == tag) {
       base[w].lastUse = useClock_;
       ++stats_.hits;
-      lastLine_ = &base[w];
-      lastLineAddr_ = lineAddr;
       return true;
     }
   }
@@ -42,19 +41,16 @@ bool CacheArray::accessSlow(std::uint64_t lineAddr) {
   victim->valid = true;
   victim->tag = tag;
   victim->lastUse = useClock_;
-  lastLine_ = victim;
-  lastLineAddr_ = lineAddr;
   return false;
 }
 
 void CacheArray::flushAll() {
-  lastLine_ = nullptr;
   for (Line& l : lines_) l.valid = false;
 }
 
-// Out of line so the header (and the inline access() fast path) stays
-// free of the fault model. A line fill is the natural injection point:
-// parity is checked when the line is brought in and first used.
+// Out of line so the header stays free of the fault model. A line fill
+// is the natural injection point: parity is checked when the line is
+// brought in and first used.
 bool CacheArray::judgeParity() {
   if (faults_ == nullptr) return false;
   return faults_->judgeParity(nodeId_);

@@ -29,24 +29,9 @@ class CacheArray {
   CacheArray(std::uint64_t sizeBytes, std::uint32_t lineBytes,
              std::uint32_t ways);
 
-  /// Returns true on hit; on miss the line is filled (evicting LRU).
-  ///
-  /// The header-inline fast path is a last-line hint: the hint always
-  /// points at the line touched by the most recent access (which is
-  /// therefore MRU and cannot have been evicted since), so a repeat
-  /// access to the same line skips the set walk while keeping stats
-  /// and LRU clocks bit-identical to the slow path.
-  bool access(PAddr pa) {
-    const std::uint64_t lineAddr = pa / lineBytes_;
-    if (lastLine_ != nullptr && lineAddr == lastLineAddr_) {
-      ++stats_.accesses;
-      ++useClock_;
-      lastLine_->lastUse = useClock_;
-      ++stats_.hits;
-      return true;
-    }
-    return accessSlow(lineAddr);
-  }
+  /// Walks the line's set: returns true on hit; on miss the line is
+  /// filled (an invalid way, else the LRU one).
+  bool access(PAddr pa);
 
   /// Invalidate everything (used by the reproducible-reset path, which
   /// flushes all caches to DDR before toggling reset — paper §III).
@@ -57,9 +42,9 @@ class CacheArray {
   void resetStats() { stats_ = {}; }
 
   /// Parity fault injection (paper §V-B: parity-protected L1). The
-  /// Node attaches the machine-wide MemFaultModel; the hot access()
-  /// fast path above is untouched — Core judges line fills behind
-  /// the parityArmed() flag, out of line in cache.cpp.
+  /// Node attaches the machine-wide MemFaultModel; access() never
+  /// consults it — Core judges line fills behind the parityArmed()
+  /// flag.
   void attachFaults(MemFaultModel* m, int nodeId) {
     faults_ = m;
     nodeId_ = nodeId;
@@ -81,15 +66,11 @@ class CacheArray {
     std::uint64_t lastUse = 0;
   };
 
-  bool accessSlow(std::uint64_t lineAddr);
-
   std::uint32_t lineBytes_;
   std::uint32_t ways_;
   std::uint32_t sets_;
   std::uint64_t useClock_ = 0;
   std::vector<Line> lines_;  // sets_ * ways_
-  Line* lastLine_ = nullptr;        // line touched by the last access
-  std::uint64_t lastLineAddr_ = 0;  // its line address (pa / lineBytes_)
   CacheStats stats_;
   bool parityArmed_ = false;
   MemFaultModel* faults_ = nullptr;

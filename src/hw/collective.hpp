@@ -57,7 +57,6 @@ class CollectiveNet {
 
   /// Attach a seeded fault model; nullptr detaches. Not owned.
   void setFaultModel(LinkFaultModel* m) { faults_ = m; }
-  LinkFaultModel* faultModel() const { return faults_; }
 
   /// Contribute to a double-sum combine over `groupSize` participants
   /// identified by groupId. When the last contribution arrives, every

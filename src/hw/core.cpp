@@ -493,7 +493,7 @@ void Core::runSlice() {
 
   // 3. Execute a batch.
   bool stop = false;
-  while (!stop && cost < quantum_) {
+  while (!stop && cost < kDefaultQuantum) {
     sliceCost_ = cost;
     cost += execOne(*cur_, &stop);
   }

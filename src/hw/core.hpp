@@ -45,9 +45,6 @@ class Core {
 
   /// Raise an asynchronous interrupt; taken at the next slice boundary.
   void raise(Irq irq);
-  bool irqPending(Irq irq) const {
-    return (pendingIrqs_ & (1u << static_cast<int>(irq))) != 0;
-  }
 
   /// Program the per-core decrementer; 0 disables it. The kernel
   /// re-arms it from its tick handler (CNK simply never arms it).
@@ -77,9 +74,6 @@ class Core {
   /// event engine's near window is sized against this.
   static constexpr sim::Cycle kDefaultQuantum = 4000;
 
-  sim::Cycle quantum() const { return quantum_; }
-  void setQuantum(sim::Cycle q) { quantum_ = q; }
-
   std::uint64_t cyclesBusy() const { return cyclesBusy_; }
   std::uint64_t slicesRun() const { return slicesRun_; }
   bool idle() const { return !sliceScheduled_; }
@@ -97,7 +91,6 @@ class Core {
     hung_ = false;
     kick();
   }
-  bool hung() const { return hung_; }
 
   /// Hash of the architectural state visible to a logic scan: register
   /// file, pc, TLB contents, pending interrupts.
@@ -136,7 +129,6 @@ class Core {
   bool sliceScheduled_ = false;
   bool inSlice_ = false;
   sim::Cycle sliceCost_ = 0;  // cost accumulated in the slice in progress
-  sim::Cycle quantum_ = kDefaultQuantum;
   SliceTask sliceTask_{this};
   DecTask decTask_{this};
   sim::EventId decEvent_ = 0;

@@ -109,7 +109,6 @@ class LinkFaultModel {
     return dead_.count(linkKey) != 0;
   }
   bool anyDead() const { return !dead_.empty(); }
-  const std::set<std::uint64_t>& deadLinks() const { return dead_; }
 
   /// Degrade a directed link: every traversal is charged `retries`
   /// CRC retransmit rounds (re-serialization + NACK turnaround — a
@@ -127,18 +126,10 @@ class LinkFaultModel {
   }
   bool anyDegraded() const { return !degraded_.empty(); }
 
-  /// Charge `retries` retransmit rounds against `linkKey` (the torus
-  /// calls this per traversal of a degraded link).
-  void chargeRetries(std::uint64_t linkKey, int retries) {
+  /// Charge `retries` retransmit rounds (the torus calls this per
+  /// traversal of a degraded link).
+  void chargeRetries(int retries) {
     stats_.crcRetries += static_cast<std::uint64_t>(retries);
-    retriesByLink_[linkKey] += static_cast<std::uint64_t>(retries);
-  }
-  std::uint64_t retriesOn(std::uint64_t linkKey) const {
-    auto it = retriesByLink_.find(linkKey);
-    return it == retriesByLink_.end() ? 0 : it->second;
-  }
-  const std::map<std::uint64_t, std::uint64_t>& retriesByLink() const {
-    return retriesByLink_;
   }
 
   /// Raw generator steps taken so far. The zero-RNG-when-clean witness:
@@ -152,7 +143,6 @@ class LinkFaultModel {
   LinkFaultStats stats_;
   std::set<std::uint64_t> dead_;             // fail-stopped directed links
   std::map<std::uint64_t, int> degraded_;    // linkKey -> retries/traversal
-  std::map<std::uint64_t, std::uint64_t> retriesByLink_;
 };
 
 }  // namespace bg::hw

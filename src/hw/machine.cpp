@@ -42,7 +42,7 @@ Machine::Machine(const MachineConfig& cfg)
   torusFaults_.setDefaultRates(cfg_.torusFaults);
   collective_.setFaultModel(&collFaults_);
   torus_.setFaultModel(&torusFaults_);
-  memFaults_.setDefaultRates(cfg_.memFaults);
+  memFaults_.setRates(cfg_.memFaults);
   compute_.reserve(static_cast<std::size_t>(cfg_.computeNodes));
   for (int i = 0; i < cfg_.computeNodes; ++i) {
     auto n = std::make_unique<Node>(engine_, i, cfg_.node);
@@ -67,16 +67,6 @@ void Machine::resetNode(int i) {
   Node& n = node(i);
   n.prepareForReset();
   n.restartFromSelfRefresh();
-}
-
-void Machine::setDefaultMemFaultRates(const MemFaultRates& r) {
-  memFaults_.setDefaultRates(r);
-  for (auto& n : compute_) n->refreshMemFaultView();
-}
-
-void Machine::setNodeMemFaultRates(int node, const MemFaultRates& r) {
-  memFaults_.setNodeRates(node, r);
-  this->node(node).refreshMemFaultView();
 }
 
 std::uint64_t Machine::scanHash() const {

@@ -83,11 +83,9 @@ class Machine {
   LinkFaultModel& torusFaults() { return torusFaults_; }
 
   /// Seeded compute-node fault model (ECC/parity/hang/spurious-MC).
-  /// Always change rates through the setters below, not the model
-  /// directly: the nodes cache armed flags for the hot paths.
-  MemFaultModel& memFaults() { return memFaults_; }
-  void setDefaultMemFaultRates(const MemFaultRates& r);
-  void setNodeMemFaultRates(int node, const MemFaultRates& r);
+  /// Read-only: its rates come from the config, and the nodes cache
+  /// armed flags derived from them for the hot paths.
+  const MemFaultModel& memFaults() const { return memFaults_; }
 
   std::uint64_t seed() const { return cfg_.seed; }
 

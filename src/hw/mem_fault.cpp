@@ -10,25 +10,25 @@ namespace bg::hw {
 // zero-RNG-when-clean contract, not an optimization.
 
 EccOutcome MemFaultModel::judgeDdr(int node) {
-  const MemFaultRates& r = ratesFor(node);
+  const MemFaultRates& r = rates_;
   if (!r.eccEnabled()) return EccOutcome::kNone;
   sim::Rng& rng = rngFor(node);
   if (r.ueRate > 0.0 && rng.nextDouble() < r.ueRate) {
-    ++statsAt(node).uncorrectable;
+    ++stats_.uncorrectable;
     return EccOutcome::kUncorrectable;
   }
   if (r.ceRate > 0.0 && rng.nextDouble() < r.ceRate) {
-    ++statsAt(node).correctable;
+    ++stats_.correctable;
     return EccOutcome::kCorrectable;
   }
   return EccOutcome::kNone;
 }
 
 bool MemFaultModel::judgeParity(int node) {
-  const MemFaultRates& r = ratesFor(node);
+  const MemFaultRates& r = rates_;
   if (!r.parityEnabled()) return false;
   if (rngFor(node).nextDouble() < r.parityRate) {
-    ++statsAt(node).parityFlips;
+    ++stats_.parityFlips;
     return true;
   }
   return false;
@@ -36,16 +36,16 @@ bool MemFaultModel::judgeParity(int node) {
 
 SliceFaultOutcome MemFaultModel::judgeSlice(int node) {
   SliceFaultOutcome out;
-  const MemFaultRates& r = ratesFor(node);
+  const MemFaultRates& r = rates_;
   if (!r.sliceEnabled()) return out;
   sim::Rng& rng = rngFor(node);
   if (r.hangRate > 0.0 && rng.nextDouble() < r.hangRate) {
-    ++statsAt(node).coreHangs;
+    ++stats_.coreHangs;
     out.hang = true;
     return out;  // a hung core takes no further faults this slice
   }
   if (r.spuriousMcRate > 0.0 && rng.nextDouble() < r.spuriousMcRate) {
-    ++statsAt(node).spuriousMcs;
+    ++stats_.spuriousMcs;
     out.spuriousMc = true;
   }
   return out;

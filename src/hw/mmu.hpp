@@ -89,11 +89,9 @@ class Mmu {
   /// Probe whether a translation exists (no fault side effects).
   std::optional<Translation> probe(std::uint32_t pid, VAddr va) const;
 
-  int entryCount() const { return static_cast<int>(tlb_.size()); }
   int validCount() const;
   std::uint64_t missCount() const { return misses_; }
   std::uint64_t hitCount() const { return hits_; }
-  void resetCounters() { misses_ = hits_ = 0; }
 
   // DAC registers (2 pairs, as on the 450 core).
   static constexpr int kNumDac = 2;

@@ -36,17 +36,8 @@ void Node::attachMemFaults(MemFaultModel* m) {
   memFaults_ = m;
   ddr_.attachFaults(m, id_);
   for (auto& c : cores_) c->l1().attachFaults(m, id_);
-  refreshMemFaultView();
-}
-
-void Node::refreshMemFaultView() {
-  if (memFaults_ == nullptr) {
-    ddr_.armFaults(false);
-    for (auto& c : cores_) c->l1().armParityFaults(false);
-    sliceFaultsArmed_ = false;
-    return;
-  }
-  const MemFaultRates& r = memFaults_->ratesFor(id_);
+  if (m == nullptr) return;
+  const MemFaultRates& r = m->rates();
   ddr_.armFaults(r.eccEnabled());
   for (auto& c : cores_) c->l1().armParityFaults(r.parityEnabled());
   sliceFaultsArmed_ = r.sliceEnabled();

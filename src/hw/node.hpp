@@ -32,9 +32,8 @@ struct NodeConfig {
 /// or CPU fault pushes one of these into the node's syndrome queue
 /// and raises Irq::kMachineCheck; the kernel's handler pops the queue
 /// to learn what actually happened (ECC scrub vs parity vs panic).
-/// An empty queue on a machine-check IRQ means a legacy/external
-/// injection (e.g. CnkKernel::injectL1ParityError) — kernels keep
-/// their historical behaviour for that case.
+/// Every raiser latches a syndrome first; kernels still handle an
+/// empty queue on a machine-check IRQ defensively.
 struct McSyndrome {
   enum class Kind : std::uint8_t {
     kCorrectable,    // single-bit ECC, scrubbed transparently
@@ -93,13 +92,10 @@ class Node {
 
   // --- compute-node fault plane -------------------------------------
 
-  /// Attach the machine-wide fault model and refresh the cached
-  /// per-component armed flags from its current rates.
+  /// Attach the machine-wide fault model and cache the per-component
+  /// armed flags from its rates, so the hot paths only ever test
+  /// cached bools.
   void attachMemFaults(MemFaultModel* m);
-  /// Re-derive the armed flags after a rate change (Machine calls
-  /// this so the hot paths only ever test cached bools).
-  void refreshMemFaultView();
-  MemFaultModel* memFaults() { return memFaults_; }
   bool sliceFaultsArmed() const { return sliceFaultsArmed_; }
 
   /// Syndrome queue (drained by the kernel's machine-check handler).

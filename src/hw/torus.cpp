@@ -55,10 +55,6 @@ int TorusNet::neighborOf(int nodeId, int dim, bool positive) const {
   return nodeIdOf(c);
 }
 
-bool TorusNet::linkDead(int nodeId, int dim, bool positive) const {
-  return faults_ != nullptr && faults_->isDead(linkKey(nodeId, dim, positive));
-}
-
 bool TorusNet::killLink(int nodeId, int dim, bool positive) {
   if (faults_ == nullptr || dim < 0 || dim >= 3) return false;
   if (cfg_.dims[dim] <= 1) return false;  // no such ring
@@ -158,7 +154,7 @@ std::pair<sim::Cycle, sim::Cycle> TorusNet::reserveRoute(
             static_cast<sim::Cycle>(deg) * (ser + 2 * cfg_.hopLatency);
         linkSer += penalty;
         retryExtra += penalty;
-        faults_->chargeRetries(key, deg);
+        faults_->chargeRetries(deg);
       }
     }
     sim::Cycle& busy = linkBusyUntil_[key];

@@ -81,7 +81,6 @@ class TorusNet {
   /// NACK turnaround), and duplicates are absorbed by the link layer.
   /// Link key for per-link overrides: source node id << 3.
   void setFaultModel(LinkFaultModel* m) { faults_ = m; }
-  LinkFaultModel* faultModel() const { return faults_; }
 
   // --- hard directed-link faults + deterministic route-around --------
 
@@ -105,12 +104,10 @@ class TorusNet {
 
   /// Degrade the directed link: every traversal pays `retries` CRC
   /// retransmit rounds (re-serialization + NACK turnaround each), and
-  /// the retries are charged to the fault model's per-link counters.
+  /// the retries are charged to the fault model's crcRetries counter.
   /// retries <= 0 heals the link. Returns false for a nonexistent
   /// link.
   bool degradeLink(int nodeId, int dim, bool positive, int retries);
-
-  bool linkDead(int nodeId, int dim, bool positive) const;
 
   /// Transfers that left the minimal dimension-order route because a
   /// dead link forced a detour, and the extra hops they paid.

@@ -37,7 +37,6 @@ class RamFs : public FsBackend {
   /// Host-side read of a full file (test inspection).
   std::vector<std::byte> fileContents(const std::string& path) const;
   bool exists(const std::string& path) const;
-  std::size_t fileCount() const { return files_.size(); }
 
  private:
   struct File {

@@ -119,7 +119,6 @@ class VfsClient {
 
   std::string absolutize(const std::string& path) const;
 
-  int openFdCount() const { return static_cast<int>(fds_.size()); }
   /// Current seek offset of an open fd (nullopt when fd is not open).
   std::optional<std::uint64_t> offsetOf(int fd) const {
     auto it = fds_.find(fd);

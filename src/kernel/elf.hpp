@@ -38,9 +38,6 @@ class ElfImage {
   std::uint64_t dataBytes() const { return dataBytes_; }
   bool isPic() const { return pic_; }
 
-  std::vector<std::string>& neededLibs() { return needed_; }
-  const std::vector<std::string>& neededLibs() const { return needed_; }
-
   /// Deterministic synthesized text image (used by loaders that copy
   /// real bytes; contents derived from the name so two libraries never
   /// alias).
@@ -57,7 +54,6 @@ class ElfImage {
   std::uint64_t textBytes_ = 0;
   std::uint64_t dataBytes_ = 0;
   bool pic_ = false;
-  std::vector<std::string> needed_;
   std::vector<std::byte> text_;
 };
 

@@ -101,7 +101,6 @@ sim::Cycle KernelBase::deliverSignal(Thread& t, int signo,
     killThread(t);
     return 300;
   }
-  ++signalsDelivered_;
   hw::ThreadCtx& ctx = t.ctx;
   const std::uint64_t savedPc = ctx.pc;
   ctx.pc = resumePc;
@@ -128,7 +127,6 @@ void KernelBase::logRas(RasEvent::Code code, RasEvent::Severity severity,
                         std::uint64_t detail) {
   rasLog_.push_back(
       RasEvent{engine().now(), code, severity, pid, tid, detail, rasNextSeq_++});
-  ++rasBySeverity_[static_cast<std::size_t>(severity)];
   trimRasLog();
 }
 
@@ -197,7 +195,6 @@ void KernelBase::onThreadHalt(hw::Core& core, hw::ThreadCtx& ctx) {
 std::optional<hw::HandlerResult> KernelBase::commonSyscall(
     hw::Core& core, Thread& t, const hw::SyscallArgs& args) {
   (void)core;
-  ++syscallCount_;
   using R = hw::HandlerResult;
   Process& p = t.proc;
   switch (static_cast<Sys>(args.nr)) {

@@ -3,7 +3,6 @@
 // copies, and the syscalls whose semantics are kernel-agnostic.
 #pragma once
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -223,8 +222,6 @@ class KernelBase : public hw::KernelIf {
   virtual FutexTable* futexTable() { return nullptr; }
 
   // statistics
-  std::uint64_t syscallCount() const { return syscallCount_; }
-  std::uint64_t signalsDelivered() const { return signalsDelivered_; }
   std::uint64_t threadsKilled() const { return threadsKilled_; }
 
   /// RAS event stream (what a service node collects; see src/svc).
@@ -233,16 +230,8 @@ class KernelBase : public hw::KernelIf {
   /// stay in chronological order; `seq` survives drops.
   const std::deque<RasEvent>& rasLog() const { return rasLog_; }
   std::uint64_t rasDropped() const { return rasDropped_; }
-  /// Lifetime count of events logged at `s`, kept at log time so it
-  /// stays accurate even after the bounded ring drops the entries.
-  /// The service node's predictive-drain accounting (src/svc) checks
-  /// its own sliding-window warn counts against these totals.
-  std::uint64_t rasLoggedBySeverity(RasEvent::Severity s) const {
-    return rasBySeverity_[static_cast<std::size_t>(s)];
-  }
   std::uint64_t rasNextSeq() const { return rasNextSeq_; }
   void setRasLogCapacity(std::size_t cap) { rasLogCap_ = cap; trimRasLog(); }
-  std::size_t rasLogCapacity() const { return rasLogCap_; }
   void logRas(RasEvent::Code code, std::uint32_t pid, std::uint32_t tid,
               std::uint64_t detail);
   void logRas(RasEvent::Code code, RasEvent::Severity severity,
@@ -272,14 +261,11 @@ class KernelBase : public hw::KernelIf {
   bool booted_ = false;
   sim::Cycle bootCycles_ = 0;
   std::vector<std::string> bootLog_;
-  std::uint64_t syscallCount_ = 0;
-  std::uint64_t signalsDelivered_ = 0;
   std::uint64_t threadsKilled_ = 0;
   std::deque<RasEvent> rasLog_;
   std::size_t rasLogCap_ = 1024;
   std::uint64_t rasDropped_ = 0;
   std::uint64_t rasNextSeq_ = 0;
-  std::array<std::uint64_t, 4> rasBySeverity_{};
 
  private:
   void trimRasLog();

@@ -33,7 +33,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
         std::make_unique<io::Ciod>(machine_->ioNode(i), *vfs));
     ioVfs_.push_back(std::move(vfs));
     ioRoot_.push_back(std::move(root));
-    ioNfs_.push_back(std::move(nfs));
   }
 
   // Compute-node kernels + runtime dispatchers.

@@ -88,7 +88,6 @@ class Cluster {
 
   io::Ciod& ciod(int i) { return *ciods_[i]; }
   io::RamFs& ioRootFs(int i) { return *ioRoot_[i]; }
-  io::NfsSim& ioNfs(int i) { return *ioNfs_[i]; }
 
   /// Fail over pset `ioIdx`'s CIOD to the next cold spare: the old
   /// daemon fail-stops, a fresh CIOD on the spare node (bound to the
@@ -100,7 +99,6 @@ class Cluster {
   /// Repair-in-place: restart CIOD on the same (crashed) I/O node and
   /// re-home the pset to it. The no-spare recovery path.
   void rebootIoNode(int ioIdx);
-  int sparesUsed() const { return nextSpareIo_; }
 
   /// Sum of every CNK kernel's function-shipping reliability counters
   /// (benches report these next to CIOD's own).
@@ -153,7 +151,6 @@ class Cluster {
   std::vector<std::unique_ptr<Dispatcher>> dispatchers_;
   std::vector<std::unique_ptr<io::Vfs>> ioVfs_;
   std::vector<std::shared_ptr<io::RamFs>> ioRoot_;
-  std::vector<std::shared_ptr<io::NfsSim>> ioNfs_;
   std::vector<std::unique_ptr<io::Ciod>> ciods_;
   int nextSpareIo_ = 0;
   io::CiodStats retiredCiodStats_;  // counters of replaced daemons

@@ -30,7 +30,6 @@ class Dispatcher final : public hw::RuntimeIf {
   }
 
   Loader& loader() { return loader_; }
-  Malloc& mallocState() { return malloc_; }
 
   hw::HandlerResult rtcall(hw::Core& core, hw::ThreadCtx& ctx,
                            std::int64_t fnId) override;

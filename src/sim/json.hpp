@@ -42,9 +42,6 @@ class Json {
   /// Array append; returns the appended element.
   Json& push(Json value);
 
-  bool isObject() const { return kind_ == Kind::kObject; }
-  bool isArray() const { return kind_ == Kind::kArray; }
-
   /// Serialize. indent > 0 pretty-prints; 0 emits one line.
   std::string dump(int indent = 2) const;
 

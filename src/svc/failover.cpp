@@ -38,8 +38,7 @@ CheckpointStore::CheckpointStore(Config cfg)
 
 bool CheckpointStore::writeRecord(std::uint64_t magic, std::uint64_t at,
                                   std::uint64_t seq,
-                                  std::span<const std::byte> body,
-                                  sim::Cycle now) {
+                                  std::span<const std::byte> body) {
   // Reopen by name on every save — the same path a restarted daemon
   // takes — so uid and size checks are exercised continuously and the
   // region address provably never moves.
@@ -57,12 +56,11 @@ bool CheckpointStore::writeRecord(std::uint64_t magic, std::uint64_t at,
   }
   ++saves_;
   lastImageBytes_ = body.size();
-  lastSaveCycle_ = now;
   return true;
 }
 
-bool CheckpointStore::save(std::span<const std::byte> image, sim::Cycle now) {
-  if (!writeRecord(kSnapshotMagic, 0, 0, image, now)) return false;
+bool CheckpointStore::save(std::span<const std::byte> image) {
+  if (!writeRecord(kSnapshotMagic, 0, 0, image)) return false;
   ++gen_;
   seq_ = 0;
   snapshotBytes_ = frameBytes(image.size());
@@ -71,13 +69,12 @@ bool CheckpointStore::save(std::span<const std::byte> image, sim::Cycle now) {
   return true;
 }
 
-bool CheckpointStore::append(std::span<const std::byte> record,
-                             sim::Cycle now) {
+bool CheckpointStore::append(std::span<const std::byte> record) {
   if (gen_ == 0) {
     ++failedSaves_;
     return false;
   }
-  if (!writeRecord(kJournalMagic, tail_, seq_ + 1, record, now)) return false;
+  if (!writeRecord(kJournalMagic, tail_, seq_ + 1, record)) return false;
   ++seq_;
   tail_ += frameBytes(record.size());
   journalBytes_ += frameBytes(record.size());

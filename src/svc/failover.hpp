@@ -56,12 +56,12 @@ class CheckpointStore {
   /// Persist a full image as a fresh snapshot, which empties the
   /// journal. Fails (false, region untouched) when the image does not
   /// fit the region or the region cannot be opened.
-  bool save(std::span<const std::byte> image, sim::Cycle now);
+  bool save(std::span<const std::byte> image);
 
   /// Append one journal record (svc/checkpoint.hpp) after the live
   /// snapshot. Fails (false) when there is no snapshot, the record does
   /// not fit, or the region cannot be opened.
-  bool append(std::span<const std::byte> record, sim::Cycle now);
+  bool append(std::span<const std::byte> record);
 
   /// True when a save of a `recordBytes` journal record should write a
   /// snapshot instead: there is none yet, the journal would outgrow the
@@ -87,7 +87,6 @@ class CheckpointStore {
   /// bytes (its image or record, without the seal) are lastImageBytes.
   std::uint64_t saves() const { return saves_; }
   std::uint64_t lastImageBytes() const { return lastImageBytes_; }
-  sim::Cycle lastSaveCycle() const { return lastSaveCycle_; }
   /// Saves that returned false.
   std::uint64_t failedSaves() const { return failedSaves_; }
   /// Generation of the live snapshot (0 = none written yet), the
@@ -102,7 +101,7 @@ class CheckpointStore {
   /// `at` (sequence 0, a snapshot, stamps the next generation); counts
   /// the save or the failure.
   bool writeRecord(std::uint64_t magic, std::uint64_t at, std::uint64_t seq,
-                   std::span<const std::byte> body, sim::Cycle now);
+                   std::span<const std::byte> body);
 
   Config cfg_;
   hw::PhysMem mem_;
@@ -111,7 +110,6 @@ class CheckpointStore {
   std::uint64_t saves_ = 0;
   std::uint64_t failedSaves_ = 0;
   std::uint64_t lastImageBytes_ = 0;
-  sim::Cycle lastSaveCycle_ = 0;
   std::uint64_t gen_ = 0;
   std::uint64_t seq_ = 0;            // sequence number of the newest record
   std::uint64_t tail_ = 0;           // region offset of the next record

@@ -51,17 +51,6 @@ enum class JobState : std::uint8_t {
   kCancelled,  // pulled from the queue by a front-door CANCEL
 };
 
-constexpr const char* jobStateName(JobState s) {
-  switch (s) {
-    case JobState::kQueued: return "queued";
-    case JobState::kRunning: return "running";
-    case JobState::kCompleted: return "completed";
-    case JobState::kFailed: return "failed";
-    case JobState::kCancelled: return "cancelled";
-  }
-  return "?";
-}
-
 /// Scheduler-side record for one submitted job.
 struct JobRecord {
   JobId id = 0;

@@ -62,12 +62,6 @@ void PartitionManager::markRetired(int n) {
   ni.job = 0;
 }
 
-int PartitionManager::countIn(NodeLifecycle s) const {
-  return static_cast<int>(
-      std::count_if(nodes_.begin(), nodes_.end(),
-                    [s](const NodeInfo& ni) { return ni.state == s; }));
-}
-
 int PartitionManager::readyCount(rt::KernelKind k) const {
   int c = 0;
   for (const NodeInfo& ni : nodes_) {

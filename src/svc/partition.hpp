@@ -27,19 +27,6 @@ enum class NodeLifecycle : std::uint8_t {
   kRetired,   // failure budget exhausted; out of service for good
 };
 
-constexpr const char* lifecycleName(NodeLifecycle s) {
-  switch (s) {
-    case NodeLifecycle::kReset: return "reset";
-    case NodeLifecycle::kBooting: return "booting";
-    case NodeLifecycle::kReady: return "ready";
-    case NodeLifecycle::kRunning: return "running";
-    case NodeLifecycle::kDraining: return "draining";
-    case NodeLifecycle::kDown: return "down";
-    case NodeLifecycle::kRetired: return "retired";
-  }
-  return "?";
-}
-
 class PartitionManager {
  public:
   /// One entry per compute node: the kernel personality it boots.
@@ -61,7 +48,6 @@ class PartitionManager {
   void markReset(int n);                   // down -> reset (repair done)
   void markRetired(int n);                 // down -> retired (budget blown)
 
-  int countIn(NodeLifecycle s) const;
   int readyCount(rt::KernelKind k) const;
 
   /// Allocate `count` ready nodes running kernel `k`: smallest

@@ -120,15 +120,6 @@ std::size_t RasAggregator::poll(sim::Cycle now) {
   return stored;
 }
 
-std::uint32_t RasAggregator::linkWarnsInWindow(int node) const {
-  for (const Source& s : sources_) {
-    if (s.node == node) {
-      return static_cast<std::uint32_t>(s.linkWarnCycles.size());
-    }
-  }
-  return 0;
-}
-
 std::uint32_t RasAggregator::warnsInWindow(int node) const {
   for (const Source& s : sources_) {
     if (s.node == node) return static_cast<std::uint32_t>(s.warnCycles.size());

@@ -114,9 +114,6 @@ class RasAggregator {
   /// the node starts clean).
   void clearWarns(int node);
 
-  /// kLinkDegraded events from `node` inside the sliding link window.
-  std::uint32_t linkWarnsInWindow(int node) const;
-
   const std::deque<SvcRasEvent>& stream() const { return stream_; }
   std::uint64_t accepted() const { return accepted_; }
   std::uint64_t throttled() const { return throttled_; }

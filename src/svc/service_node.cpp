@@ -882,15 +882,14 @@ bool ServiceNode::saveCheckpoint() {
   if (store_ == nullptr) return false;
   const SvcCheckpoint head = checkpointHead();
   const ImageSource src{head, jobs_, queue_, timeline_, ras_, accounting_};
-  const sim::Cycle now = engine().now();
   sim::ByteWriter record;
   if (journaled_) {
     std::sort(dirtyIds_.begin(), dirtyIds_.end());
     encodeJournalRecord(record, src, journalBase_, dirtyIds_);
   }
   const bool ok = journaled_ && !store_->wantsSnapshot(record.size())
-                      ? store_->append(record.bytes(), now)
-                      : store_->save(svc::encodeImage(src), now);
+                      ? store_->append(record.bytes())
+                      : store_->save(svc::encodeImage(src));
   for (JobId id : dirtyIds_) dirty_[id - 1] = 0;
   dirtyIds_.clear();
   journaled_ = ok;

@@ -233,7 +233,7 @@ TEST(PersistEdges, SvcCheckpointOldVersionHeaderForcesColdStart) {
   ASSERT_TRUE(live.has_value());
   ASSERT_EQ((*live)[svc::kImageTableBytes], std::byte{6});
   (*live)[svc::kImageTableBytes] = std::byte{5};
-  ASSERT_TRUE(host.store().save(*live, cluster.engine().now()));
+  ASSERT_TRUE(host.store().save(*live));
   EXPECT_FALSE(host.restart()) << "an old-version image restored warm";
   EXPECT_EQ(host.coldStarts(), 1u);
 }

@@ -342,7 +342,7 @@ TEST(SvcRestart, CheckpointSurvivesRegionReopenAtStableAddress) {
     img[i] = static_cast<std::byte>(i * 7);
   }
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(store.save(img, 100 + i));
+    ASSERT_TRUE(store.save(img));
     const cnk::PersistRegion* r = store.registry().find("svc.jobqueue");
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(r->vbase, base);
@@ -359,9 +359,9 @@ TEST(SvcRestart, OversizedImageIsRejectedNotTorn) {
   cfg.regionBytes = 1ULL << 20;
   svc::CheckpointStore store(cfg);
   std::vector<std::byte> small(64, std::byte{0x5A});
-  ASSERT_TRUE(store.save(small, 1));
+  ASSERT_TRUE(store.save(small));
   std::vector<std::byte> huge((1ULL << 20) + 1);
-  EXPECT_FALSE(store.save(huge, 2));
+  EXPECT_FALSE(store.save(huge));
   // The previous checkpoint is still intact.
   const auto back = store.load();
   ASSERT_TRUE(back.has_value());
@@ -543,10 +543,10 @@ std::vector<std::byte> tinyRecord(std::uint8_t head, const std::string& line) {
 
 TEST(SvcJournal, StaleRecordsPastANewGenerationsTailAreIgnored) {
   svc::CheckpointStore store;
-  ASSERT_TRUE(store.save(tinyImage(1, {}), 1));
+  ASSERT_TRUE(store.save(tinyImage(1, {})));
   std::uint64_t tailAfterTwo = 0;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(store.append(tinyRecord(1, "old" + std::to_string(i)), 2));
+    ASSERT_TRUE(store.append(tinyRecord(1, "old" + std::to_string(i))));
     if (i == 1) tailAfterTwo = store.journalTail();
   }
   EXPECT_EQ(store.load(), tinyImage(1, {"old0", "old1", "old2", "old3"}));
@@ -554,9 +554,9 @@ TEST(SvcJournal, StaleRecordsPastANewGenerationsTailAreIgnored) {
   // Compaction: a same-size snapshot starts generation 2, and two
   // same-size records end exactly where generation 1's third record
   // (sealed, sequence 3, the next one expected) begins.
-  ASSERT_TRUE(store.save(tinyImage(2, {}), 3));
-  ASSERT_TRUE(store.append(tinyRecord(2, "new0"), 4));
-  ASSERT_TRUE(store.append(tinyRecord(2, "new1"), 5));
+  ASSERT_TRUE(store.save(tinyImage(2, {})));
+  ASSERT_TRUE(store.append(tinyRecord(2, "new0")));
+  ASSERT_TRUE(store.append(tinyRecord(2, "new1")));
   EXPECT_EQ(store.generation(), 2u);
   ASSERT_EQ(store.journalTail(), tailAfterTwo);
   EXPECT_EQ(store.load(), tinyImage(2, {"new0", "new1"}));
