@@ -35,8 +35,8 @@ Machine::Machine(const MachineConfig& cfg)
       collFaults_(cfg_.seed, "collective-faults"),
       torusFaults_(cfg_.seed, "torus-faults"),
       memFaults_(cfg_.seed, "mem-faults") {
-  // Per-node fault streams (seed ^ nodeId) and stats slots; they must
-  // exist before the first fault judgement.
+  // Per-node fault streams (seed ^ nodeId); they must exist before the
+  // first fault judgement.
   memFaults_.attachNodes(cfg_.computeNodes);
   collFaults_.setDefaultRates(cfg_.collectiveFaults);
   torusFaults_.setDefaultRates(cfg_.torusFaults);

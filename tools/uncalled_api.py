@@ -11,13 +11,12 @@ sharing a method name shield each other; the scan can miss dead code
 but does not report live code, except for the allowlisted patterns
 below that the regexes misread.
 
-Usage:  python3 tools/uncalled_api.py [--root DIR] [--all]
+Usage:  python3 tools/uncalled_api.py
 
-Exits 1 when a name outside the allowlist has no use, 0 otherwise.
-`--all` also prints the allowlisted names.
+Prints every uncalled name, allowlisted ones with their reason, and
+exits 1 when a name outside the allowlist has no use, 0 otherwise.
 """
 
-import argparse
 import pathlib
 import re
 import sys
@@ -129,12 +128,7 @@ def is_declaration(toks, k):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", default=pathlib.Path(__file__).resolve().parent.parent)
-    ap.add_argument("--all", action="store_true",
-                    help="also list allowlisted names")
-    args = ap.parse_args()
-    root = pathlib.Path(args.root)
+    root = pathlib.Path(__file__).resolve().parent.parent
 
     files = sorted(p for d in SCAN_DIRS for p in (root / d).rglob("*")
                    if p.suffix in (".hpp", ".cpp"))
@@ -168,8 +162,7 @@ def main():
         line = p.read_text().count("\n", 0, off) + 1
         where = f"{p.relative_to(root)}:{line}"
         if name in ALLOWLIST:
-            if args.all:
-                print(f"{where}: {name} (allowlisted: {ALLOWLIST[name]})")
+            print(f"{where}: {name} (allowlisted: {ALLOWLIST[name]})")
             continue
         failed = True
         print(f"{where}: {name} has no caller")
