@@ -92,9 +92,20 @@ const char* mapName(hw::BankMap m) {
   return "?";
 }
 
+constexpr char kUsage[] =
+    "usage: bench_cachemap [--json <path>] [--help]\n"
+    "  --json <path>  write per-mapping results as JSON\n"
+    "  --help         print this message and exit\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  const char* jsonPath = nullptr;
+  if (const int rc = bench::parseFlagArgs(argc, argv, "bench_cachemap",
+                                          kUsage, {}, &jsonPath);
+      rc >= 0) {
+    return rc;
+  }
   std::printf("L2/L3 bank-mapping sensitivity study (paper SectionIII)\n");
   std::printf("strided kernel on 4 cores, 512KB region per process\n\n");
   sim::Json strides = sim::Json::array();
@@ -129,6 +140,6 @@ int main(int argc, char** argv) {
               "xor-fold spreads it evenly.\n");
   sim::Json j = sim::Json::object();
   j.set("strides", std::move(strides));
-  if (!bench::maybeWriteJson(bench::jsonPathArg(argc, argv), j)) return 1;
+  if (!bench::maybeWriteJson(jsonPath, j)) return 1;
   return 0;
 }

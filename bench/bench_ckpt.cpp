@@ -179,8 +179,8 @@ constexpr char kUsage[] =
 int main(int argc, char** argv) {
   bool quick = false;
   const char* jsonPath = nullptr;
-  if (const int rc = bg::bench::parseQuickJsonArgs(argc, argv, "bench_ckpt",
-                                                   kUsage, &quick, &jsonPath);
+  if (const int rc = bg::bench::parseFlagArgs(
+          argc, argv, "bench_ckpt", kUsage, {{"--quick", &quick}}, &jsonPath);
       rc >= 0) {
     return rc;
   }

@@ -10,7 +10,6 @@
 //   Linux: max-min = 38,076 (core0), 10,194 (core1), 42,000 (core2),
 //          36,470 (core3) — >5% on cores 0, 2, 3.
 //   CNK:   maximum variation < 0.006%.
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -86,18 +85,29 @@ void dumpCsv(const char* kernelName, const FwqResult& r) {
   }
 }
 
+constexpr char kUsage[] =
+    "usage: bench_fwq [--quick] [--dump] [--ablate] [--json <path>] [--help]\n"
+    "  --quick        1,500 samples per core instead of 12,000\n"
+    "  --dump         write fwq_<kernel>_core<i>.csv per core\n"
+    "  --ablate       add the FWK noise-source ablation tables\n"
+    "  --json <path>  write per-core statistics as JSON\n"
+    "  --help         print this message and exit\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  int samples = 12000;
+  bool quick = false;
   bool dump = false;
   bool ablate = false;
-  const char* jsonPath = bg::bench::jsonPathArg(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dump") == 0) dump = true;
-    if (std::strcmp(argv[i], "--ablate") == 0) ablate = true;
-    if (std::strcmp(argv[i], "--quick") == 0) samples = 1500;
+  const char* jsonPath = nullptr;
+  if (const int rc = bg::bench::parseFlagArgs(
+          argc, argv, "bench_fwq", kUsage,
+          {{"--quick", &quick}, {"--dump", &dump}, {"--ablate", &ablate}},
+          &jsonPath);
+      rc >= 0) {
+    return rc;
   }
+  const int samples = quick ? 1500 : 12000;
 
   std::printf("FWQ noise benchmark (paper Figs 5-7)\n");
   std::printf("samples=%d, ideal sample ~ 658.9K cycles (~0.775 ms)\n",

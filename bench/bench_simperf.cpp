@@ -17,7 +17,8 @@
 // --json <path> writes the per-phase and total numbers machine-
 // readably; BENCH_simperf.json in the repo root records a before/after
 // pair for the event-engine fast-path work. The boot+fwq and
-// jobstream hashes are pinned by the perf-smoke CI job.
+// jobstream hashes, and boot+fwq's L1, L3 and TLB counters (its
+// "memory" object), are pinned by the perf-smoke CI job.
 //
 // Usage: bench_simperf [--quick] [--json <path>] [--help]. Any other
 // argument is an error (exit 2), so a stale flag never silently runs
@@ -25,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,7 +52,44 @@ struct PhaseResult {
   std::uint64_t simCycles = 0;
   std::uint64_t events = 0;
   std::uint64_t hash = 0;  // schedule hash when the phase has one
+  std::optional<sim::Json> memory;  // memory-system counters (boot+fwq)
 };
+
+// Memory-system counters summed over every core and node: L1 and TLB
+// per core, the shared L3 per node. perf-smoke pins them, so a cache or
+// MMU change that keeps the schedule hash but moves an access fails.
+sim::Json memoryCounters(rt::Cluster& cluster) {
+  hw::CacheStats l1, l3;
+  std::uint64_t conflicts = 0, tlbHits = 0, tlbMisses = 0;
+  auto add = [](hw::CacheStats& sum, const hw::CacheStats& s) {
+    sum.accesses += s.accesses;
+    sum.hits += s.hits;
+    sum.misses += s.misses;
+  };
+  hw::Machine& m = cluster.machine();
+  for (int n = 0; n < m.numComputeNodes(); ++n) {
+    hw::Node& node = m.node(n);
+    add(l3, node.l3().stats());
+    conflicts += node.l3().bankConflicts();
+    for (int c = 0; c < node.numCores(); ++c) {
+      hw::Core& core = node.core(c);
+      add(l1, core.l1().stats());
+      tlbHits += core.mmu().hitCount();
+      tlbMisses += core.mmu().missCount();
+    }
+  }
+  sim::Json j = sim::Json::object();
+  j.set("l1_accesses", l1.accesses);
+  j.set("l1_hits", l1.hits);
+  j.set("l1_misses", l1.misses);
+  j.set("l3_accesses", l3.accesses);
+  j.set("l3_hits", l3.hits);
+  j.set("l3_misses", l3.misses);
+  j.set("l3_bank_conflicts", conflicts);
+  j.set("tlb_hits", tlbHits);
+  j.set("tlb_misses", tlbMisses);
+  return j;
+}
 
 // Determinism witness for phases without a service-node schedule hash:
 // fold every node's RAS stream (boot completions, job load/exit, ...)
@@ -159,6 +198,7 @@ PhaseResult runBootFwq(bool quick) {
   r.simCycles = cluster.engine().now();
   r.events = cluster.engine().eventsProcessed();
   r.hash = rasDigest(cluster);
+  r.memory = memoryCounters(cluster);
   return r;
 }
 
@@ -250,6 +290,7 @@ sim::Json phaseJson(const PhaseResult& p) {
                   static_cast<unsigned long long>(p.hash));
     j.set("schedule_hash", std::string(buf));
   }
+  if (p.memory) j.set("memory", *p.memory);
   return j;
 }
 
@@ -264,8 +305,9 @@ constexpr char kUsage[] =
 int main(int argc, char** argv) {
   bool quick = false;
   const char* jsonPath = nullptr;
-  if (const int rc = bg::bench::parseQuickJsonArgs(
-          argc, argv, "bench_simperf", kUsage, &quick, &jsonPath);
+  if (const int rc = bg::bench::parseFlagArgs(
+          argc, argv, "bench_simperf", kUsage, {{"--quick", &quick}},
+          &jsonPath);
       rc >= 0) {
     return rc;
   }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <numeric>
 #include <vector>
 
@@ -69,21 +70,31 @@ inline sim::Json statsToJson(const Stats& s) {
   return j;
 }
 
-/// The strict command line of a bench that takes only `--quick`,
-/// `--json <path>` and `--help`. `--help` prints `usage` to stdout; an
-/// unknown argument or a `--json` without a value prints the reason and
-/// `usage` to stderr. Returns the exit code to stop with (0 or 2), or
-/// -1 when the bench should run.
-inline int parseQuickJsonArgs(int argc, char** argv, const char* name,
-                              const char* usage, bool* quick,
-                              const char** jsonPath) {
+/// One boolean flag of a strict bench command line: `name` sets *value.
+struct BoolFlag {
+  const char* name;
+  bool* value;
+};
+
+/// The strict command line of a bench that takes only its boolean
+/// `flags`, `--json <path>` and `--help`. `--help` prints `usage` to
+/// stdout; an unknown argument or a `--json` without a value prints the
+/// reason and `usage` to stderr. Returns the exit code to stop with (0
+/// or 2), or -1 when the bench should run.
+inline int parseFlagArgs(int argc, char** argv, const char* name,
+                         const char* usage,
+                         std::initializer_list<BoolFlag> flags,
+                         const char** jsonPath) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
       std::fputs(usage, stdout);
       return 0;
     }
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      *quick = true;
+    const BoolFlag* flag = std::find_if(
+        flags.begin(), flags.end(),
+        [&](const BoolFlag& f) { return std::strcmp(argv[i], f.name) == 0; });
+    if (flag != flags.end()) {
+      *flag->value = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       *jsonPath = argv[++i];
     } else {

@@ -1,5 +1,6 @@
 #include "hw/cache.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "hw/mem_fault.hpp"
@@ -9,43 +10,79 @@ namespace bg::hw {
 CacheArray::CacheArray(std::uint64_t sizeBytes, std::uint32_t lineBytes,
                        std::uint32_t ways)
     : lineBytes_(lineBytes), ways_(ways) {
-  assert(sizeBytes % (static_cast<std::uint64_t>(lineBytes) * ways) == 0);
+  assert(lineBytes > 1 &&
+         sizeBytes % (static_cast<std::uint64_t>(lineBytes) * ways) == 0);
   sets_ = static_cast<std::uint32_t>(sizeBytes / lineBytes / ways);
-  lines_.resize(static_cast<std::size_t>(sets_) * ways_);
+  tags_.assign(static_cast<std::size_t>(sets_) * ways_, kInvalid);
+  lastUse_.assign(tags_.size(), 0);
+}
+
+bool CacheArray::lookup(std::uint32_t set, std::uint64_t tag) {
+  const std::size_t base = static_cast<std::size_t>(set) * ways_;
+  for (std::uint32_t w = 0; w < ways_; ++w) {
+    if (tags_[base + w] == tag) {
+      ++stats_.accesses;
+      ++stats_.hits;
+      lastUse_[base + w] = ++useClock_;
+      return true;
+    }
+  }
+  return false;
 }
 
 bool CacheArray::access(PAddr pa) {
   const std::uint64_t lineAddr = pa / lineBytes_;
-  ++stats_.accesses;
   const std::uint32_t set = static_cast<std::uint32_t>(lineAddr % sets_);
   const std::uint64_t tag = lineAddr / sets_;
-  Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
-  ++useClock_;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].lastUse = useClock_;
-      ++stats_.hits;
-      return true;
-    }
-  }
+  if (lookup(set, tag)) return true;
+  ++stats_.accesses;
   ++stats_.misses;
-  // Fill: pick invalid or LRU way.
-  Line* victim = base;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (!base[w].valid) {
-      victim = &base[w];
+  // Fill: the first invalid way, else the first least-recently-used.
+  const std::size_t base = static_cast<std::size_t>(set) * ways_;
+  std::size_t victim = base;
+  for (std::size_t i = base; i < base + ways_; ++i) {
+    if (tags_[i] == kInvalid) {
+      victim = i;
       break;
     }
-    if (base[w].lastUse < victim->lastUse) victim = &base[w];
+    if (lastUse_[i] < lastUse_[victim]) victim = i;
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lastUse = useClock_;
+  tags_[victim] = tag;
+  lastUse_[victim] = ++useClock_;
   return false;
 }
 
+std::uint64_t CacheArray::hitRun(PAddr pa, std::uint64_t stride,
+                                 std::uint64_t n) {
+  const std::uint64_t lineAddr = pa / lineBytes_;
+  std::uint32_t set = static_cast<std::uint32_t>(lineAddr % sets_);
+  std::uint64_t tag = lineAddr / sets_;
+  // A step moves stride / lineBytes_ whole lines, plus one more when
+  // the in-line offset carries past the line end.
+  std::uint64_t off = pa - lineAddr * lineBytes_;
+  const std::uint64_t lineStep = stride / lineBytes_;
+  const std::uint64_t offStep = stride - lineStep * lineBytes_;
+  const std::uint32_t setStep = static_cast<std::uint32_t>(lineStep % sets_);
+  const std::uint64_t tagStep = lineStep / sets_;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (!lookup(set, tag)) return i;
+    off += offStep;
+    set += setStep;
+    tag += tagStep;
+    if (off >= lineBytes_) {
+      off -= lineBytes_;
+      ++set;
+    }
+    if (set >= sets_) {
+      set -= sets_;
+      ++tag;
+    }
+  }
+  return n;
+}
+
 void CacheArray::flushAll() {
-  for (Line& l : lines_) l.valid = false;
+  std::fill(tags_.begin(), tags_.end(), kInvalid);
 }
 
 // Out of line so the header stays free of the fault model. A line fill

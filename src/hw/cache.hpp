@@ -33,6 +33,13 @@ class CacheArray {
   /// filled (an invalid way, else the LRU one).
   bool access(PAddr pa);
 
+  /// Counts the accesses at pa, pa + stride, ... (up to n of them) as
+  /// hits for as long as they hit, exactly as that many access() calls
+  /// would, and returns how many hit. Stops at the first miss without
+  /// counting it: that access is the caller's, through access(). The
+  /// addresses are divided once; each step moves set and tag along.
+  std::uint64_t hitRun(PAddr pa, std::uint64_t stride, std::uint64_t n);
+
   /// Invalidate everything (used by the reproducible-reset path, which
   /// flushes all caches to DDR before toggling reset — paper §III).
   void flushAll();
@@ -60,17 +67,22 @@ class CacheArray {
   bool judgeParity();
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    std::uint64_t lastUse = 0;
-  };
+  // Tag of an invalid way. A real tag is a line address divided by the
+  // set count, so it never has the top bits set.
+  static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
+
+  /// The hit half of an access: on a tag match in `set`, stamp the way
+  /// and count the hit.
+  bool lookup(std::uint32_t set, std::uint64_t tag);
 
   std::uint32_t lineBytes_;
   std::uint32_t ways_;
   std::uint32_t sets_;
   std::uint64_t useClock_ = 0;
-  std::vector<Line> lines_;  // sets_ * ways_
+  // Way w of set s sits at s * ways_ + w in both arrays, so one set's
+  // tag scan reads ways_ * 8 contiguous bytes.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> lastUse_;
   CacheStats stats_;
   bool parityArmed_ = false;
   MemFaultModel* faults_ = nullptr;

@@ -177,14 +177,45 @@ Core::TouchOutcome Core::memTouch(ThreadCtx& t, VAddr va,
                                   std::uint32_t bytes, std::uint32_t stride,
                                   bool write) {
   TouchOutcome out;
-  const std::uint32_t line = l1_.lineBytes();
-  const std::uint32_t step = stride == 0 ? line : stride;
+  const std::uint64_t step = stride == 0 ? l1_.lineBytes() : stride;
+  const std::uint32_t len = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(step, 8));
   const Access acc = write ? Access::kWrite : Access::kRead;
+  // An uncorrectable ECC error must stop the touch on its own access,
+  // which dataAccess does; with parity armed too, every access takes
+  // that path.
+  const bool runs = !l1_.parityArmed() && !node_.ddr().faultsArmed();
   VAddr cur = va;
   const VAddr end = va + bytes;
   while (cur < end) {
-    AccessOutcome a = dataAccess(t, cur, std::min<std::uint64_t>(step, 8),
-                                 acc);
+    // A run: the accesses from cur on that start inside the page the
+    // micro-TLB serves cur from. When no DAC range overlaps their hull
+    // none of them traps, so each is one TLB hit plus its line cost,
+    // exactly what dataAccess would charge one by one.
+    std::uint64_t pageLeft = 0;
+    PAddr pa = 0;
+    if (runs && mmu_.microServes(t.pid, cur, acc, &pageLeft, &pa)) {
+      const std::uint64_t n =
+          (std::min<std::uint64_t>(end - cur, pageLeft) - 1) / step + 1;
+      const VAddr last = cur + (n - 1) * step;
+      if (!mmu_.dacMatches(cur, last - cur + len, acc)) {
+        mmu_.countHits(n);
+        for (std::uint64_t i = 0; i < n;) {
+          const std::uint64_t hits = l1_.hitRun(pa + i * step, step, n - i);
+          out.cost += hits;  // an L1 hit costs 1 cycle
+          i += hits;
+          if (i < n) {
+            // The miss, at the relative cost dataAccess would pass
+            // after a micro-TLB hit: 0.
+            out.cost += lineCost(pa + i * step, 0);
+            ++i;
+          }
+        }
+        cur = last + step;
+        continue;
+      }
+    }
+    AccessOutcome a = dataAccess(t, cur, len, acc);
     out.cost += a.cost;
     if (!a.ok) return out;  // fault path already ran
     cur += step;
@@ -292,8 +323,6 @@ sim::Cycle Core::execOne(ThreadCtx& t, bool* stop) {
       c = o.cost + kAluCost;
       if (!o.ok) {
         *stop = true;
-        advance = t.runnable();  // signal delivery may have moved pc
-        if (!t.runnable()) advance = false;
         advance = false;  // fault path controls pc
       }
       break;

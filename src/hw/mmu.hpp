@@ -67,17 +67,37 @@ class Mmu {
   /// TLB array.
   TlbResult translate(std::uint32_t pid, VAddr va, Access access,
                       Translation* out) {
-    if (microValid_ && pid == microPid_ && va - microVa_ < microSize_) {
-      if (!permAllows(microPerms_, access)) return TlbResult::kPermFault;
+    std::uint64_t bytesLeft = 0;
+    PAddr pa = 0;
+    if (microServes(pid, va, access, &bytesLeft, &pa)) {
       ++hits_;
       if (out != nullptr) {
-        out->paddr = microPa_ + (va - microVa_);
+        out->paddr = pa;
         out->perms = microPerms_;
       }
       return TlbResult::kHit;
     }
+    // A permission fault on the micro-TLB's page also lands here: its
+    // entry is the first TLB slot covering va, so the walk finds it.
     return translateSlow(pid, va, access, out);
   }
+
+  /// Whether the micro-TLB serves `va` for `access`, as translate()
+  /// does on its fast path, without counting the hit. On true,
+  /// *bytesLeft is the page's extent from va on and *pa is va's
+  /// translation; a caller that uses it counts the hits with
+  /// countHits().
+  bool microServes(std::uint32_t pid, VAddr va, Access access,
+                   std::uint64_t* bytesLeft, PAddr* pa) const {
+    if (!microValid_ || pid != microPid_ || va - microVa_ >= microSize_ ||
+        !permAllows(microPerms_, access)) {
+      return false;
+    }
+    *bytesLeft = microSize_ - (va - microVa_);
+    *pa = microPa_ + (va - microVa_);
+    return true;
+  }
+  void countHits(std::uint64_t n) { hits_ += n; }
 
   /// Install an entry (kernel-privileged). Replaces an invalid slot if
   /// any, otherwise evicts round-robin. Returns slot index.

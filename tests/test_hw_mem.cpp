@@ -1,6 +1,9 @@
 // Unit tests: physical memory, MMU/TLB/DAC, caches, DDR refresh.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "hw/cache.hpp"
 #include "hw/ddr.hpp"
 #include "hw/mmu.hpp"
@@ -117,6 +120,12 @@ TEST(Mmu, PermFaultOnWriteToReadOnly) {
             TlbResult::kPermFault);
   EXPECT_EQ(mmu.translate(1, 0x100000, Access::kExec, &t),
             TlbResult::kHit);
+  // The hit cached the page in the micro-TLB; a write still faults and
+  // counts neither a hit nor a miss.
+  EXPECT_EQ(mmu.translate(1, 0x100040, Access::kWrite, &t),
+            TlbResult::kPermFault);
+  EXPECT_EQ(mmu.hitCount(), 1u);
+  EXPECT_EQ(mmu.missCount(), 0u);
 }
 
 TEST(Mmu, ReinstallSamePageReplaces) {
@@ -202,6 +211,66 @@ TEST(CacheArray, FlushInvalidatesEverything) {
   c.access(0);
   c.flushAll();
   EXPECT_FALSE(c.access(0));
+}
+
+TEST(CacheArray, EvictionSequenceAcrossAFlushIsPinned) {
+  // 4 sets x 2 ways; lines 0/4/8 share set 0 and 1/5/9 share set 1, so
+  // every third distinct line evicts. The hit/miss string pins victim
+  // choice (first invalid way, else first least-recently-used), the LRU
+  // stamps and the flush.
+  CacheArray c(256, 32, 2);
+  const unsigned lines[] = {0, 4, 0, 8, 4, 0, 4, 8, 8, 1, 5, 1, 9, 1, 5, 0,
+                            4, 4, 8, 1, 9, 5, 9, 0, 4, 0, 8, 4, 1, 5, 1, 9};
+  std::string pattern;
+  for (std::size_t i = 0; i < std::size(lines); ++i) {
+    if (i == 16) c.flushAll();
+    pattern += c.access(lines[i] * 32 + (lines[i] % 3) * 8) ? 'H' : 'M';
+  }
+  EXPECT_EQ(pattern, "MMHMMMHMHMMHMHMMMHMMMMHMMHMMMMHM");
+  EXPECT_EQ(c.stats().accesses, 32u);
+  EXPECT_EQ(c.stats().hits, 9u);
+  EXPECT_EQ(c.stats().misses, 23u);
+}
+
+TEST(CacheArray, HitRunMatchesSingleAccesses) {
+  // A hit run must leave stats and LRU state exactly as the same
+  // accesses one by one; a miss ends the run and is left to access().
+  // Strides cover same-line steps, steps that carry the in-line offset,
+  // whole lines, and one that wraps the set index several times.
+  for (const std::uint64_t stride : {0ULL, 8ULL, 24ULL, 32ULL, 48ULL, 64ULL,
+                                     4096ULL, 12'352ULL}) {
+    SCOPED_TRACE(testing::Message() << "stride " << stride);
+    CacheArray run(4096, 32, 4);  // 32 sets
+    CacheArray ref(4096, 32, 4);
+    std::uint64_t seed = stride + 1;
+    for (int round = 0; round < 60; ++round) {
+      seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+      const PAddr pa = (seed >> 20) % (64 << 10);
+      const std::uint64_t n = 1 + (seed >> 50) % 40;
+      for (std::uint64_t i = 0; i < n;) {
+        const std::uint64_t hits = run.hitRun(pa + i * stride, stride, n - i);
+        for (std::uint64_t k = 0; k < hits; ++k) {
+          ASSERT_TRUE(ref.access(pa + (i + k) * stride));
+        }
+        i += hits;
+        if (i < n) {
+          ASSERT_FALSE(ref.access(pa + i * stride));
+          ASSERT_FALSE(run.access(pa + i * stride));
+          ++i;
+        }
+      }
+      if (round == 30) {
+        run.flushAll();
+        ref.flushAll();
+      }
+    }
+    EXPECT_EQ(run.stats().accesses, ref.stats().accesses);
+    EXPECT_EQ(run.stats().hits, ref.stats().hits);
+    EXPECT_EQ(run.stats().misses, ref.stats().misses);
+    for (PAddr pa = 0; pa < (64 << 10); pa += 32 * 3) {
+      ASSERT_EQ(run.access(pa), ref.access(pa)) << "pa " << pa;
+    }
+  }
 }
 
 TEST(SharedCache, BankMappingPoliciesDiffer) {
