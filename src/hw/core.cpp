@@ -17,6 +17,7 @@ constexpr sim::Cycle kBranchCost = 1;
 constexpr sim::Cycle kTrapEntryCost = 4;   // enter-kernel overhead floor
 constexpr sim::Cycle kLoadStoreCost = 2;   // plus memory-system cost
 constexpr sim::Cycle kAtomicCost = 8;      // lwarx/stwcx-style pair
+constexpr sim::Cycle kL1HitCost = 1;
 }  // namespace
 
 Core::Core(int id, Node& node)
@@ -91,8 +92,8 @@ void Core::scheduleSlice(sim::Cycle delay) {
 }
 
 sim::Cycle Core::lineCost(PAddr pa, sim::Cycle atRelativeCost) {
-  // L1 hit: 1 cycle. L1 miss -> shared cache; miss there -> DDR.
-  if (l1_.access(pa)) return 1;
+  // L1 hit: kL1HitCost. L1 miss -> shared cache; miss there -> DDR.
+  if (l1_.access(pa)) return kL1HitCost;
   if (l1_.parityArmed() && l1_.judgeParity()) {
     // Parity flip on the freshly filled line: latch a syndrome and
     // machine-check; the kernel recovers by invalidate+refill
@@ -182,9 +183,9 @@ Core::TouchOutcome Core::memTouch(ThreadCtx& t, VAddr va,
       std::min<std::uint64_t>(step, 8));
   const Access acc = write ? Access::kWrite : Access::kRead;
   // An uncorrectable ECC error must stop the touch on its own access,
-  // which dataAccess does; with parity armed too, every access takes
-  // that path.
-  const bool runs = !l1_.parityArmed() && !node_.ddr().faultsArmed();
+  // which dataAccess does. Parity needs no fallback: lineCost judges it
+  // on each fill in order, hits never judge, and raise() only latches.
+  const bool runs = !node_.ddr().faultsArmed();
   VAddr cur = va;
   const VAddr end = va + bytes;
   while (cur < end) {
@@ -202,7 +203,7 @@ Core::TouchOutcome Core::memTouch(ThreadCtx& t, VAddr va,
         mmu_.countHits(n);
         for (std::uint64_t i = 0; i < n;) {
           const std::uint64_t hits = l1_.hitRun(pa + i * step, step, n - i);
-          out.cost += hits;  // an L1 hit costs 1 cycle
+          out.cost += hits * kL1HitCost;
           i += hits;
           if (i < n) {
             // The miss, at the relative cost dataAccess would pass

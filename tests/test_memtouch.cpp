@@ -147,7 +147,8 @@ std::vector<McSyndrome> drainMc(Node& n) {
   return out;
 }
 
-void expectSameState(Twin& a, Twin& b, int touch) {
+// Returns how many parity syndromes the touch latched.
+int expectSameState(Twin& a, Twin& b, int touch) {
   SCOPED_TRACE(testing::Message() << "after touch " << touch);
   const CacheStats& l1a = a.core().l1().stats();
   const CacheStats& l1b = b.core().l1().stats();
@@ -166,13 +167,16 @@ void expectSameState(Twin& a, Twin& b, int touch) {
   EXPECT_EQ(a.kernel.faults, b.kernel.faults);
   const std::vector<McSyndrome> mca = drainMc(a.node);
   const std::vector<McSyndrome> mcb = drainMc(b.node);
-  ASSERT_EQ(mca.size(), mcb.size());
-  for (std::size_t i = 0; i < mca.size(); ++i) {
+  EXPECT_EQ(mca.size(), mcb.size());
+  int parity = 0;
+  for (std::size_t i = 0; i < std::min(mca.size(), mcb.size()); ++i) {
     EXPECT_EQ(mca[i].kind, mcb[i].kind);
     EXPECT_EQ(mca[i].paddr, mcb[i].paddr);
     EXPECT_EQ(mca[i].core, mcb[i].core);
+    if (mca[i].kind == McSyndrome::Kind::kParity) ++parity;
   }
   EXPECT_EQ(a.faults.rngDraws(), b.faults.rngDraws());
+  return parity;
 }
 
 // Follow-up sweep: the same addresses must hit and miss alike on both
@@ -192,15 +196,20 @@ struct Scenario {
   std::uint64_t seed;
 };
 
+// What a scenario reached, so a caller can see its cases were hit.
+struct Reached {
+  int dacFaults = 0;         // touches that took at least one DAC fault
+  int paritySyndromes = 0;
+};
+
 // Runs `touches` seeded touches on both twins and checks them after
-// each; returns how many touches took at least one DAC fault, so a
-// caller can see the DAC cases were reached.
-int runScenario(const Scenario& sc, int touches) {
+// each.
+Reached runScenario(const Scenario& sc, int touches) {
   Twin run(sc.paging, sc.rates);
   Twin ref(sc.paging, sc.rates);
   sim::Rng rng(sc.seed, "memtouch-diff");
   constexpr std::uint32_t kStrides[] = {0, 8, 24, 32, 48, 64, 4096};
-  int dacFaults = 0;
+  Reached reached;
   for (int i = 0; i < touches; ++i) {
     const std::uint32_t stride = kStrides[rng.nextBelow(std::size(kStrides))];
     const std::uint64_t step =
@@ -256,32 +265,38 @@ int runScenario(const Scenario& sc, int touches) {
                  << " bytes=" << bytes << " stride=" << stride);
     EXPECT_EQ(o.cost, r.cost);
     EXPECT_EQ(o.ok, r.ok);
-    expectSameState(run, ref, i);
+    reached.paritySyndromes += expectSameState(run, ref, i);
     for (std::size_t f = faultsBefore; f < ref.kernel.faults.size(); ++f) {
       if (ref.kernel.faults[f].kind == FaultKind::kDacHit) {
-        ++dacFaults;
+        ++reached.dacFaults;
         break;
       }
     }
-    if (testing::Test::HasFailure()) return dacFaults;
+    if (testing::Test::HasFailure()) return reached;
   }
 
   expectSameLruState(run, ref);
-  return dacFaults;
+  return reached;
 }
 
 TEST(MemTouchRuns, CnkLargePagesMatchPerAccessLoop) {
-  EXPECT_GT(runScenario({Paging::kCnkLarge, {}, 1}, 400), 0);
+  EXPECT_GT(runScenario({Paging::kCnkLarge, {}, 1}, 400).dacFaults, 0);
 }
 
 TEST(MemTouchRuns, Fwk4KPagesAcrossPageBoundariesMatchPerAccessLoop) {
-  EXPECT_GT(runScenario({Paging::kFwk4K, {}, 2}, 400), 0);
+  EXPECT_GT(runScenario({Paging::kFwk4K, {}, 2}, 400).dacFaults, 0);
 }
 
 TEST(MemTouchRuns, ParityArmedMatchesPerAccessLoop) {
+  // Parity alone keeps the run path: each fill judges in order.
   MemFaultRates rates;
   rates.parityRate = 0.02;
-  EXPECT_GT(runScenario({Paging::kCnkLarge, rates, 3}, 150), 0);
+  for (const Scenario& sc : {Scenario{Paging::kCnkLarge, rates, 3},
+                             Scenario{Paging::kFwk4K, rates, 7}}) {
+    const Reached r = runScenario(sc, 150);
+    EXPECT_GT(r.dacFaults, 0);
+    EXPECT_GT(r.paritySyndromes, 0);
+  }
 }
 
 TEST(MemTouchRuns, EccArmedMatchesPerAccessLoop) {
@@ -290,8 +305,8 @@ TEST(MemTouchRuns, EccArmedMatchesPerAccessLoop) {
   MemFaultRates rates;
   rates.ceRate = 0.05;
   rates.ueRate = 0.02;
-  EXPECT_GT(runScenario({Paging::kCnkLarge, rates, 4}, 150), 0);
-  EXPECT_GT(runScenario({Paging::kFwk4K, rates, 5}, 150), 0);
+  EXPECT_GT(runScenario({Paging::kCnkLarge, rates, 4}, 150).dacFaults, 0);
+  EXPECT_GT(runScenario({Paging::kFwk4K, rates, 5}, 150).dacFaults, 0);
 }
 
 TEST(MemTouchRuns, ParityAndEccArmedMatchPerAccessLoop) {
@@ -299,7 +314,7 @@ TEST(MemTouchRuns, ParityAndEccArmedMatchPerAccessLoop) {
   rates.parityRate = 0.01;
   rates.ceRate = 0.02;
   rates.ueRate = 0.005;
-  EXPECT_GT(runScenario({Paging::kFwk4K, rates, 6}, 150), 0);
+  EXPECT_GT(runScenario({Paging::kFwk4K, rates, 6}, 150).dacFaults, 0);
 }
 
 }  // namespace
