@@ -16,7 +16,6 @@
 #include "cnk/cnk_kernel.hpp"
 #include "io/vfs.hpp"
 #include "sim/bytes.hpp"
-#include "sim/hash.hpp"
 
 namespace bg::cnk {
 
@@ -486,9 +485,7 @@ std::vector<std::byte> CnkKernel::buildCkptImage(std::uint32_t seq) {
     }
   }
 
-  const std::uint64_t seal = sim::hashBytes(w.bytes());
-  w.u64(seal);
-  return std::move(w).take();
+  return sim::seal(std::move(w));
 }
 
 // ---------------------------------------------------------------------------
@@ -496,15 +493,12 @@ std::vector<std::byte> CnkKernel::buildCkptImage(std::uint32_t seq) {
 // ---------------------------------------------------------------------------
 
 bool CnkKernel::applyCkptImage(const std::vector<std::byte>& bytes) {
-  if (bytes.size() < 8) return false;
   // Seal first: a torn tmp image (crash mid-write) must be rejected
   // before any state is touched.
-  const std::span<const std::byte> body =
-      std::span(bytes).first(bytes.size() - 8);
-  sim::ByteReader seal{std::span(bytes).last(8)};
-  if (sim::hashBytes(body) != seal.u64()) return false;
+  const auto body = sim::unseal(bytes);
+  if (!body) return false;
 
-  sim::ByteReader r(body);
+  sim::ByteReader r(*body);
   if (r.u32() != ckpt::kMagic) return false;
   if (r.u32() != ckpt::kVersion) return false;
   const std::uint32_t seq = r.u32();

@@ -1,34 +1,26 @@
 #include "frontdoor/protocol.hpp"
 
-#include "msg/wire.hpp"
+#include "sim/bytes.hpp"
 
 namespace bg::fd {
 
 namespace {
 
-using msg::wire::Reader;
-using msg::wire::Writer;
-using msg::wire::seal;
-using msg::wire::unseal;
-
 /// Wrap a sealed body in the u32 length-prefix frame.
-std::vector<std::byte> frame(Writer&& body) {
-  std::vector<std::byte> sealed = seal(std::move(body));
-  Writer f;
-  f.u32(static_cast<std::uint32_t>(sealed.size()));
-  std::vector<std::byte> out = std::move(f).take();
-  out.insert(out.end(), sealed.begin(), sealed.end());
-  return out;
+std::vector<std::byte> frame(sim::ByteWriter&& body) {
+  sim::ByteWriter f;
+  f.blob32(sim::seal(std::move(body)));
+  return std::move(f).take();
 }
 
 /// Strip and validate the length prefix, then the checksum seal.
 std::optional<std::span<const std::byte>> deframe(
     std::span<const std::byte> buf) {
-  Reader lp(buf);
-  std::uint32_t len = 0;
-  if (!lp.u32(&len)) return std::nullopt;
+  sim::ByteReader lp(buf);
+  const std::uint32_t len = lp.u32();
+  if (!lp.ok()) return std::nullopt;
   if (len != buf.size() - 4) return std::nullopt;  // torn or trailing junk
-  return unseal(buf.subspan(4));
+  return sim::unseal(buf.subspan(4));
 }
 
 bool validType(std::uint8_t t) {
@@ -38,7 +30,7 @@ bool validType(std::uint8_t t) {
 }  // namespace
 
 std::vector<std::byte> Request::encode() const {
-  Writer w;
+  sim::ByteWriter w;
   w.u32(version);
   w.u8(static_cast<std::uint8_t>(type));
   w.u32(clientId);
@@ -46,13 +38,13 @@ std::vector<std::byte> Request::encode() const {
   w.u8(retransmit ? 1 : 0);
   switch (type) {
     case MsgType::kSubmit:
-      w.str(jobName);
+      w.str32(jobName);
       w.u32(kernel);
       w.u32(nodes);
       w.u32(processes);
       w.u64(estCycles);
       w.u32(maxRetries);
-      w.str(exeName);
+      w.str32(exeName);
       break;
     case MsgType::kCancel:
     case MsgType::kQuery:
@@ -67,39 +59,41 @@ std::vector<std::byte> Request::encode() const {
 std::optional<Request> Request::decode(std::span<const std::byte> buf) {
   const auto body = deframe(buf);
   if (!body) return std::nullopt;
-  Reader r(*body);
+  sim::ByteReader r(*body);
   Request q;
-  std::uint8_t type = 0;
-  std::uint8_t rt = 0;
-  if (!r.u32(&q.version) || !r.u8(&type) || !r.u32(&q.clientId) ||
-      !r.u64(&q.seq) || !r.u8(&rt) || !validType(type)) {
-    return std::nullopt;
-  }
+  q.version = r.u32();
+  const std::uint8_t type = r.u8();
+  q.clientId = r.u32();
+  q.seq = r.u64();
+  q.retransmit = r.u8() != 0;
+  if (!r.ok() || !validType(type)) return std::nullopt;
   q.type = static_cast<MsgType>(type);
-  q.retransmit = rt != 0;
   // A foreign version's payload layout is unknowable; stop at the
   // header so the caller can still address a kBadVersion reply.
   if (q.version != kProtocolVersion) return q;
   switch (q.type) {
     case MsgType::kSubmit:
-      if (!r.str(&q.jobName) || !r.u32(&q.kernel) || !r.u32(&q.nodes) ||
-          !r.u32(&q.processes) || !r.u64(&q.estCycles) ||
-          !r.u32(&q.maxRetries) || !r.str(&q.exeName)) {
-        return std::nullopt;
-      }
+      q.jobName = r.str32();
+      q.kernel = r.u32();
+      q.nodes = r.u32();
+      q.processes = r.u32();
+      q.estCycles = r.u64();
+      q.maxRetries = r.u32();
+      q.exeName = r.str32();
       break;
     case MsgType::kCancel:
     case MsgType::kQuery:
-      if (!r.u64(&q.ticket)) return std::nullopt;
+      q.ticket = r.u64();
       break;
     default:
       break;
   }
+  if (!r.ok()) return std::nullopt;
   return q;
 }
 
 std::vector<std::byte> Response::encode() const {
-  Writer w;
+  sim::ByteWriter w;
   w.u32(version);
   w.u8(static_cast<std::uint8_t>(type));
   w.u32(clientId);
@@ -135,12 +129,14 @@ std::vector<std::byte> Response::encode() const {
 std::optional<Response> Response::decode(std::span<const std::byte> buf) {
   const auto body = deframe(buf);
   if (!body) return std::nullopt;
-  Reader r(*body);
+  sim::ByteReader r(*body);
   Response p;
-  std::uint8_t type = 0;
-  std::uint8_t status = 0;
-  if (!r.u32(&p.version) || !r.u8(&type) || !r.u32(&p.clientId) ||
-      !r.u64(&p.seq) || !r.u8(&status) || !validType(type) ||
+  p.version = r.u32();
+  const std::uint8_t type = r.u8();
+  p.clientId = r.u32();
+  p.seq = r.u64();
+  const std::uint8_t status = r.u8();
+  if (!r.ok() || !validType(type) ||
       status > static_cast<std::uint8_t>(Status::kQuotaExceeded)) {
     return std::nullopt;
   }
@@ -149,29 +145,29 @@ std::optional<Response> Response::decode(std::span<const std::byte> buf) {
   if (p.version != kProtocolVersion) return p;
   switch (p.type) {
     case MsgType::kSubmitResp:
-      if (!r.u64(&p.ticket) || !r.u64(&p.retryAfterCycles)) {
-        return std::nullopt;
-      }
+      p.ticket = r.u64();
+      p.retryAfterCycles = r.u64();
       break;
     case MsgType::kCancelResp:
-      if (!r.u64(&p.ticket)) return std::nullopt;
+      p.ticket = r.u64();
       break;
     case MsgType::kQueryResp:
-      if (!r.u64(&p.ticket) || !r.u32(&p.jobState) || !r.u32(&p.jobId) ||
-          !r.i64(&p.exitStatus)) {
-        return std::nullopt;
-      }
+      p.ticket = r.u64();
+      p.jobState = r.u32();
+      p.jobId = r.u32();
+      p.exitStatus = r.i64();
       break;
     case MsgType::kStatsResp:
-      if (!r.u64(&p.accepted) || !r.u64(&p.rejected) ||
-          !r.u64(&p.duplicates) || !r.u64(&p.queueDepth) ||
-          !r.u64(&p.batchedNow)) {
-        return std::nullopt;
-      }
+      p.accepted = r.u64();
+      p.rejected = r.u64();
+      p.duplicates = r.u64();
+      p.queueDepth = r.u64();
+      p.batchedNow = r.u64();
       break;
     default:
       break;
   }
+  if (!r.ok()) return std::nullopt;
   return p;
 }
 

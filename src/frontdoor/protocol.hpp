@@ -7,7 +7,7 @@
 // type enum, a protocol version field, and per-client sequence numbers
 // so the server can recognize retries. This file pins that wire
 // format: every message is a u32 length prefix followed by a
-// checksum-sealed body (msg::wire), so link corruption surfaces as a
+// checksum-sealed body (sim::seal), so link corruption surfaces as a
 // decode failure and the client's retransmit machinery — not silent
 // garbage — handles it.
 //

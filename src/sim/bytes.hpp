@@ -1,17 +1,29 @@
-// Flat little-endian byte serialization for checkpoint images.
+// Flat little-endian byte serialization: the one codec behind every
+// byte format in the tree.
 //
-// The service node (src/svc) checkpoints its control-plane state into
-// a persistent-memory region; these helpers define the wire format.
-// Reads are bounds-checked: a truncated or corrupted image surfaces as
-// ok() == false rather than undefined behavior, so restart code can
-// fall back to a cold start.
+// Images (service-node state, RAS log, accounting, mmap tracker, CNK
+// checkpoint, coredump, front-door state) and the two wire protocols
+// (CNK <-> CIOD function shipping in src/io, the RPC front door in
+// src/frontdoor) all encode through ByteWriter and decode through
+// ByteReader. Integers are written shift by shift, never as a raw
+// struct memcpy, so every layout is platform-pinned; tests/test_wire.cpp
+// asserts the exact bytes. Strings carry a u64 length prefix in images
+// (str) and a u32 one on the wire (str32, blob32); both are pinned.
+//
+// Reads are bounds-checked: a truncated or corrupted buffer surfaces as
+// ok() == false rather than undefined behavior, so a decoder reads its
+// fields and checks ok() once, and restart code can fall back to a
+// cold start.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "sim/hash.hpp"
 
 namespace bg::sim {
 
@@ -20,10 +32,20 @@ class ByteWriter {
   void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
   void u32(std::uint32_t v) { word(v, 4); }
   void u64(std::uint64_t v) { word(v, 8); }
+  void i32(std::int32_t v) { word(static_cast<std::uint32_t>(v), 4); }
   void i64(std::int64_t v) { word(static_cast<std::uint64_t>(v), 8); }
+  /// u64 length prefix (images).
   void str(const std::string& s) {
     u64(s.size());
     for (char c : s) out_.push_back(static_cast<std::byte>(c));
+  }
+  /// u32 length prefix (wire messages).
+  void str32(const std::string& s) {
+    blob32(std::as_bytes(std::span(s.data(), s.size())));
+  }
+  void blob32(std::span<const std::byte> b) {
+    u32(static_cast<std::uint32_t>(b.size()));
+    out_.insert(out_.end(), b.begin(), b.end());
   }
   /// Append `n` zero bytes, no length prefix (caller frames them), and
   /// return them for the caller to fill in place (valid until the next
@@ -63,6 +85,7 @@ class ByteReader {
   std::uint8_t u8() { return static_cast<std::uint8_t>(word(1)); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(word(4)); }
   std::uint64_t u64() { return word(8); }
+  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(word(8)); }
   std::string str() {
     const std::uint64_t n = u64();
@@ -78,6 +101,14 @@ class ByteReader {
     }
     pos_ += n;
     return s;
+  }
+  std::string str32() {
+    const std::span<const std::byte> v = view(u32());
+    return {reinterpret_cast<const char*>(v.data()), v.size()};
+  }
+  std::vector<std::byte> blob32() {
+    const std::span<const std::byte> v = view(u32());
+    return {v.begin(), v.end()};
   }
 
   /// The next `n` bytes in place, no length prefix and no copy; empty
@@ -119,5 +150,26 @@ class ByteReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// The trailing seal: append a hashBytes digest of everything written,
+/// giving <body><u64 checksum>.
+inline std::vector<std::byte> seal(ByteWriter&& w) {
+  w.u64(hashBytes(w.bytes()));
+  return std::move(w).take();
+}
+
+/// Verify and strip the trailing seal; nullopt on a mismatch
+/// (corruption anywhere, checksum included) or a buffer too short to
+/// hold one.
+inline std::optional<std::span<const std::byte>> unseal(
+    std::span<const std::byte> buf) {
+  if (buf.size() < sizeof(std::uint64_t)) return std::nullopt;
+  const std::span<const std::byte> body =
+      buf.first(buf.size() - sizeof(std::uint64_t));
+  if (hashBytes(body) != ByteReader(buf.subspan(body.size())).u64()) {
+    return std::nullopt;
+  }
+  return body;
+}
 
 }  // namespace bg::sim

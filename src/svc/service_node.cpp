@@ -897,8 +897,6 @@ bool ServiceNode::saveCheckpoint() {
   return ok;
 }
 
-bool ServiceNode::checkpointNow() { return saveCheckpoint(); }
-
 void ServiceNode::checkpointAfterPump() {
   if (store_ == nullptr || cfg_.checkpointEveryPumps == 0) return;
   if (++pumpsSinceCkpt_ >= cfg_.checkpointEveryPumps) {

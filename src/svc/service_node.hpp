@@ -174,9 +174,10 @@ class ServiceNode {
     if (started_) schedulePump();
   }
 
-  /// Force a checkpoint now (regardless of cadence). False when no
-  /// store is attached or the save failed.
-  bool checkpointNow();
+  /// Checkpoint now, regardless of cadence: append a journal record,
+  /// or write a snapshot when nothing is journaled yet or the store
+  /// asks for one. False when no store is attached or the save failed.
+  bool saveCheckpoint();
 
   /// The full checkpoint image of the current state: what a snapshot
   /// holds, and what restore rebuilds from a snapshot plus journal.
@@ -312,9 +313,6 @@ class ServiceNode {
 
   /// The checkpoint's header and tables (no jobs, queue or timeline).
   SvcCheckpoint checkpointHead();
-  /// Append a journal record, or write a snapshot when nothing is
-  /// journaled yet or the store asks for one.
-  bool saveCheckpoint();
   /// Called after every pump per the cadence config.
   void checkpointAfterPump();
   /// Called after timer events (drain/repair/boot/submit) when running

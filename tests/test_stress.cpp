@@ -3,6 +3,8 @@
 // and scheduler affinity behaviour under migration.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cluster_test_util.hpp"
 #include "hw/cache.hpp"
 #include "kernel/syscalls.hpp"
@@ -60,6 +62,14 @@ struct CacheParam {
   /// associativity conflict-misses under the fold.
   bool steadyStateHits;
 };
+
+// Names the sweep's test cases by geometry; without it gtest prints the
+// struct's raw bytes, padding included, so case names vary per build.
+void PrintTo(const CacheParam& p, std::ostream* os) {
+  static constexpr const char* kMaps[] = {"direct", "xorfold", "highbits"};
+  *os << "ways" << p.ways << "_banks" << p.banks << "_"
+      << kMaps[static_cast<int>(p.map)];
+}
 
 class CacheSweep : public ::testing::TestWithParam<CacheParam> {};
 

@@ -572,7 +572,7 @@ TEST(SvcJournal, CorruptedSnapshotUnderAJournalColdStarts) {
   svc::CheckpointStore& store = host.store();
   // One more save after a snapshot is always a journal append.
   if (store.journalRecords() == 0) {
-    ASSERT_TRUE(host.node().checkpointNow());
+    ASSERT_TRUE(host.node().saveCheckpoint());
   }
   ASSERT_GE(store.journalRecords(), 1u);
   ASSERT_TRUE(store.load().has_value());
