@@ -18,8 +18,8 @@ std::optional<std::span<const std::byte>> deframe(
     std::span<const std::byte> buf) {
   sim::ByteReader lp(buf);
   const std::uint32_t len = lp.u32();
-  if (!lp.ok()) return std::nullopt;
-  if (len != buf.size() - 4) return std::nullopt;  // torn or trailing junk
+  // Torn, or trailing junk.
+  if (!lp.ok() || len != buf.size() - 4) return std::nullopt;
   return sim::unseal(buf.subspan(4));
 }
 

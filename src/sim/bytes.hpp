@@ -1,5 +1,5 @@
 // Flat little-endian byte serialization: the one codec behind every
-// byte format in the tree.
+// persisted image and every wire message.
 //
 // Images (service-node state, RAS log, accounting, mmap tracker, CNK
 // checkpoint, coredump, front-door state) and the two wire protocols
@@ -37,15 +37,13 @@ class ByteWriter {
   /// u64 length prefix (images).
   void str(const std::string& s) {
     u64(s.size());
-    for (char c : s) out_.push_back(static_cast<std::byte>(c));
+    append(std::as_bytes(std::span(s)));
   }
   /// u32 length prefix (wire messages).
-  void str32(const std::string& s) {
-    blob32(std::as_bytes(std::span(s.data(), s.size())));
-  }
+  void str32(const std::string& s) { blob32(std::as_bytes(std::span(s))); }
   void blob32(std::span<const std::byte> b) {
     u32(static_cast<std::uint32_t>(b.size()));
-    out_.insert(out_.end(), b.begin(), b.end());
+    append(b);
   }
   /// Append `n` zero bytes, no length prefix (caller frames them), and
   /// return them for the caller to fill in place (valid until the next
@@ -75,6 +73,9 @@ class ByteWriter {
       out_.push_back(static_cast<std::byte>((v >> (i * 8)) & 0xFF));
     }
   }
+  void append(std::span<const std::byte> b) {
+    out_.insert(out_.end(), b.begin(), b.end());
+  }
   std::vector<std::byte> out_;
 };
 
@@ -87,25 +88,10 @@ class ByteReader {
   std::uint64_t u64() { return word(8); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(word(8)); }
-  std::string str() {
-    const std::uint64_t n = u64();
-    if (pos_ + n > in_.size()) {
-      ok_ = false;
-      pos_ = in_.size();
-      return {};
-    }
-    std::string s;
-    s.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      s.push_back(static_cast<char>(in_[pos_ + i]));
-    }
-    pos_ += n;
-    return s;
-  }
-  std::string str32() {
-    const std::span<const std::byte> v = view(u32());
-    return {reinterpret_cast<const char*>(v.data()), v.size()};
-  }
+  /// u64 length prefix (images).
+  std::string str() { return chars(view(u64())); }
+  /// u32 length prefix (wire messages).
+  std::string str32() { return chars(view(u32())); }
   std::vector<std::byte> blob32() {
     const std::span<const std::byte> v = view(u32());
     return {v.begin(), v.end()};
@@ -132,6 +118,9 @@ class ByteReader {
   std::size_t pos() const { return pos_; }
 
  private:
+  static std::string chars(std::span<const std::byte> v) {
+    return {reinterpret_cast<const char*>(v.data()), v.size()};
+  }
   std::uint64_t word(std::size_t n) {
     if (pos_ + n > in_.size()) {
       ok_ = false;
