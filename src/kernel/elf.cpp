@@ -13,10 +13,7 @@ std::vector<std::byte> synthesizeText(const std::string& name,
   // checkable content.
   const std::uint64_t materialized = std::min<std::uint64_t>(bytes, 64 << 10);
   std::vector<std::byte> out(materialized);
-  sim::Rng rng(0xE1F0, name);
-  for (auto& b : out) {
-    b = static_cast<std::byte>(rng.next() & 0xFF);
-  }
+  sim::Rng(0xE1F0, name).fill(out);
   return out;
 }
 }  // namespace

@@ -40,7 +40,8 @@ class ElfImage {
 
   /// Deterministic synthesized text image (used by loaders that copy
   /// real bytes; contents derived from the name so two libraries never
-  /// alias).
+  /// alias). The first 64 KB of text is materialized from an
+  /// Rng(0xE1F0, name) stream, one draw per 8 bytes, little-endian.
   const std::vector<std::byte>& textContents() const { return text_; }
 
   /// Checksum a loader can use to verify a copied image.

@@ -25,6 +25,19 @@ std::uint64_t hashName(std::string_view name) {
   }
   return h;
 }
+
+// One xoshiro256** step over the given state.
+std::uint64_t step(std::uint64_t (&s)[4]) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -37,15 +50,29 @@ Rng::Rng(std::uint64_t seed, std::string_view component)
 
 std::uint64_t Rng::next() {
   ++draws_;
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
+  return step(s_);
+}
+
+void Rng::fill(std::span<std::byte> out) {
+  // The state lives in locals for the whole loop, so the compiler keeps
+  // it in registers instead of reloading s_ through `this` per draw.
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t r = step(s);
+    for (int k = 0; k < 8; ++k) {
+      out[i + k] = static_cast<std::byte>(r >> (8 * k));
+    }
+  }
+  if (i < n) {
+    const std::uint64_t r = step(s);
+    for (int k = 0; i < n; ++i, ++k) {
+      out[i] = static_cast<std::byte>(r >> (8 * k));
+    }
+  }
+  for (int k = 0; k < 4; ++k) s_[k] = s[k];
+  draws_ += (n + 7) / 8;
 }
 
 std::uint64_t Rng::nextBelow(std::uint64_t bound) {

@@ -7,7 +7,9 @@
 // guaranteed bit-identical across library implementations.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace bg::sim {
@@ -24,6 +26,12 @@ class Rng {
   Rng(std::uint64_t seed, std::string_view component);
 
   std::uint64_t next();
+
+  /// Fill `out` with the generator's output: each draw becomes eight
+  /// bytes, least significant first, and a tail shorter than eight
+  /// takes the low bytes of one more draw. Consumes ceil(size/8) draws;
+  /// an empty span draws nothing.
+  void fill(std::span<std::byte> out);
 
   /// Uniform in [0, bound). bound must be nonzero.
   std::uint64_t nextBelow(std::uint64_t bound);

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <string>
+#include <vector>
 
 #include "cluster_test_util.hpp"
 #include "kernel/elf.hpp"
@@ -28,6 +31,35 @@ TEST(ElfImage, TextContentsAreDeterministicPerName) {
   EXPECT_EQ(a->textChecksum(), b->textChecksum());
   EXPECT_NE(a->textChecksum(), c->textChecksum());
   EXPECT_TRUE(a->isPic());
+}
+
+// The synthesized text stream is a pinned format: every loader copy,
+// checkpoint image and digest over loaded memory carries these bytes.
+// One xoshiro256** draw per eight bytes, least significant byte first.
+std::string hexPrefix(const std::vector<std::byte>& bytes, std::size_t n) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::size_t i = 0; i < n && i < bytes.size(); ++i) {
+    const auto v = std::to_integer<unsigned>(bytes[i]);
+    out += kDigits[v >> 4];
+    out += kDigits[v & 0xF];
+  }
+  return out;
+}
+
+TEST(ElfImage, TextStreamPinned) {
+  vm::ProgramBuilder b("t");
+  b.halt();
+  auto exe = kernel::ElfImage::makeExecutable("exe", std::move(b).build());
+  auto lib = kernel::ElfImage::makeLibrary("libsame.so");
+  ASSERT_EQ(exe->textContents().size(), 64u << 10);
+  ASSERT_EQ(lib->textContents().size(), 64u << 10);
+  EXPECT_EQ(hexPrefix(exe->textContents(), 16),
+            "7b3c625299da6b9e417c61ffc3f27509");
+  EXPECT_EQ(hexPrefix(lib->textContents(), 16),
+            "88410ddacdc43971d4227ee4601f321d");
+  EXPECT_EQ(exe->textChecksum(), 0x81010a5099ac9b90ULL);
+  EXPECT_EQ(lib->textChecksum(), 0x067086ba8049e0f5ULL);
 }
 
 TEST(ElfImage, ExecutableCarriesProgram) {

@@ -145,6 +145,55 @@ TEST(Rng, ExpHasRoughlyRightMean) {
   EXPECT_NEAR(sum / n, 100.0, 5.0);
 }
 
+// The little-endian bytes of `draws` successive next() results.
+std::vector<std::byte> littleEndianDraws(Rng& r, int draws) {
+  std::vector<std::byte> out;
+  for (int d = 0; d < draws; ++d) {
+    const std::uint64_t v = r.next();
+    for (int k = 0; k < 8; ++k) {
+      out.push_back(static_cast<std::byte>(v >> (8 * k)));
+    }
+  }
+  return out;
+}
+
+TEST(Rng, FillWritesEachDrawLittleEndian) {
+  Rng a(5, "fill"), b(5, "fill");
+  std::vector<std::byte> bytes(64);
+  a.fill(bytes);
+  EXPECT_EQ(bytes, littleEndianDraws(b, 8));
+  EXPECT_EQ(a.draws(), 8u);
+}
+
+TEST(Rng, FillTailTakesLowBytesOfOneMoreDraw) {
+  Rng a(5, "tail"), b(5, "tail");
+  std::vector<std::byte> bytes(13);
+  a.fill(bytes);
+  EXPECT_EQ(a.draws(), 2u);
+  std::vector<std::byte> expected = littleEndianDraws(b, 2);
+  expected.resize(13);  // the low 5 bytes of the second draw
+  EXPECT_EQ(bytes, expected);
+}
+
+TEST(Rng, FillOfEmptySpanDrawsNothing) {
+  Rng a(5), b(5);
+  a.fill({});
+  EXPECT_EQ(a.draws(), 0u);
+  EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Rng, FillAdvancesTheStreamByCeilOfEighths) {
+  for (std::size_t n : {1u, 7u, 8u, 9u, 100u, 4096u}) {
+    Rng a(77), twin(77);
+    std::vector<std::byte> bytes(n);
+    a.fill(bytes);
+    const std::size_t used = (n + 7) / 8;
+    EXPECT_EQ(a.draws(), used) << "n=" << n;
+    for (std::size_t d = 0; d < used; ++d) twin.next();
+    EXPECT_EQ(a.next(), twin.next()) << "n=" << n;
+  }
+}
+
 TEST(Hash, OrderSensitive) {
   Fnv1a a, b;
   a.mix(1).mix(2);
