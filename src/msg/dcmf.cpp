@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace bg::msg {
 
@@ -16,14 +17,19 @@ enum class PktKind : std::uint32_t {
   kGetData = 3,
 };
 
+// Copied whole into each packet, so every byte is a named field: the
+// padding the 8-byte fields would need is spelled out and zeroed.
 struct PktHeader {
   PktKind kind;
   std::int32_t srcRank;
   std::int32_t dstRank;
-  std::uint64_t tag;       // eager tag / completion id
-  std::uint64_t remoteVa;  // put/get target address
-  std::uint64_t bytes;
+  std::uint32_t pad = 0;
+  std::uint64_t tag = 0;       // eager tag / completion id
+  std::uint64_t remoteVa = 0;  // put/get target address
+  std::uint64_t bytes = 0;
 };
+static_assert(sizeof(PktHeader) == 40);
+static_assert(std::has_unique_object_representations_v<PktHeader>);
 
 std::vector<std::byte> encodePkt(const PktHeader& h,
                                  std::span<const std::byte> data) {
@@ -95,7 +101,8 @@ void Dcmf::isend(int srcRank, int dstRank, std::uint64_t tag,
   ++stats_.eagerSends;
   stats_.bytesSent += data.size();
 
-  PktHeader h{PktKind::kEager, srcRank, dstRank, tag, 0, data.size()};
+  PktHeader h{.kind = PktKind::kEager, .srcRank = srcRank,
+              .dstRank = dstRank, .tag = tag, .bytes = data.size()};
   hw::TorusPacket pkt;
   pkt.srcNode = src->nodeId;
   pkt.dstNode = dst->nodeId;
@@ -156,7 +163,8 @@ void Dcmf::iput(int srcRank, int dstRank, hw::VAddr localVa,
   // bytes, scatter at the target.
   std::vector<std::byte> buf(bytes);
   readUser(srcRank, localVa, buf);
-  PktHeader h{PktKind::kPutData, srcRank, dstRank, 0, remoteVa, bytes};
+  PktHeader h{.kind = PktKind::kPutData, .srcRank = srcRank,
+              .dstRank = dstRank, .remoteVa = remoteVa, .bytes = bytes};
   hw::TorusPacket pkt;
   pkt.srcNode = src->nodeId;
   pkt.dstNode = dst->nodeId;
@@ -200,7 +208,9 @@ void Dcmf::iget(int rank, int srcRank, hw::VAddr remoteVa, hw::VAddr localVa,
 
   const std::uint64_t id = nextGetId_++;
   getCompletions_[id] = GetPending{localVa, rank, std::move(onComplete)};
-  PktHeader h{PktKind::kGetReq, rank, srcRank, id, remoteVa, bytes};
+  PktHeader h{.kind = PktKind::kGetReq, .srcRank = rank,
+              .dstRank = srcRank, .tag = id, .remoteVa = remoteVa,
+              .bytes = bytes};
   hw::TorusPacket pkt;
   pkt.srcNode = me->nodeId;
   pkt.dstNode = peer->nodeId;
@@ -245,8 +255,8 @@ void Dcmf::onPacket(hw::TorusPacket&& pkt) {
       // Serve the get at the data owner: read and send back.
       std::vector<std::byte> buf(h.bytes);
       readUser(h.dstRank, h.remoteVa, buf);
-      PktHeader rep{PktKind::kGetData, h.dstRank, h.srcRank, h.tag, 0,
-                    h.bytes};
+      PktHeader rep{.kind = PktKind::kGetData, .srcRank = h.dstRank,
+                    .dstRank = h.srcRank, .tag = h.tag, .bytes = h.bytes};
       const RankInfo* owner = world_.rank(h.dstRank);
       const RankInfo* requester = world_.rank(h.srcRank);
       if (owner == nullptr || requester == nullptr) return;

@@ -1,20 +1,26 @@
 #include "msg/mpi_lite.hpp"
 
 #include <cstring>
+#include <type_traits>
 
 namespace bg::msg {
 
 namespace {
 
 // Control message carried in the DCMF payload for MSG-tagged sends.
+// Copied whole into the payload, so the padding after `isEager` is a
+// named, zeroed field.
 struct MsgCtrl {
-  std::uint8_t isEager;
-  std::uint64_t rndvId;
-  std::uint64_t bytes;
+  std::uint8_t isEager = 0;
+  std::uint8_t pad[7] = {};
+  std::uint64_t rndvId = 0;
+  std::uint64_t bytes = 0;
 };
+static_assert(sizeof(MsgCtrl) == 24);
+static_assert(std::has_unique_object_representations_v<MsgCtrl>);
 
 std::vector<std::byte> encodeEager(std::span<const std::byte> data) {
-  MsgCtrl c{1, 0, data.size()};
+  MsgCtrl c{.isEager = 1, .bytes = data.size()};
   std::vector<std::byte> out(sizeof c + data.size());
   std::memcpy(out.data(), &c, sizeof c);
   std::memcpy(out.data() + sizeof c, data.data(), data.size());
@@ -22,7 +28,7 @@ std::vector<std::byte> encodeEager(std::span<const std::byte> data) {
 }
 
 std::vector<std::byte> encodeRts(std::uint64_t id, std::uint64_t bytes) {
-  MsgCtrl c{0, id, bytes};
+  MsgCtrl c{.rndvId = id, .bytes = bytes};
   std::vector<std::byte> out(sizeof c);
   std::memcpy(out.data(), &c, sizeof c);
   return out;
