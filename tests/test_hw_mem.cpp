@@ -369,6 +369,26 @@ TEST(CacheArray, MatchesReferenceLruOnRandomAndStridedStreams) {
           dut.flushAll();
           ref.flushAll();
         }
+        if (round % 50 == 25) {
+          // Hot set: touch line 0 of one set, hit its other ways 600
+          // times, then fill line `ways` and re-touch line 0. Line 0
+          // stays the LRU way through more hits than a byte counts.
+          const PAddr set0 = (next() % kSets) * kLine;
+          const std::uint64_t first = next() % 8;
+          auto line = [&](std::uint64_t k) {
+            return PAddr{(set0 + (first + k) * kLine * kSets) % span};
+          };
+          for (int k = 0; k < 603; ++k, ++accesses) {
+            const std::uint64_t pick =
+                k == 0     ? 0
+                : k == 601 ? ways
+                : k == 602 ? 0
+                           : 1 + next() % std::max(ways - 1, 1u);
+            ASSERT_EQ(dut.access(line(pick)), ref.access(line(pick)))
+                << "round " << round << " hot access " << k;
+          }
+          continue;
+        }
         const std::uint64_t pick = next();
         const PAddr base = next() % span;
         const std::uint64_t n = 1 + next() % 48;
