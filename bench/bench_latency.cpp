@@ -9,7 +9,6 @@
 //
 // Paper reference (us): DCMF eager 1.6, MPI eager 2.4, MPI rendezvous
 // 5.6, DCMF put 0.9, DCMF get 1.6, ARMCI put 2.0, ARMCI get 3.3.
-#include <cstring>
 #include <functional>
 #include <string>
 
@@ -196,14 +195,23 @@ double measure(Proto p, rt::KernelKind kind) {
   return sim::cyclesToUs(static_cast<sim::Cycle>(st.mean));
 }
 
+constexpr char kUsage[] =
+    "usage: bench_latency [--fwk] [--json <path>] [--help]\n"
+    "  --fwk          add the same table on the FWK (Linux-style) kernel\n"
+    "  --json <path>  write the latency rows as JSON\n"
+    "  --help         print this message and exit\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool compareFwk = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fwk") == 0) compareFwk = true;
+  const char* jsonPath = nullptr;
+  if (const int rc = bg::bench::parseFlagArgs(
+          argc, argv, "bench_latency", kUsage,
+          {{"--fwk", &compareFwk}}, &jsonPath);
+      rc >= 0) {
+    return rc;
   }
-  const char* jsonPath = bg::bench::jsonPathArg(argc, argv);
 
   const Row rows[] = {
       {"DCMF Eager One-way", Proto::kDcmfEager, 1.6},

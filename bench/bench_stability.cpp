@@ -7,7 +7,6 @@
 //     "effectively 0") vs the same test on Linux (paper: sigma 8.9 us
 //     over 20 runs on 4 I/O nodes over ethernet, with NFS activity
 //     between tests).
-#include <cstring>
 
 #include "apps/allreduce.hpp"
 #include "apps/linpack.hpp"
@@ -71,14 +70,24 @@ std::vector<std::uint64_t> allreduceRun(rt::KernelKind kind, int nodes,
   return samples;
 }
 
+constexpr char kUsage[] =
+    "usage: bench_stability [--quick] [--json <path>] [--help]\n"
+    "  --quick        8 LINPACK runs and 400 allreduce iterations\n"
+    "                 instead of 36 and 4,000\n"
+    "  --json <path>  write the stability statistics as JSON\n"
+    "  --help         print this message and exit\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  const char* jsonPath = nullptr;
+  if (const int rc = bg::bench::parseFlagArgs(
+          argc, argv, "bench_stability", kUsage,
+          {{"--quick", &quick}}, &jsonPath);
+      rc >= 0) {
+    return rc;
   }
-  const char* jsonPath = bg::bench::jsonPathArg(argc, argv);
   const int linpackRunsCount = quick ? 8 : 36;
   const int allreduceIters = quick ? 400 : 4000;
 

@@ -11,7 +11,6 @@
 // kernel path (per-page pinning, bounce buffers) to show what the
 // paper means by "these came effectively for free with CNK ... but
 // modifying a vanilla Linux ... would be difficult" (§V-C).
-#include <cstring>
 
 #include "bench_util.hpp"
 #include "kernel/syscalls.hpp"
@@ -133,14 +132,23 @@ double runExchange(std::uint64_t bytes, rt::KernelKind kind, int nodes) {
   return mb / secs;
 }
 
+constexpr char kUsage[] =
+    "usage: bench_throughput [--quick] [--json <path>] [--help]\n"
+    "  --quick        message sizes up to 256 KB instead of 4 MB\n"
+    "  --json <path>  write the throughput series as JSON\n"
+    "  --help         print this message and exit\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  const char* jsonPath = nullptr;
+  if (const int rc = bg::bench::parseFlagArgs(
+          argc, argv, "bench_throughput", kUsage,
+          {{"--quick", &quick}}, &jsonPath);
+      rc >= 0) {
+    return rc;
   }
-  const char* jsonPath = bg::bench::jsonPathArg(argc, argv);
   const int nodes = 8;
 
   std::vector<std::uint64_t> sizes = {1 << 10, 4 << 10,  16 << 10,

@@ -316,17 +316,14 @@ void CnkKernel::restoreFromImageFile(std::function<void(bool)> done) {
       io::FsOp::kStat, 0, 0, 0, 0, 0, path, {},
       [this, g, path, done = std::move(done)](io::FsReply&& srep) mutable {
         if (g != ckpt_.gen) return;
-        io::FileStat st;
-        if (srep.result < 0 || srep.payload.size() != sizeof st) {
+        const std::optional<io::FileStat> st =
+            io::FileStat::decode(srep.payload);
+        if (srep.result < 0 || !st || st->isDir || st->size == 0 ||
+            st->size > ckpt::kMaxImageBytes) {
           finishCkptRestore(false, std::move(done));
           return;
         }
-        std::memcpy(&st, srep.payload.data(), sizeof st);
-        if (st.isDir || st.size == 0 || st.size > ckpt::kMaxImageBytes) {
-          finishCkptRestore(false, std::move(done));
-          return;
-        }
-        const std::uint64_t size = st.size;
+        const std::uint64_t size = st->size;
         fship_->shipRaw(
             io::FsOp::kOpen, 0, 0, kernel::kORdonly, 0, 0, path, {},
             [this, g, size, done = std::move(done)](io::FsReply&& orep) mutable {

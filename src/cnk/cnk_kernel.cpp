@@ -655,7 +655,7 @@ hw::HandlerResult CnkKernel::sysFileIo(Thread& t, const hw::SyscallArgs& a) {
             static_cast<std::uint64_t>(-kernel::kEFAULT), base);
       }
       return fship_->ship(t, FsOp::kStat, 0, 0, 0, *path, {}, a.arg[1],
-                          sizeof(io::FileStat));
+                          io::FileStat::kBytes);
     }
     case Sys::kUnlink: {
       const auto path = readUserString(p, a.arg[0]);

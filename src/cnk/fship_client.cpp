@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "io/vfs.hpp"
 #include "kernel/syscalls.hpp"
+#include "sim/bytes.hpp"
 
 namespace bg::cnk {
 
@@ -322,11 +322,9 @@ void FshipClient::applyShadow(const io::FsRequest& req,
       file->flags = req.a0;
       // The reply carries the fd's initial offset (nonzero for
       // O_APPEND, where only the server knows the file size).
-      if (rep.payload.size() >= sizeof(std::uint64_t)) {
-        std::uint64_t off = 0;
-        std::memcpy(&off, rep.payload.data(), sizeof off);
-        file->offset = off;
-      }
+      sim::ByteReader r(rep.payload);
+      const std::uint64_t off = r.u64();
+      if (r.ok()) file->offset = off;
       ps.fds[fd] = std::move(file);
       ps.nextFd = std::max(ps.nextFd, fd + 1);
       break;

@@ -759,7 +759,7 @@ hw::HandlerResult FwkKernel::sysFileIo(Thread& t, const hw::SyscallArgs& a) {
       io::FileStat st;
       const std::int64_t rc = c.stat(*path, &st);
       if (rc == 0) {
-        copyToUser(p, a.arg[1], std::as_bytes(std::span(&st, 1)));
+        copyToUser(p, a.arg[1], st.encode());
       }
       return HandlerResult::done(static_cast<std::uint64_t>(rc),
                                  base + c.lastLatency());

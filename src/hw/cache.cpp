@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "hw/mem_fault.hpp"
 
@@ -10,20 +11,30 @@ namespace bg::hw {
 CacheArray::CacheArray(std::uint64_t sizeBytes, std::uint32_t lineBytes,
                        std::uint32_t ways)
     : lineBytes_(lineBytes), ways_(ways) {
+  if (ways == 0 || ways > 255) {
+    throw std::invalid_argument("CacheArray: ways must be 1..255");
+  }
   assert(lineBytes > 1 &&
          sizeBytes % (static_cast<std::uint64_t>(lineBytes) * ways) == 0);
   sets_ = static_cast<std::uint32_t>(sizeBytes / lineBytes / ways);
   tags_.assign(static_cast<std::size_t>(sets_) * ways_, kInvalid);
-  lastUse_.assign(tags_.size(), 0);
+  ages_.assign(tags_.size(), 0);
 }
 
-bool CacheArray::lookup(std::uint32_t set, std::uint64_t tag) {
+bool CacheArray::lookup(std::uint32_t set, std::uint32_t tag) {
   const std::size_t base = static_cast<std::size_t>(set) * ways_;
   for (std::uint32_t w = 0; w < ways_; ++w) {
     if (tags_[base + w] == tag) {
       ++stats_.accesses;
       ++stats_.hits;
-      lastUse_[base + w] = ++useClock_;
+      // The ways younger than w each grow one older; w becomes the
+      // youngest. A hit on the youngest way changes nothing.
+      std::uint8_t* ages = &ages_[base];
+      const std::uint8_t age = ages[w];
+      if (age != 0) {
+        for (std::uint32_t i = 0; i < ways_; ++i) ages[i] += ages[i] < age;
+        ages[w] = 0;
+      }
       return true;
     }
   }
@@ -34,10 +45,15 @@ bool CacheArray::access(PAddr pa) {
   const std::uint64_t lineAddr = pa / lineBytes_;
   const std::uint32_t set = static_cast<std::uint32_t>(lineAddr % sets_);
   const std::uint64_t tag = lineAddr / sets_;
-  if (lookup(set, tag)) return true;
+  if (tag >= kInvalid) {
+    throw std::out_of_range("CacheArray: tag of address does not fit 32 bits");
+  }
+  if (lookup(set, static_cast<std::uint32_t>(tag))) return true;
   ++stats_.accesses;
   ++stats_.misses;
-  // Fill: the first invalid way, else the first least-recently-used.
+  // Fill: the first invalid way, else the least recently used, which
+  // is the one of age ways_ - 1. Either way every other valid way grows
+  // one older.
   const std::size_t base = static_cast<std::size_t>(set) * ways_;
   std::size_t victim = base;
   for (std::size_t i = base; i < base + ways_; ++i) {
@@ -45,10 +61,11 @@ bool CacheArray::access(PAddr pa) {
       victim = i;
       break;
     }
-    if (lastUse_[i] < lastUse_[victim]) victim = i;
+    if (ages_[i] > ages_[victim]) victim = i;
   }
-  tags_[victim] = tag;
-  lastUse_[victim] = ++useClock_;
+  for (std::size_t i = base; i < base + ways_; ++i) ++ages_[i];
+  tags_[victim] = static_cast<std::uint32_t>(tag);
+  ages_[victim] = 0;
   return false;
 }
 
@@ -65,7 +82,10 @@ std::uint64_t CacheArray::hitRun(PAddr pa, std::uint64_t stride,
   const std::uint32_t setStep = static_cast<std::uint32_t>(lineStep % sets_);
   const std::uint64_t tagStep = lineStep / sets_;
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (!lookup(set, tag)) return i;
+    // A tag past the 32-bit range ends the run; access() rejects it.
+    if (tag >= kInvalid || !lookup(set, static_cast<std::uint32_t>(tag))) {
+      return i;
+    }
     off += offStep;
     set += setStep;
     tag += tagStep;

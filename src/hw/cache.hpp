@@ -23,14 +23,24 @@ struct CacheStats {
   std::uint64_t misses = 0;
 };
 
-/// Set-associative cache with true tag state and LRU replacement.
+/// Set-associative cache with true tag state and exact LRU replacement.
+///
+/// Each way costs 5 bytes of host memory: a u32 tag (all-ones marks an
+/// invalid way) and a u8 recency age. Among a set's k valid ways the
+/// ages are always exactly 0..k-1, 0 the most recently used: a hit on
+/// way w ages every way younger than w and makes w 0; a fill ages every
+/// way and makes the filled one 0. So the victim of a full set is the
+/// way of the largest age, and zeroed ages need no per-set set-up.
+/// Invalid ways' ages drift and are never read.
 class CacheArray {
  public:
+  /// Throws std::invalid_argument unless 1 <= ways <= 255 (ages are u8).
   CacheArray(std::uint64_t sizeBytes, std::uint32_t lineBytes,
              std::uint32_t ways);
 
   /// Walks the line's set: returns true on hit; on miss the line is
-  /// filled (an invalid way, else the LRU one).
+  /// filled (the first invalid way, else the LRU one). Throws
+  /// std::out_of_range if the line's tag does not fit in 32 bits.
   bool access(PAddr pa);
 
   /// Counts the accesses at pa, pa + stride, ... (up to n of them) as
@@ -68,21 +78,20 @@ class CacheArray {
 
  private:
   // Tag of an invalid way. A real tag is a line address divided by the
-  // set count, so it never has the top bits set.
-  static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
+  // set count; access() rejects one that reaches this value.
+  static constexpr std::uint32_t kInvalid = ~std::uint32_t{0};
 
-  /// The hit half of an access: on a tag match in `set`, stamp the way
-  /// and count the hit.
-  bool lookup(std::uint32_t set, std::uint64_t tag);
+  /// The hit half of an access: on a tag match in `set`, make the way
+  /// the most recently used and count the hit.
+  bool lookup(std::uint32_t set, std::uint32_t tag);
 
   std::uint32_t lineBytes_;
   std::uint32_t ways_;
   std::uint32_t sets_;
-  std::uint64_t useClock_ = 0;
   // Way w of set s sits at s * ways_ + w in both arrays, so one set's
-  // tag scan reads ways_ * 8 contiguous bytes.
-  std::vector<std::uint64_t> tags_;
-  std::vector<std::uint64_t> lastUse_;
+  // tag scan reads ways_ * 4 contiguous bytes.
+  std::vector<std::uint32_t> tags_;
+  std::vector<std::uint8_t> ages_;
   CacheStats stats_;
   bool parityArmed_ = false;
   MemFaultModel* faults_ = nullptr;

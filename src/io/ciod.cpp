@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "kernel/syscalls.hpp"
+#include "sim/bytes.hpp"
 
 namespace bg::io {
 
@@ -141,10 +142,9 @@ void Ciod::serve(const FsRequest& req) {
       if (rep.result >= 0) {
         // Tell the client the fd's initial offset (nonzero only for
         // O_APPEND) so its shadow can reserve write offsets.
-        const auto off = c.offsetOf(static_cast<int>(rep.result));
-        const std::uint64_t v = off.value_or(0);
-        rep.payload.resize(sizeof v);
-        std::memcpy(rep.payload.data(), &v, sizeof v);
+        sim::ByteWriter w;
+        w.u64(c.offsetOf(static_cast<int>(rep.result)).value_or(0));
+        rep.payload = std::move(w).take();
       }
       break;
     }
@@ -171,10 +171,7 @@ void Ciod::serve(const FsRequest& req) {
     case FsOp::kStat: {
       FileStat st;
       rep.result = c.stat(req.path, &st);
-      if (rep.result == 0) {
-        rep.payload.resize(sizeof(FileStat));
-        std::memcpy(rep.payload.data(), &st, sizeof st);
-      }
+      if (rep.result == 0) rep.payload = st.encode();
       break;
     }
     case FsOp::kUnlink:

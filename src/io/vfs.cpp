@@ -3,8 +3,26 @@
 #include <algorithm>
 
 #include "kernel/syscalls.hpp"
+#include "sim/bytes.hpp"
 
 namespace bg::io {
+
+std::vector<std::byte> FileStat::encode() const {
+  sim::ByteWriter w;
+  w.u64(size);
+  w.u8(isDir ? 1 : 0);
+  w.grow(kBytes - 9);  // zero padding
+  return std::move(w).take();
+}
+
+std::optional<FileStat> FileStat::decode(std::span<const std::byte> buf) {
+  if (buf.size() != kBytes) return std::nullopt;
+  sim::ByteReader r(buf);
+  FileStat st;
+  st.size = r.u64();
+  st.isDir = r.u8() != 0;
+  return st;
+}
 
 using kernel::kEBADF;
 using kernel::kEINVAL;

@@ -20,9 +20,17 @@
 
 namespace bg::io {
 
+/// stat()'s result. It reaches user memory and fship replies only
+/// through encode(): kBytes bytes, u64 size, u8 isDir, 7 zero bytes.
 struct FileStat {
+  static constexpr std::size_t kBytes = 16;
+
   std::uint64_t size = 0;
   bool isDir = false;
+
+  std::vector<std::byte> encode() const;
+  /// nullopt unless `buf` is exactly kBytes long.
+  static std::optional<FileStat> decode(std::span<const std::byte> buf);
 };
 
 enum class FsOpKind : std::uint8_t {

@@ -167,30 +167,52 @@ TEST(Cluster, GetcwdReflectsShippedChdir) {
 }
 
 TEST(Cluster, StatShipsAndFillsUserStruct) {
-  rt::ClusterConfig cfg;
-  rt::Cluster cluster(cfg);
-  ASSERT_TRUE(cluster.bootAll());
-  cluster.ioRootFs(0).putFile("/tmp/st",
-                              std::vector<std::byte>(123, std::byte{1}));
-  vm::ProgramBuilder b("t");
-  emitPath(b, "/tmp/st");
-  b.mov(1, 21);
-  b.mov(2, 10);
-  b.addi(2, 2, 4096);
-  b.syscall(sys(kernel::Sys::kStat));
-  b.sample(0);
-  b.load(16, 10, 4096);  // FileStat.size is the first field
-  b.sample(16);
-  emitExit(b);
-  kernel::JobSpec job;
-  job.exe = kernel::ElfImage::makeExecutable("t", std::move(b).build());
-  std::vector<std::uint64_t> s;
-  cluster.attachSamples(0, 0, &s);
-  ASSERT_TRUE(cluster.loadJob(job));
-  ASSERT_TRUE(cluster.run());
-  ASSERT_EQ(s.size(), 2u);
-  EXPECT_EQ(s[0], 0u);
-  EXPECT_EQ(s[1], 123u);
+  // stat() fills 16 bytes, u64 size, u8 isDir and 7 zero bytes, on CNK
+  // (through the fship reply) and on FWK (locally): a buffer pre-filled
+  // with 0xAA must come back with bytes 9-15 zero, not host stack bytes.
+  for (const rt::KernelKind kind :
+       {rt::KernelKind::kCnk, rt::KernelKind::kFwk}) {
+    SCOPED_TRACE(kind == rt::KernelKind::kCnk ? "cnk" : "fwk");
+    rt::ClusterConfig cfg;
+    cfg.kernel = kind;
+    rt::Cluster cluster(cfg);
+    ASSERT_TRUE(cluster.bootAll());
+    vm::ProgramBuilder b("t");
+    emitPath(b, "/st");
+    b.mov(1, 21);
+    b.li(2, static_cast<std::int64_t>(kernel::kOCreat | kernel::kOWronly));
+    b.syscall(sys(kernel::Sys::kOpen));
+    b.mov(16, 0);
+    b.mov(1, 16);
+    b.mov(2, 10);
+    b.li(3, 123);
+    b.syscall(sys(kernel::Sys::kWrite));
+    b.mov(1, 16);
+    b.syscall(sys(kernel::Sys::kClose));
+    b.li(20, static_cast<std::int64_t>(0xAAAAAAAAAAAAAAAAULL));
+    b.store(10, 20, 4096);
+    b.store(10, 20, 4104);
+    b.mov(1, 21);
+    b.mov(2, 10);
+    b.addi(2, 2, 4096);
+    b.syscall(sys(kernel::Sys::kStat));
+    b.sample(0);
+    b.load(16, 10, 4096);
+    b.sample(16);
+    b.load(16, 10, 4104);
+    b.sample(16);
+    emitExit(b);
+    kernel::JobSpec job;
+    job.exe = kernel::ElfImage::makeExecutable("t", std::move(b).build());
+    std::vector<std::uint64_t> s;
+    cluster.attachSamples(0, 0, &s);
+    ASSERT_TRUE(cluster.loadJob(job));
+    ASSERT_TRUE(cluster.run());
+    ASSERT_EQ(s.size(), 3u);
+    EXPECT_EQ(s[0], 0u);
+    EXPECT_EQ(s[1], 123u);
+    EXPECT_EQ(s[2], 0u) << std::hex << s[2];  // isDir 0, then 7 zero bytes
+  }
 }
 
 TEST(Cluster, FileBackedMmapCopiesInEagerly) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -274,6 +275,25 @@ TEST(CacheArray, HitRunMatchesSingleAccesses) {
       ASSERT_EQ(run.access(pa), ref.access(pa)) << "pa " << pa;
     }
   }
+}
+
+TEST(CacheArray, RejectsWideTagsAndMoreThan255Ways) {
+  // Ages are one byte each and tags four, so both limits are hard
+  // errors rather than silent aliasing.
+  EXPECT_THROW(CacheArray(256 * 32, 32, 256), std::invalid_argument);
+  EXPECT_THROW(CacheArray(32, 32, 0), std::invalid_argument);
+  EXPECT_NO_THROW(CacheArray(255 * 32, 32, 255));
+  // One set of 32 B lines: the tag is pa / 32. All-ones marks an
+  // invalid way, so the largest tag is 0xFFFFFFFE.
+  CacheArray c(2 * 32, 32, 2);
+  const PAddr last = PAddr{0xFFFFFFFE} * 32;
+  EXPECT_FALSE(c.access(last));
+  EXPECT_TRUE(c.access(last + 31));
+  EXPECT_THROW(c.access(last + 32), std::out_of_range);
+  EXPECT_THROW(c.access(PAddr{1} << 48), std::out_of_range);
+  // A run ends before the first out-of-range tag; access() rejects it.
+  EXPECT_EQ(c.hitRun(last, 32, 3), 1u);
+  EXPECT_EQ(c.stats().accesses, 3u);
 }
 
 // Reference LRU model for the differential test below: a u64 tag and a
