@@ -420,7 +420,8 @@ TEST(CacheArray, MatchesReferenceLruOnRandomAndStridedStreams) {
         const bool random = pick % 4 == 0;
         const std::uint64_t stride = strides[(pick >> 2) % std::size(strides)];
         auto addr = [&](std::uint64_t i) {
-          return random ? PAddr{next() % span} : PAddr{(base + i * stride) % span};
+          return random ? PAddr{next() % span}
+                        : PAddr{(base + i * stride) % span};
         };
         if (random || (pick >> 8) % 2 == 0) {
           for (std::uint64_t i = 0; i < n; ++i, ++accesses) {
