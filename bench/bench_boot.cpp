@@ -58,6 +58,8 @@ bg::sim::Json rowToJson(const BootRow& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bg::bench::Args args("bench_boot", "write the per-kernel boot rows as JSON");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
   std::printf("Boot cost under a 10 Hz VHDL cycle-accurate simulator "
               "(paper SectionIII)\n");
   std::printf("%-22s %19s  %14s  %12s  %10s\n", "kernel", "boot work",
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
   std::printf("\npaper: CNK boots in a couple of hours at 10Hz; Linux "
               "takes weeks; stripped Linux days.\n");
 
-  if (const char* jsonPath = bg::bench::jsonPathArg(argc, argv)) {
+  if (args.json() != nullptr) {
     bg::sim::Json j = bg::sim::Json::object();
     j.set("bench", "boot");
     j.set("vhdl_hz", kVhdlHz);
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
     rows.push(rowToJson(full));
     rows.push(rowToJson(stripped));
     j.set("kernels", rows);
-    if (!bg::bench::maybeWriteJson(jsonPath, j)) return 1;
+    if (!bg::bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return 0;
 }

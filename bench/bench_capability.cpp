@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace bg;
-  const char* jsonPath = bench::jsonPathArg(argc, argv);
+  bench::Args args("bench_capability", "write Tables II and III as JSON");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
   const auto cnk = cnk::cnkCapabilities();
   const auto lnx = fwk::linuxCapabilities();
 
@@ -69,6 +70,6 @@ int main(int argc, char** argv) {
         static_cast<std::int64_t>(kernel::capabilityFeatures().size()));
   j.set("table_use", std::move(tableUse));
   j.set("table_implement", std::move(tableImpl));
-  if (!bench::maybeWriteJson(jsonPath, j)) return 1;
+  if (!bench::maybeWriteJson(args.json(), j)) return 1;
   return 0;
 }

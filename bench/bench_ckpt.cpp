@@ -168,22 +168,13 @@ std::uint64_t digestOf(const CommitPhase& c, const ResumePhase& r) {
   return h.digest();
 }
 
-constexpr char kUsage[] =
-    "usage: bench_ckpt [--quick] [--json <path>] [--help]\n"
-    "  --quick        fewer commits and shorter phases (CI smoke)\n"
-    "  --json <path>  write the trajectory as JSON\n"
-    "  --help         print this message and exit\n";
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  const char* jsonPath = nullptr;
-  if (const int rc = bg::bench::parseFlagArgs(
-          argc, argv, "bench_ckpt", kUsage, {{"--quick", &quick}}, &jsonPath);
-      rc >= 0) {
-    return rc;
-  }
+  bg::bench::Args args("bench_ckpt", "write the trajectory as JSON");
+  args.flag("--quick", &quick, "fewer commits and shorter phases (CI smoke)");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
   const int rounds = quick ? 16 : 40;
   const std::uint64_t computeCycles = 20'000;
   const std::int64_t reps1 = quick ? 120 : 400;
@@ -256,7 +247,7 @@ int main(int argc, char** argv) {
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(d1));
   j.set("digest", digest);
-  if (!bg::bench::maybeWriteJson(jsonPath, j)) {
+  if (!bg::bench::maybeWriteJson(args.json(), j)) {
     return 1;
   }
   return 0;

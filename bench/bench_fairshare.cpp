@@ -8,7 +8,6 @@
 // the schedule hash and the accounting state digest), so the bench
 // doubles as a replay witness for the fair-share plane.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -107,7 +106,7 @@ FsResult runStream(const FsParams& p) {
     const std::uint64_t a = rng.nextBelow(16);
     svc::JobDesc jd;
     jd.account = a < 7 ? 1 : a < 12 ? 2 : a < 15 ? 3 : 4;
-    jd.name = "b" + std::to_string(i);
+    jd.name = 'b' + std::to_string(i);
     jd.nodes = 1 + static_cast<int>(rng.nextBelow(3));
     const std::uint64_t reps = 6 + rng.nextBelow(10);
     jd.exe = workImage(jd.name, reps);
@@ -198,20 +197,14 @@ void printResult(const char* title, const FsResult& r) {
 
 int main(int argc, char** argv) {
   FsParams p;
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      p.nodes = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      p.jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      p.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      p.jobs = 96;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      jsonPath = argv[++i];
-    }
-  }
+  bool quick = false;
+  bench::Args args("bench_fairshare", "write per-account results as JSON");
+  args.value("--nodes", &p.nodes, "N", "compute nodes")
+      .value("--jobs", &p.jobs, "N", "jobs in the stream")
+      .value("--seed", &p.seed, "S", "cluster and arrival seed")
+      .flag("--quick", &quick, "96 jobs unless --jobs is given (CI smoke)");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
+  if (quick && !args.given("--jobs")) p.jobs = 96;
 
   std::printf("fair-share benchmark: %d jobs on %d nodes, seed=%llu "
               "(accounts alpha:4 beta:2 gamma:1/low/maxRunning=3 "
@@ -232,7 +225,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(run2.determinismHash),
               match ? "MATCH" : "MISMATCH");
 
-  if (!jsonPath.empty()) {
+  if (args.json() != nullptr) {
     sim::Json j = sim::Json::object();
     j.set("bench", "fairshare");
     j.set("nodes", static_cast<std::int64_t>(p.nodes));
@@ -260,11 +253,7 @@ int main(int argc, char** argv) {
     j.set("accounting_digest", run1.accountingDigest);
     j.set("determinism_hash", run1.determinismHash);
     j.set("replay_hash_match", match);
-    if (!j.writeFile(jsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", jsonPath.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", jsonPath.c_str());
+    if (!bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return match ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 // plane fail-stops mid-swarm and the in-flight table recovers from
 // persistent memory (no acknowledged submission may be lost).
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_util.hpp"
@@ -256,43 +255,27 @@ bool checkInvariants(const FdParams& p, const FdResult& r) {
 
 int main(int argc, char** argv) {
   FdParams p;
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
-      p.clients = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--submits") == 0 && i + 1 < argc) {
-      p.submits = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      p.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--bursts") == 0 && i + 1 < argc) {
-      p.bursts = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-queue") == 0 && i + 1 < argc) {
-      p.maxQueue = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--drop-rate") == 0 && i + 1 < argc) {
-      p.dropRate = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--corrupt-rate") == 0 && i + 1 < argc) {
-      p.corruptRate = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--delay-rate") == 0 && i + 1 < argc) {
-      p.delayRate = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--dup-rate") == 0 && i + 1 < argc) {
-      p.dupRate = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--forced-dups") == 0 && i + 1 < argc) {
-      p.forcedDups = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--cancel-rate") == 0 && i + 1 < argc) {
-      p.cancelRate = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--query-rate") == 0 && i + 1 < argc) {
-      p.queryRate = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--crashes") == 0 && i + 1 < argc) {
-      p.crashes = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--restart-delay") == 0 && i + 1 < argc) {
-      p.restartDelay = static_cast<sim::Cycle>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      p.clients = 1000;
-      p.submits = 1;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      jsonPath = argv[++i];
-    }
-  }
+  bool quick = false;
+  bench::Args args("bench_frontdoor", "write the swarm results as JSON");
+  args.value("--clients", &p.clients, "N", "concurrent clients")
+      .value("--submits", &p.submits, "N", "submits per client")
+      .value("--seed", &p.seed, "S", "swarm and fault seed")
+      .value("--bursts", &p.bursts, "N", "arrival bursts")
+      .value("--max-queue", &p.maxQueue, "N", "admission queue bound")
+      .value("--drop-rate", &p.dropRate, "P", "link frame drop rate")
+      .value("--corrupt-rate", &p.corruptRate, "P", "link corruption rate")
+      .value("--delay-rate", &p.delayRate, "P", "link delay rate")
+      .value("--dup-rate", &p.dupRate, "P", "link duplication rate")
+      .value("--forced-dups", &p.forcedDups, "P", "submit frames sent twice")
+      .value("--cancel-rate", &p.cancelRate, "P", "CANCEL after an ack")
+      .value("--query-rate", &p.queryRate, "P", "QUERY after an ack")
+      .value("--crashes", &p.crashes, "N", "service-node fail-stops")
+      .value("--restart-delay", &p.restartDelay, "CYCLES",
+             "outage length per crash")
+      .flag("--quick", &quick, "1000 clients x 1 submit unless set (CI smoke)");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
+  if (quick && !args.given("--clients")) p.clients = 1000;
+  if (quick && !args.given("--submits")) p.submits = 1;
 
   std::printf("front-door benchmark: %d clients x %d submits, %u bursts, "
               "max queue %zu, seed=%llu, faults drop=%.3f corrupt=%.3f "
@@ -317,7 +300,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(run2.determinismHash),
               match ? "MATCH" : "MISMATCH");
 
-  if (!jsonPath.empty()) {
+  if (args.json() != nullptr) {
     const fd::Swarm::Totals& t = run1.swarm;
     sim::Json j = sim::Json::object();
     j.set("bench", "frontdoor");
@@ -378,11 +361,7 @@ int main(int argc, char** argv) {
     // Serializer probe: a u64 above INT64_MAX must round-trip through
     // the JSON layer unsigned (diff_runs.py reads it back).
     j.set("u64_probe", static_cast<std::uint64_t>(0xFFFFFFFFFFFFFFFFULL));
-    if (!j.writeFile(jsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", jsonPath.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", jsonPath.c_str());
+    if (!bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return match && invariantsOk ? 0 : 1;
 }

@@ -85,28 +85,17 @@ void dumpCsv(const char* kernelName, const FwqResult& r) {
   }
 }
 
-constexpr char kUsage[] =
-    "usage: bench_fwq [--quick] [--dump] [--ablate] [--json <path>] [--help]\n"
-    "  --quick        1,500 samples per core instead of 12,000\n"
-    "  --dump         write fwq_<kernel>_core<i>.csv per core\n"
-    "  --ablate       add the FWK noise-source ablation tables\n"
-    "  --json <path>  write per-core statistics as JSON\n"
-    "  --help         print this message and exit\n";
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
   bool dump = false;
   bool ablate = false;
-  const char* jsonPath = nullptr;
-  if (const int rc = bg::bench::parseFlagArgs(
-          argc, argv, "bench_fwq", kUsage,
-          {{"--quick", &quick}, {"--dump", &dump}, {"--ablate", &ablate}},
-          &jsonPath);
-      rc >= 0) {
-    return rc;
-  }
+  bg::bench::Args args("bench_fwq", "write per-core statistics as JSON");
+  args.flag("--quick", &quick, "1,500 samples per core instead of 12,000");
+  args.flag("--dump", &dump, "write fwq_<kernel>_core<i>.csv per core");
+  args.flag("--ablate", &ablate, "add the FWK noise-source ablation tables");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
   const int samples = quick ? 1500 : 12000;
 
   std::printf("FWQ noise benchmark (paper Figs 5-7)\n");
@@ -137,13 +126,13 @@ int main(int argc, char** argv) {
   std::printf("\npaper: Linux spreads >5%% on cores 0/2/3, ~1.5%% on core 1;"
               " CNK <0.006%%\n");
 
-  if (jsonPath != nullptr) {
+  if (args.json() != nullptr) {
     sim::Json j = sim::Json::object();
     j.set("bench", "fwq");
     j.set("samples", static_cast<std::int64_t>(samples));
     j.set("linux_per_core", resultToJson(linux));
     j.set("cnk_per_core", resultToJson(cnk));
-    if (!bg::bench::maybeWriteJson(jsonPath, j)) return 1;
+    if (!bg::bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return 0;
 }

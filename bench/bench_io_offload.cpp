@@ -23,30 +23,6 @@
 namespace {
 using namespace bg;
 
-sim::Json fshipJson(const cnk::FshipStats& f) {
-  sim::Json j = sim::Json::object();
-  j.set("requests", f.requests);
-  j.set("retransmits", f.retransmits);
-  j.set("timeouts", f.timeouts);
-  j.set("duplicate_replies", f.duplicateReplies);
-  j.set("corrupt_replies", f.corruptReplies);
-  j.set("eio_returns", f.eioReturns);
-  j.set("rehomes", f.rehomes);
-  j.set("restores_sent", f.restoresSent);
-  return j;
-}
-
-sim::Json ciodJson(const io::CiodStats& c) {
-  sim::Json j = sim::Json::object();
-  j.set("requests", c.requests);
-  j.set("errors", c.errors);
-  j.set("bad_checksums", c.badChecksums);
-  j.set("replays", c.replays);
-  j.set("stale_drops", c.staleDrops);
-  j.set("restores", c.restores);
-  return j;
-}
-
 // One failover-phase run; crashAt == 0 means fault-free control.
 struct FailoverRun {
   bool ok = false;
@@ -138,7 +114,9 @@ bool sameResults(const FailoverRun& a, const FailoverRun& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* jsonPath = bg::bench::jsonPathArg(argc, argv);
+  bench::Args args("bench_io_offload",
+                   "write the offload and failover counters as JSON");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
   const int computeNodes = 8;
   const int procsPerNode = 4;  // VN mode
 
@@ -260,7 +238,7 @@ int main(int argc, char** argv) {
               "node while the I/O node's Linux\nprovides the filesystem; "
               "client count drops by the pset fan-in.\n");
 
-  if (jsonPath != nullptr) {
+  if (args.json() != nullptr) {
     sim::Json j = sim::Json::object();
     j.set("bench", "io_offload");
     j.set("processes", static_cast<std::int64_t>(ranks));
@@ -270,8 +248,8 @@ int main(int argc, char** argv) {
     j.set("elapsed_cycles", elapsed);
     j.set("bandwidth_mb_s", static_cast<double>(totalWritten) / 1e6 /
                                 sim::cyclesToSec(elapsed));
-    j.set("ciod", ciodJson(st));
-    j.set("fship", fshipJson(fs));
+    j.set("ciod", bench::ciodJson(st));
+    j.set("fship", bench::fshipJson(fs));
     sim::Json f = sim::Json::object();
     f.set("crash_cycle", crashAt);
     f.set("detect_cycles", faulted.detectCycle - crashAt);
@@ -280,10 +258,10 @@ int main(int argc, char** argv) {
     f.set("overhead_pct", 100.0 * static_cast<double>(overhead) /
                               static_cast<double>(control.elapsed));
     f.set("results_match", match);
-    f.set("ciod", ciodJson(faulted.ciod));
-    f.set("fship", fshipJson(faulted.fship));
+    f.set("ciod", bench::ciodJson(faulted.ciod));
+    f.set("fship", bench::fshipJson(faulted.fship));
     j.set("failover", std::move(f));
-    if (!bg::bench::maybeWriteJson(jsonPath, j)) return 1;
+    if (!bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return match ? 0 : 1;
 }

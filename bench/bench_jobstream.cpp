@@ -16,14 +16,9 @@
 // every crash and restart — runs on the deterministic event engine, so
 // two runs with the same seed produce an identical schedule hash
 // (verified every run).
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <functional>
-#include <iterator>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "bench_util.hpp"
@@ -192,28 +187,6 @@ StreamResult runStream(const StreamParams& p) {
   return r;
 }
 
-sim::Json ioCountersJson(const StreamResult& r) {
-  sim::Json io = sim::Json::object();
-  sim::Json f = sim::Json::object();
-  f.set("requests", r.fship.requests);
-  f.set("retransmits", r.fship.retransmits);
-  f.set("timeouts", r.fship.timeouts);
-  f.set("duplicate_replies", r.fship.duplicateReplies);
-  f.set("corrupt_replies", r.fship.corruptReplies);
-  f.set("eio_returns", r.fship.eioReturns);
-  f.set("rehomes", r.fship.rehomes);
-  io.set("fship", std::move(f));
-  sim::Json c = sim::Json::object();
-  c.set("requests", r.ciod.requests);
-  c.set("errors", r.ciod.errors);
-  c.set("bad_checksums", r.ciod.badChecksums);
-  c.set("replays", r.ciod.replays);
-  c.set("stale_drops", r.ciod.staleDrops);
-  c.set("restores", r.ciod.restores);
-  io.set("ciod", std::move(c));
-  return io;
-}
-
 void printMetrics(const char* title, const StreamResult& res,
                   bool showFaultPlane, bool showLinkPlane) {
   const svc::SvcMetrics& m = res.metrics;
@@ -295,74 +268,31 @@ void printMetrics(const char* title, const StreamResult& res,
               static_cast<unsigned long long>(m.scheduleHash));
 }
 
-constexpr const char* kUsage =
-    "usage: bench_jobstream [--jobs N] [--nodes N] [--seed S] [--fifo]\n"
-    "                       [--crashes N] [--restart-delay CYCLES]\n"
-    "                       [--mem-ues N] [--ce-storms N] [--hangs N]\n"
-    "                       [--hang-timeout CYCLES] [--budget N]\n"
-    "                       [--link-deaths N] [--link-storms N]\n"
-    "                       [--ras-log PATH] [--json PATH] [--help]\n";
-
-/// Strict command line: every flag but --fifo and --help takes a value.
-/// Returns the exit code to stop with (0 after --help, 2 on an unknown
-/// flag or a missing value, with usage on stderr), or -1 to run.
-int parseArgs(int argc, char** argv, StreamParams& p, std::string& jsonPath) {
-  const auto toInt = [](const char* v) { return std::atoi(v); };
-  const auto toU64 = [](const char* v) {
-    return static_cast<std::uint64_t>(std::atoll(v));
-  };
-  const std::pair<const char*, std::function<void(const char*)>> valued[] = {
-      {"--jobs", [&](const char* v) { p.jobs = toInt(v); }},
-      {"--nodes", [&](const char* v) { p.nodes = toInt(v); }},
-      {"--seed", [&](const char* v) { p.seed = toU64(v); }},
-      {"--crashes", [&](const char* v) { p.crashes = toInt(v); }},
-      {"--restart-delay", [&](const char* v) { p.restartDelay = toU64(v); }},
-      {"--mem-ues", [&](const char* v) { p.memUes = toInt(v); }},
-      {"--ce-storms", [&](const char* v) { p.ceStorms = toInt(v); }},
-      {"--hangs", [&](const char* v) { p.coreHangs = toInt(v); }},
-      {"--hang-timeout", [&](const char* v) { p.hangTimeout = toU64(v); }},
-      {"--budget",
-       [&](const char* v) { p.budget = static_cast<std::uint32_t>(toInt(v)); }},
-      {"--link-deaths", [&](const char* v) { p.linkDeaths = toInt(v); }},
-      {"--link-storms", [&](const char* v) { p.linkStorms = toInt(v); }},
-      {"--ras-log", [&](const char* v) { p.rasLogPath = v; }},
-      {"--json", [&](const char* v) { jsonPath = v; }},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    }
-    if (arg == "--fifo") {
-      p.policy = svc::SchedPolicyKind::kFifo;
-      continue;
-    }
-    const auto* flag = std::find_if(
-        std::begin(valued), std::end(valued),
-        [&](const auto& f) { return arg == f.first; });
-    const char* reason = nullptr;
-    if (flag == std::end(valued)) {
-      reason = "unknown argument";
-    } else if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      reason = "missing value for";
-    }
-    if (reason != nullptr) {
-      std::fprintf(stderr, "bench_jobstream: %s '%s'\n", reason, argv[i]);
-      std::fputs(kUsage, stderr);
-      return 2;
-    }
-    flag->second(argv[++i]);
-  }
-  return -1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   StreamParams p;
-  std::string jsonPath;
-  if (const int rc = parseArgs(argc, argv, p, jsonPath); rc >= 0) return rc;
+  bool fifo = false;
+  bench::Args args("bench_jobstream", "write the run-1 metrics as JSON");
+  args.value("--jobs", &p.jobs, "N", "jobs in the stream")
+      .value("--nodes", &p.nodes, "N", "compute nodes (the last 2 run FWK)")
+      .value("--seed", &p.seed, "S", "stream and fault seed")
+      .flag("--fifo", &fifo, "FIFO scheduling instead of backfill")
+      .value("--crashes", &p.crashes, "N", "service-node fail-stops")
+      .value("--restart-delay", &p.restartDelay, "CYCLES",
+             "outage length per crash")
+      .value("--mem-ues", &p.memUes, "N", "uncorrectable-ECC panics")
+      .value("--ce-storms", &p.ceStorms, "N", "correctable-ECC bursts")
+      .value("--hangs", &p.coreHangs, "N", "frozen cores (watchdog bait)")
+      .value("--hang-timeout", &p.hangTimeout, "CYCLES",
+             "watchdog freeze threshold")
+      .value("--budget", &p.budget, "N", "per-node failure budget (0 = off)")
+      .value("--link-deaths", &p.linkDeaths, "N", "fail-stopped torus links")
+      .value("--link-storms", &p.linkStorms, "N", "CRC-retry storms")
+      .value("--ras-log", &p.rasLogPath, "PATH",
+             "dump the aggregated RAS stream");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
+  if (fifo) p.policy = svc::SchedPolicyKind::kFifo;
   const bool computeFaults =
       p.memUes > 0 || p.ceStorms > 0 || p.coreHangs > 0;
   const bool linkFaults = p.linkDeaths > 0 || p.linkStorms > 0;
@@ -402,7 +332,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(run2.metrics.scheduleHash),
               match ? "MATCH" : "MISMATCH");
 
-  if (!jsonPath.empty()) {
+  if (args.json() != nullptr) {
     sim::Json j = sim::Json::object();
     j.set("bench", "jobstream");
     j.set("jobs", static_cast<std::int64_t>(p.jobs));
@@ -422,17 +352,16 @@ int main(int argc, char** argv) {
     fi.set("link_storms", static_cast<std::int64_t>(p.linkStorms));
     j.set("fault_injection", std::move(fi));
     j.set("metrics", run1.metrics.toJson());
-    j.set("io", ioCountersJson(run1));
+    sim::Json io = sim::Json::object();
+    io.set("fship", bench::fshipJson(run1.fship));
+    io.set("ciod", bench::ciodJson(run1.ciod));
+    j.set("io", std::move(io));
     j.set("cold_starts", run1.coldStarts);
     j.set("failed_saves", run1.metrics.checkpointFailedSaves);
     j.set("coredumps_shipped", run1.coredumps);
     j.set("ecc_scrubbed", run1.eccScrubbed);
     j.set("replay_hash_match", match);
-    if (!j.writeFile(jsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", jsonPath.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", jsonPath.c_str());
+    if (!bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return match ? 0 : 1;
 }

@@ -195,23 +195,14 @@ double measure(Proto p, rt::KernelKind kind) {
   return sim::cyclesToUs(static_cast<sim::Cycle>(st.mean));
 }
 
-constexpr char kUsage[] =
-    "usage: bench_latency [--fwk] [--json <path>] [--help]\n"
-    "  --fwk          add the same table on the FWK (Linux-style) kernel\n"
-    "  --json <path>  write the latency rows as JSON\n"
-    "  --help         print this message and exit\n";
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool compareFwk = false;
-  const char* jsonPath = nullptr;
-  if (const int rc = bg::bench::parseFlagArgs(
-          argc, argv, "bench_latency", kUsage,
-          {{"--fwk", &compareFwk}}, &jsonPath);
-      rc >= 0) {
-    return rc;
-  }
+  bg::bench::Args args("bench_latency", "write the latency rows as JSON");
+  args.flag("--fwk", &compareFwk,
+            "add the same table on the FWK (Linux-style) kernel");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
 
   const Row rows[] = {
       {"DCMF Eager One-way", Proto::kDcmfEager, 1.6},
@@ -250,12 +241,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (jsonPath != nullptr) {
+  if (args.json() != nullptr) {
     sim::Json j = sim::Json::object();
     j.set("bench", "latency");
     j.set("cnk", std::move(jcnk));
     if (compareFwk) j.set("fwk", std::move(jfwk));
-    if (!bg::bench::maybeWriteJson(jsonPath, j)) return 1;
+    if (!bg::bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return 0;
 }

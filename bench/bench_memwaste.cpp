@@ -30,6 +30,8 @@ const char* pageName(std::uint64_t p) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Args args("bench_memwaste", "write the full sweep grid as JSON");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
   std::printf("Static-map trade-off: TLB budget vs tiling waste "
               "(paper SectionVII-B)\n");
   sim::Json configs = sim::Json::array();
@@ -85,7 +87,7 @@ int main(int argc, char** argv) {
   }
   sim::Json j = sim::Json::object();
   j.set("configs", std::move(configs));
-  if (!bench::maybeWriteJson(bench::jsonPathArg(argc, argv), j)) return 1;
+  if (!bench::maybeWriteJson(args.json(), j)) return 1;
   std::printf("\nshape: smaller budgets force larger pages; alignment and "
               "rounding to those pages\nis the physical memory the paper "
               "says the static map may waste.\n");

@@ -201,7 +201,9 @@ bool multichip(sim::Cycle* relOut) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* jsonPath = bg::bench::jsonPathArg(argc, argv);
+  bench::Args args("bench_repro",
+                   "write the reproducibility witnesses as JSON");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
   std::printf("Cycle reproducibility (paper SectionIII)\n\n");
 
   std::printf("Run-to-run reproducibility (two fresh machines, "
@@ -237,7 +239,7 @@ int main(int argc, char** argv) {
   const bool allOk =
       cnkIdentical && digest1 == digest2 && fwkDiverges && resetOk &&
       multichipOk;
-  if (jsonPath != nullptr) {
+  if (args.json() != nullptr) {
     sim::Json j = sim::Json::object();
     j.set("bench", "repro");
     sim::Json d = sim::Json::object();
@@ -256,7 +258,7 @@ int main(int argc, char** argv) {
     m.set("relative_arrival_cycles", relArrival);
     j.set("multichip", std::move(m));
     j.set("pass", allOk);
-    if (!bg::bench::maybeWriteJson(jsonPath, j)) return 1;
+    if (!bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return allOk ? 0 : 1;
 }

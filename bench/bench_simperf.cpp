@@ -294,23 +294,13 @@ sim::Json phaseJson(const PhaseResult& p) {
   return j;
 }
 
-constexpr char kUsage[] =
-    "usage: bench_simperf [--quick] [--json <path>] [--help]\n"
-    "  --quick        shorter phases (CI smoke)\n"
-    "  --json <path>  write per-phase results as JSON\n"
-    "  --help         print this message and exit\n";
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  const char* jsonPath = nullptr;
-  if (const int rc = bg::bench::parseFlagArgs(
-          argc, argv, "bench_simperf", kUsage, {{"--quick", &quick}},
-          &jsonPath);
-      rc >= 0) {
-    return rc;
-  }
+  bg::bench::Args args("bench_simperf", "write per-phase results as JSON");
+  args.flag("--quick", &quick, "shorter phases (CI smoke)");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
 
   std::printf("simperf: host throughput of the simulator (wall clock)\n");
   std::printf("mix: events-micro + 32-node boot+FWQ + 8-node jobstream%s\n",
@@ -335,7 +325,7 @@ int main(int argc, char** argv) {
   bg::bench::printRule();
   printPhase(total);
 
-  if (jsonPath != nullptr) {
+  if (args.json() != nullptr) {
     bg::sim::Json j = bg::sim::Json::object();
     j.set("bench", "simperf");
     j.set("quick", quick);
@@ -343,7 +333,7 @@ int main(int argc, char** argv) {
     for (const PhaseResult& p : phases) arr.push(phaseJson(p));
     j.set("phases", std::move(arr));
     j.set("total", phaseJson(total));
-    if (!bg::bench::maybeWriteJson(jsonPath, j)) return 1;
+    if (!bg::bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return 0;
 }

@@ -70,24 +70,15 @@ std::vector<std::uint64_t> allreduceRun(rt::KernelKind kind, int nodes,
   return samples;
 }
 
-constexpr char kUsage[] =
-    "usage: bench_stability [--quick] [--json <path>] [--help]\n"
-    "  --quick        8 LINPACK runs and 400 allreduce iterations\n"
-    "                 instead of 36 and 4,000\n"
-    "  --json <path>  write the stability statistics as JSON\n"
-    "  --help         print this message and exit\n";
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  const char* jsonPath = nullptr;
-  if (const int rc = bg::bench::parseFlagArgs(
-          argc, argv, "bench_stability", kUsage,
-          {{"--quick", &quick}}, &jsonPath);
-      rc >= 0) {
-    return rc;
-  }
+  bg::bench::Args args("bench_stability",
+                       "write the stability statistics as JSON");
+  args.flag("--quick", &quick,
+            "8 LINPACK runs and 400 allreduce iterations, not 36 and 4,000");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
   const int linpackRunsCount = quick ? 8 : 36;
   const int allreduceIters = quick ? 400 : 4000;
 
@@ -149,13 +140,13 @@ int main(int argc, char** argv) {
   std::printf("paper: CNK sigma = 0.0007 us (effectively 0); "
               "Linux sigma = 8.9 us\n");
 
-  if (jsonPath != nullptr) {
+  if (args.json() != nullptr) {
     sim::Json j = sim::Json::object();
     j.set("bench", "stability");
     j.set("quick", quick);
     j.set("linpack", std::move(jlinpack));
     j.set("allreduce", std::move(jallreduce));
-    if (!bg::bench::maybeWriteJson(jsonPath, j)) return 1;
+    if (!bg::bench::maybeWriteJson(args.json(), j)) return 1;
   }
   return 0;
 }

@@ -132,23 +132,14 @@ double runExchange(std::uint64_t bytes, rt::KernelKind kind, int nodes) {
   return mb / secs;
 }
 
-constexpr char kUsage[] =
-    "usage: bench_throughput [--quick] [--json <path>] [--help]\n"
-    "  --quick        message sizes up to 256 KB instead of 4 MB\n"
-    "  --json <path>  write the throughput series as JSON\n"
-    "  --help         print this message and exit\n";
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  const char* jsonPath = nullptr;
-  if (const int rc = bg::bench::parseFlagArgs(
-          argc, argv, "bench_throughput", kUsage,
-          {{"--quick", &quick}}, &jsonPath);
-      rc >= 0) {
-    return rc;
-  }
+  bg::bench::Args args("bench_throughput",
+                       "write the throughput series as JSON");
+  args.flag("--quick", &quick, "message sizes up to 256 KB instead of 4 MB");
+  if (const int rc = args.parse(argc, argv); rc >= 0) return rc;
   const int nodes = 8;
 
   std::vector<std::uint64_t> sizes = {1 << 10, 4 << 10,  16 << 10,
@@ -184,6 +175,6 @@ int main(int argc, char** argv) {
   j.set("iters", static_cast<std::int64_t>(kIters));
   j.set("quick", quick);
   j.set("series", std::move(series));
-  if (!bg::bench::maybeWriteJson(jsonPath, j)) return 1;
+  if (!bg::bench::maybeWriteJson(args.json(), j)) return 1;
   return 0;
 }

@@ -2,14 +2,21 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <initializer_list>
+#include <functional>
 #include <numeric>
+#include <string>
+#include <string_view>
+#include <system_error>
+#include <utility>
 #include <vector>
 
+#include "cnk/fship_client.hpp"
+#include "io/ciod.hpp"
 #include "sim/json.hpp"
 #include "sim/types.hpp"
 
@@ -70,52 +77,140 @@ inline sim::Json statsToJson(const Stats& s) {
   return j;
 }
 
-/// One boolean flag of a strict bench command line: `name` sets *value.
-struct BoolFlag {
-  const char* name;
-  bool* value;
+/// The strict command line of one bench: a table of flags from which
+/// parsing, the `--help` usage and every error message come.
+/// `--json PATH` and `--help` are built in. A switch sets its bool; a
+/// valued flag takes the next argument, which must not start with `--`
+/// and must parse in full as the destination's type.
+class Args {
+ public:
+  /// `name` prefixes every error; `jsonHelp` says what `--json` writes.
+  Args(const char* name, const char* jsonHelp) : name_(name) {
+    value("--json", &json_, "PATH", jsonHelp);
+  }
+  Args(const Args&) = delete;
+  Args& operator=(const Args&) = delete;
+
+  /// A switch: `flag` sets *dst to true.
+  Args& flag(const char* flag, bool* dst, const char* help) {
+    entries_.push_back({flag, nullptr, help, [dst](const char*) {
+                          *dst = true;
+                          return true;
+                        }});
+    return *this;
+  }
+
+  /// A valued flag: `flag VALUE` stores VALUE, parsed as T, in *dst.
+  template <class T>
+  Args& value(const char* flag, T* dst, const char* metavar,
+              const char* help) {
+    entries_.push_back({flag, metavar, help,
+                        [dst](const char* v) { return parseValue(v, dst); }});
+    return *this;
+  }
+
+  /// Returns the exit code to stop with (0 after `--help`; 2 with the
+  /// reason and usage on stderr on an unknown flag or a missing or
+  /// malformed value), or -1 when the bench should run.
+  int parse(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg == "--help") {
+        std::fputs(usage().c_str(), stdout);
+        return 0;
+      }
+      const auto e =
+          std::find_if(entries_.begin(), entries_.end(),
+                       [&](const Entry& x) { return arg == x.flag; });
+      const char* v = nullptr;
+      if (e == entries_.end()) return fail("unknown argument", argv[i]);
+      if (e->metavar != nullptr) {
+        if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+          return fail("missing value for", argv[i]);
+        }
+        v = argv[++i];
+      }
+      if (!e->set(v)) return fail("invalid value in", argv[i - 1], v);
+      e->given = true;
+    }
+    return -1;
+  }
+
+  /// The `--json` path, or nullptr when none was given.
+  const char* json() const { return json_.empty() ? nullptr : json_.c_str(); }
+
+  /// True when the command line named `flag` (so a preset such as
+  /// `--quick` can leave it alone).
+  bool given(std::string_view flag) const {
+    return std::any_of(entries_.begin(), entries_.end(), [&](const Entry& e) {
+      return e.given && flag == e.flag;
+    });
+  }
+
+ private:
+  struct Entry {
+    const char* flag;
+    const char* metavar;  // nullptr for a switch
+    const char* help;
+    std::function<bool(const char*)> set;
+    bool given = false;
+  };
+
+  static bool parseValue(const char* v, std::string* dst) {
+    *dst = v;
+    return !dst->empty();
+  }
+  template <class T>
+  static bool parseValue(const char* v, T* dst) {
+    const char* end = v + std::strlen(v);
+    const auto [ptr, ec] = std::from_chars(v, end, *dst);
+    return ec == std::errc() && ptr == end && ptr != v;
+  }
+
+  static std::string label(const char* flag, const char* metavar) {
+    return metavar == nullptr ? flag : std::string(flag) + " " + metavar;
+  }
+
+  std::string usage() const {
+    std::vector<std::pair<std::string, const char*>> rows;
+    for (const Entry& e : entries_) {
+      rows.emplace_back(label(e.flag, e.metavar), e.help);
+    }
+    // --json, registered first, is listed last before --help.
+    std::rotate(rows.begin(), rows.begin() + 1, rows.end());
+    rows.emplace_back("--help", "print this message and exit");
+    std::string out = std::string("usage: ") + name_;
+    const std::size_t indent = out.size();
+    std::size_t lineStart = 0;
+    std::size_t width = 0;
+    for (const auto& [l, help] : rows) {
+      if (out.size() - lineStart + l.size() + 3 > 76) {
+        out += '\n';
+        lineStart = out.size();
+        out.append(indent, ' ');
+      }
+      out += " [" + l + "]";
+      width = std::max(width, l.size());
+    }
+    out += '\n';
+    for (const auto& [l, help] : rows) {
+      out += "  " + l + std::string(width + 2 - l.size(), ' ') + help + '\n';
+    }
+    return out;
+  }
+
+  int fail(const char* reason, const char* flag,
+           const char* value = nullptr) const {
+    std::fprintf(stderr, "%s: %s '%s%s%s'\n", name_, reason, flag,
+                 value != nullptr ? " " : "", value != nullptr ? value : "");
+    std::fputs(usage().c_str(), stderr);
+    return 2;
+  }
+
+  const char* name_;
+  std::string json_;
+  std::vector<Entry> entries_;
 };
-
-/// The strict command line of a bench that takes only its boolean
-/// `flags`, `--json <path>` and `--help`. `--help` prints `usage` to
-/// stdout; an unknown argument or a `--json` without a value prints the
-/// reason and `usage` to stderr. Returns the exit code to stop with (0
-/// or 2), or -1 when the bench should run.
-inline int parseFlagArgs(int argc, char** argv, const char* name,
-                         const char* usage,
-                         std::initializer_list<BoolFlag> flags,
-                         const char** jsonPath) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      std::fputs(usage, stdout);
-      return 0;
-    }
-    const BoolFlag* flag = std::find_if(
-        flags.begin(), flags.end(),
-        [&](const BoolFlag& f) { return std::strcmp(argv[i], f.name) == 0; });
-    if (flag != flags.end()) {
-      *flag->value = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      *jsonPath = argv[++i];
-    } else {
-      std::fprintf(stderr, "%s: %s '%s'\n", name,
-                   std::strcmp(argv[i], "--json") == 0 ? "missing value for"
-                                                       : "unknown argument",
-                   argv[i]);
-      std::fputs(usage, stderr);
-      return 2;
-    }
-  }
-  return -1;
-}
-
-/// Returns the path following a `--json` flag, or nullptr.
-inline const char* jsonPathArg(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
 
 /// Writes `j` to `path` (when non-null) and reports on stdout/stderr.
 /// Returns false only on a write failure.
@@ -127,6 +222,32 @@ inline bool maybeWriteJson(const char* path, const sim::Json& j) {
   }
   std::printf("wrote %s\n", path);
   return true;
+}
+
+/// The compute-node side of function-shipped I/O as JSON.
+inline sim::Json fshipJson(const cnk::FshipStats& f) {
+  sim::Json j = sim::Json::object();
+  j.set("requests", f.requests);
+  j.set("retransmits", f.retransmits);
+  j.set("timeouts", f.timeouts);
+  j.set("duplicate_replies", f.duplicateReplies);
+  j.set("corrupt_replies", f.corruptReplies);
+  j.set("eio_returns", f.eioReturns);
+  j.set("rehomes", f.rehomes);
+  j.set("restores_sent", f.restoresSent);
+  return j;
+}
+
+/// The I/O-node daemon side of function-shipped I/O as JSON.
+inline sim::Json ciodJson(const io::CiodStats& c) {
+  sim::Json j = sim::Json::object();
+  j.set("requests", c.requests);
+  j.set("errors", c.errors);
+  j.set("bad_checksums", c.badChecksums);
+  j.set("replays", c.replays);
+  j.set("stale_drops", c.staleDrops);
+  j.set("restores", c.restores);
+  return j;
 }
 
 }  // namespace bg::bench

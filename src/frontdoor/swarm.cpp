@@ -44,7 +44,7 @@ void Swarm::start() {
                : burst * p_.burstPeriodCycles + inBurst);
 
       SubmitOp op;
-      op.jobName = "c" + std::to_string(c) + "s" + std::to_string(s);
+      op.jobName = 'c' + std::to_string(c) + 's' + std::to_string(s);
       op.kernel = kdraw < p_.fwkFraction ? 1 : 0;
       op.nodes = p_.jobNodes;
       op.processes = 1;

@@ -73,9 +73,20 @@ class ByteWriter {
       out_.push_back(static_cast<std::byte>((v >> (i * 8)) & 0xFF));
     }
   }
+  // GCC 12 at -O3 inlines this copy into callers whose span it cannot
+  // size and reports a bogus -Wstringop-overflow (the copy is exactly
+  // b.size() bytes into space insert() just made). Silenced here, at
+  // its one site, so a real warning elsewhere still shows.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wstringop-overflow"
+#endif
   void append(std::span<const std::byte> b) {
     out_.insert(out_.end(), b.begin(), b.end());
   }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
   std::vector<std::byte> out_;
 };
 
@@ -92,10 +103,19 @@ class ByteReader {
   std::string str() { return chars(view(u64())); }
   /// u32 length prefix (wire messages).
   std::string str32() { return chars(view(u32())); }
+  // The same GCC 12 false positive as ByteWriter::append, as a bogus
+  // -Wstringop-overread when view() may have returned an empty span.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wstringop-overread"
+#endif
   std::vector<std::byte> blob32() {
     const std::span<const std::byte> v = view(u32());
     return {v.begin(), v.end()};
   }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
   /// The next `n` bytes in place, no length prefix and no copy; empty
   /// (and ok() poisoned) when fewer remain.

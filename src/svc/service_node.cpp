@@ -811,7 +811,8 @@ void ServiceNode::note(const char* what, JobId id, sim::Cycle cycle,
                 static_cast<unsigned long long>(cycle), what, id);
   std::string line = head;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    line += (i != 0 ? "," : "") + std::to_string(nodes[i]);
+    if (i != 0) line += ',';
+    line += std::to_string(nodes[i]);
   }
   timeline_.push_back(std::move(line));
 }

@@ -551,7 +551,7 @@ SweepOutcome runCkptSweep(std::uint64_t seed, int jobCount) {
   std::vector<Arrival> arrivals;
   for (int i = 0; i < jobCount; ++i) {
     svc::JobDesc jd;
-    jd.name = "s" + std::to_string(i);
+    jd.name = 's' + std::to_string(i);
     jd.nodes = 1 + static_cast<int>(rng.nextBelow(2));
     jd.account = static_cast<svc::AccountId>(1 + rng.nextBelow(2));
     const std::uint64_t reps = 20 + rng.nextBelow(200);

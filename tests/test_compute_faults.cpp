@@ -399,7 +399,7 @@ TEST(ComputeFaults, FailureBudgetRetiresRepeatOffender) {
   const int kJobs = 24;
   for (int i = 0; i < kJobs; ++i) {
     svc::JobDesc jd;
-    jd.name = "b" + std::to_string(i);
+    jd.name = 'b' + std::to_string(i);
     jd.nodes = 1 + static_cast<int>(rng.nextBelow(2));
     const std::uint64_t reps = 6 + rng.nextBelow(12);
     jd.exe = workImage(jd.name, reps, 10'000);
@@ -462,7 +462,7 @@ TEST(ComputeFaults, SvcCrashBetweenNodeDeathAndRequeueLosesNothing) {
     const int kJobs = 20;
     for (int i = 0; i < kJobs; ++i) {
       svc::JobDesc jd;
-      jd.name = "r" + std::to_string(i);
+      jd.name = 'r' + std::to_string(i);
       jd.nodes = 1 + static_cast<int>(rng.nextBelow(3));
       const std::uint64_t reps = 8 + rng.nextBelow(16);
       jd.exe = workImage(jd.name, reps, 10'000);

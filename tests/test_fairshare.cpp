@@ -604,7 +604,7 @@ TEST(FairShare, SharesConvergeUnderSaturatedEqualDemand) {
   const int kPer = 40;
   for (int i = 0; i < kPer * 2; ++i) {
     svc::JobDesc jd;
-    jd.name = (i % 2 == 0 ? "a" : "b") + std::to_string(i / 2);
+    jd.name = (i % 2 == 0 ? 'a' : 'b') + std::to_string(i / 2);
     jd.nodes = 1;
     jd.account = i % 2 == 0 ? 1 : 2;
     jd.exe = workImage(jd.name, 20, 10'000);
@@ -662,7 +662,7 @@ std::uint64_t runPinnedStream(svc::SchedPolicyKind policy) {
   const int kJobs = 40;
   for (int i = 0; i < kJobs; ++i) {
     svc::JobDesc jd;
-    jd.name = "p" + std::to_string(i);
+    jd.name = 'p' + std::to_string(i);
     jd.nodes = 1 + static_cast<int>(rng.nextBelow(3));
     const std::uint64_t reps = 5 + rng.nextBelow(12);
     jd.exe = workImage(jd.name, reps, 10'000);

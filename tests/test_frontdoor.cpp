@@ -103,7 +103,7 @@ TEST(FdProtocol, CorruptionRejectedEverywhere) {
   q.clientId = 1;
   q.seq = 1;
   q.jobName = "j";
-  q.exeName = "e";
+  q.exeName = 'e';
   const std::vector<std::byte> frame = q.encode();
   for (std::size_t i = 0; i < frame.size(); ++i) {
     std::vector<std::byte> bad = frame;

@@ -411,7 +411,7 @@ TEST(SvcJournal, ReplayEqualsFullEncodeAtEverySave) {
   sim::Rng rng(5, "svc-journal-test");
   for (int i = 0; i < 24; ++i) {
     svc::JobDesc jd;
-    jd.name = "j" + std::to_string(i);
+    jd.name = 'j' + std::to_string(i);
     jd.nodes = 1 + static_cast<int>(rng.nextBelow(2));
     jd.account = i % 3 == 2 ? 2 : 1;  // every third job is urgent
     const std::uint64_t reps = 20 + rng.nextBelow(20);

@@ -100,7 +100,7 @@ TortureOutcome runTorture(std::uint64_t seed, svc::SchedPolicyKind policy,
   std::vector<Arrival> arrivals;
   for (int i = 0; i < jobCount; ++i) {
     svc::JobDesc jd;
-    jd.name = "t" + std::to_string(i);
+    jd.name = 't' + std::to_string(i);
     jd.kernel = rt::KernelKind::kCnk;
     jd.nodes = 1 + static_cast<int>(rng.nextBelow(3));
     if (i % 5 == 2) {
