@@ -12,7 +12,6 @@
 #include <string>
 #include <string_view>
 #include <system_error>
-#include <utility>
 #include <vector>
 
 #include "cnk/fship_client.hpp"
@@ -172,30 +171,16 @@ class Args {
   }
 
   std::string usage() const {
-    std::vector<std::pair<std::string, const char*>> rows;
+    std::size_t width = std::strlen("--help");
     for (const Entry& e : entries_) {
-      rows.emplace_back(label(e.flag, e.metavar), e.help);
+      width = std::max(width, label(e.flag, e.metavar).size());
     }
-    // --json, registered first, is listed last before --help.
-    std::rotate(rows.begin(), rows.begin() + 1, rows.end());
-    rows.emplace_back("--help", "print this message and exit");
-    std::string out = std::string("usage: ") + name_;
-    const std::size_t indent = out.size();
-    std::size_t lineStart = 0;
-    std::size_t width = 0;
-    for (const auto& [l, help] : rows) {
-      if (out.size() - lineStart + l.size() + 3 > 76) {
-        out += '\n';
-        lineStart = out.size();
-        out.append(indent, ' ');
-      }
-      out += " [" + l + "]";
-      width = std::max(width, l.size());
-    }
-    out += '\n';
-    for (const auto& [l, help] : rows) {
+    std::string out = std::string("usage: ") + name_ + " [options]\n";
+    const auto row = [&](const std::string& l, const char* help) {
       out += "  " + l + std::string(width + 2 - l.size(), ' ') + help + '\n';
-    }
+    };
+    for (const Entry& e : entries_) row(label(e.flag, e.metavar), e.help);
+    row("--help", "print this message and exit");
     return out;
   }
 
