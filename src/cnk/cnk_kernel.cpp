@@ -14,6 +14,12 @@ using kernel::Sys;
 using kernel::Thread;
 using hw::HandlerResult;
 
+namespace {
+// CNK's futex and console costs on top of syscallBaseCost.
+constexpr kernel::FutexCosts kFutexCosts{30, 60, 40, 25};
+constexpr sim::Cycle kConsoleCost = 120;
+}  // namespace
+
 CnkKernel::CnkKernel(hw::Node& node, Config cfg)
     : KernelBase(node),
       cfg_(cfg),
@@ -286,7 +292,7 @@ hw::HandlerResult CnkKernel::syscall(hw::Core& core, hw::ThreadCtx& ctx,
     case Sys::kClone:
       return sysClone(core, t, args);
     case Sys::kFutex:
-      return sysFutex(t, args);
+      return sysFutex(t, args, base, kFutexCosts);
     case Sys::kSchedYield: {
       // Rare in HPC; reschedule among the core's slot threads.
       t.ctx.state = hw::ThreadState::kReady;
@@ -349,8 +355,16 @@ hw::HandlerResult CnkKernel::syscall(hw::Core& core, hw::ThreadCtx& ctx,
     case Sys::kUnlink:
     case Sys::kMkdir:
     case Sys::kChdir:
-    case Sys::kDup:
-      return sysFileIo(t, args);
+    case Sys::kDup: {
+      // All other I/O is function-shipped to CIOD (§IV-A).
+      kernel::FileCall call;
+      if (auto r = decodeFileSyscall(t, args, base, kConsoleCost, call)) {
+        return *r;
+      }
+      io::FsRequest& q = call.req;
+      return fship_->ship(t, q.op, q.a0, q.a1, q.a2, std::move(q.path),
+                          std::move(q.payload), call.dest, call.destLen);
+    }
     default:
       return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOSYS),
                                  base);
@@ -518,23 +532,7 @@ hw::HandlerResult CnkKernel::sysClone(hw::Core& core, Thread& t,
                                base + 30);
   }
 
-  Thread& child = p.addThread(allocTid());
-  child.ctx.prog = t.ctx.prog;
-  child.ctx.pc = a.arg[5];  // start pc (set up by the pthread runtime)
-  for (int i = 0; i < vm::kNumRegs; ++i) child.ctx.regs[i] = t.ctx.regs[i];
-  child.ctx.regs[vm::kRetReg] = 0;  // clone returns 0 in the child
-  child.ctx.regs[1] = a.arg[4];     // TLS pointer = thread argument
-  child.ctx.state = hw::ThreadState::kReady;
-  child.ctx.samples =
-      sampleSink_
-          ? sampleSink_(p, static_cast<int>(p.threads().size()) - 1)
-          : nullptr;
-
-  if (flags & kernel::kCloneChildCleartid) child.clearChildTid = a.arg[3];
-  if (flags & kernel::kCloneParentSettid) {
-    const auto pa = resolveUser(p, a.arg[2]);
-    if (pa) node_.mem().write64(*pa, child.ctx.tid);
-  }
+  Thread& child = cloneThread(t, a);
 
   // Guard range: the last mprotect is assumed to cover the new
   // thread's stack guard (§IV-C).
@@ -548,37 +546,6 @@ hw::HandlerResult CnkKernel::sysClone(hw::Core& core, Thread& t,
   node_.core(target).kick();
   (void)core;
   return HandlerResult::done(child.ctx.tid, base + 400);
-}
-
-hw::HandlerResult CnkKernel::sysFutex(Thread& t, const hw::SyscallArgs& a) {
-  const hw::VAddr uaddr = a.arg[0];
-  const std::uint64_t op = a.arg[1];
-  const std::uint64_t val = a.arg[2];
-  const sim::Cycle base = cfg_.syscallBaseCost;
-  Process& p = t.proc;
-
-  if (op == kernel::kFutexWait) {
-    const auto pa = resolveUser(p, uaddr);
-    if (!pa) {
-      return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kEFAULT),
-                                 base);
-    }
-    if (node_.mem().read64(*pa) != val) {
-      return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kEAGAIN),
-                                 base + 30);
-    }
-    futex_.enqueue(p.pid(), uaddr, &t);
-    t.ctx.state = hw::ThreadState::kBlocked;
-    t.ctx.yieldOnBlock = true;  // futex blocks DO yield the core (§VI-C)
-    return HandlerResult::blocked(base + 60);
-  }
-  if (op == kernel::kFutexWake) {
-    auto woken = futex_.dequeue(p.pid(), uaddr, val == 0 ? 1 : val);
-    for (Thread* w : woken) wakeThread(*w, 0);
-    return HandlerResult::done(woken.size(), base + 40 + 25 * woken.size());
-  }
-  return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOSYS),
-                             base);
 }
 
 hw::HandlerResult CnkKernel::sysPersistOpen(Thread& t,
@@ -607,86 +574,6 @@ hw::HandlerResult CnkKernel::sysPersistOpen(Thread& t,
     installRegionOnCores(d, p.pid(), procCores_[p.pid()]);
   }
   return HandlerResult::done(r->vbase, base + 200);
-}
-
-hw::HandlerResult CnkKernel::sysFileIo(Thread& t, const hw::SyscallArgs& a) {
-  Process& p = t.proc;
-  const sim::Cycle base = cfg_.syscallBaseCost;
-  using io::FsOp;
-  switch (static_cast<Sys>(a.nr)) {
-    case Sys::kWrite: {
-      const std::uint64_t fd = a.arg[0];
-      const std::uint64_t len = a.arg[2];
-      std::vector<std::byte> buf(len);
-      if (!copyFromUser(p, a.arg[1], buf)) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      if (fd == 1 || fd == 2) {
-        // Console output: delivered to the host-visible console ring
-        // (on real BG/P stdout also ships to CIOD; modelled locally so
-        // examples can print without an I/O node configured).
-        console_.append(reinterpret_cast<const char*>(buf.data()),
-                        buf.size());
-        return HandlerResult::done(len, base + 120 + len / 16);
-      }
-      return fship_->ship(t, FsOp::kWrite, fd, len, 0, {}, std::move(buf));
-    }
-    case Sys::kRead:
-      return fship_->ship(t, FsOp::kRead, a.arg[0], a.arg[2], 0, {}, {},
-                          a.arg[1], a.arg[2]);
-    case Sys::kOpen: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      return fship_->ship(t, FsOp::kOpen, a.arg[1], 0, 0, *path, {});
-    }
-    case Sys::kClose:
-      return fship_->ship(t, FsOp::kClose, a.arg[0], 0, 0, {}, {});
-    case Sys::kLseek:
-      return fship_->ship(t, FsOp::kLseek, a.arg[0], a.arg[1], a.arg[2], {},
-                          {});
-    case Sys::kStat: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      return fship_->ship(t, FsOp::kStat, 0, 0, 0, *path, {}, a.arg[1],
-                          io::FileStat::kBytes);
-    }
-    case Sys::kUnlink: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      return fship_->ship(t, FsOp::kUnlink, 0, 0, 0, *path, {});
-    }
-    case Sys::kMkdir: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      return fship_->ship(t, FsOp::kMkdir, 0, 0, 0, *path, {});
-    }
-    case Sys::kChdir: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      return fship_->ship(t, FsOp::kChdir, 0, 0, 0, *path, {});
-    }
-    case Sys::kDup:
-      return fship_->ship(t, FsOp::kDup, a.arg[0], 0, 0, {}, {});
-    default:
-      return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOSYS),
-                                 base);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -796,7 +683,6 @@ hw::HandlerResult CnkKernel::onInterrupt(hw::Core& core, hw::Irq irq) {
             cost += 150;
             break;
           case hw::McSyndrome::Kind::kSpurious:
-            ++spuriousMcs_;
             logRas(kernel::RasEvent::Code::kMachineCheck,
                    kernel::RasEvent::Severity::kWarn, 0, 0, 0);
             cost += 80;
@@ -815,16 +701,7 @@ hw::HandlerResult CnkKernel::onInterrupt(hw::Core& core, hw::Irq irq) {
 }
 
 void CnkKernel::onThreadHalt(hw::Core& core, hw::ThreadCtx& ctx) {
-  Thread& t = threadOf(ctx);
-  const hw::VAddr ctid = t.clearChildTid;
   KernelBase::onThreadHalt(core, ctx);
-  if (ctid != 0) {
-    // CLONE_CHILD_CLEARTID: the futex wake that completes pthread_join.
-    for (Thread* w : futex_.dequeue(t.proc.pid(), ctid, UINT64_MAX)) {
-      wakeThread(*w, 0);
-    }
-  }
-  futex_.remove(&t);
   sched_.reapDone();
 }
 

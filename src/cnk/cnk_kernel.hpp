@@ -30,7 +30,6 @@
 #include "cnk/partitioner.hpp"
 #include "cnk/persist.hpp"
 #include "cnk/scheduler.hpp"
-#include "kernel/futex.hpp"
 #include "kernel/kernel.hpp"
 
 namespace bg::cnk {
@@ -61,7 +60,6 @@ class CnkKernel final : public kernel::KernelBase {
   // ---- KernelBase ----
   std::vector<kernel::BootPhase> bootPhases() const override;
   bool loadJob(const kernel::JobSpec& spec) override;
-  const char* kernelName() const override { return "CNK"; }
   bool supportsUserSpaceDma() const override { return true; }
   bool hasContiguousPhysRegions() const override { return true; }
   std::optional<hw::PAddr> resolveUser(kernel::Process& p,
@@ -83,21 +81,14 @@ class CnkKernel final : public kernel::KernelBase {
 
   FshipClient& fship() { return *fship_; }
   Linker& linker() { return *linker_; }
-  PersistRegistry& persist() { return persist_; }
-  kernel::FutexTable& futexes() { return futex_; }
-  kernel::FutexTable* futexTable() override { return &futex_; }
   MmapTracker& mmapOf(kernel::Process& p) { return mmap_[p.pid()]; }
   const std::vector<int>& coresOf(std::uint32_t pid) {
     return procCores_[pid];
   }
   std::shared_ptr<kernel::ElfImage> libImage(const std::string& name) const;
 
-  /// stdout/stderr collected from write(1/2) — host-visible console.
-  const std::string& console() const { return console_; }
-
   /// Compute-node fault plane counters (machine-check handler).
   std::uint64_t eccScrubbed() const { return eccScrubbed_; }
-  std::uint64_t spuriousMcs() const { return spuriousMcs_; }
   std::uint64_t coredumpsShipped() const { return coredumpsShipped_; }
   bool panicked() const { return panicked_; }
 
@@ -149,10 +140,8 @@ class CnkKernel final : public kernel::KernelBase {
   hw::HandlerResult sysMprotect(kernel::Thread& t, const hw::SyscallArgs& a);
   hw::HandlerResult sysClone(hw::Core& core, kernel::Thread& t,
                              const hw::SyscallArgs& a);
-  hw::HandlerResult sysFutex(kernel::Thread& t, const hw::SyscallArgs& a);
   hw::HandlerResult sysPersistOpen(kernel::Thread& t,
                                    const hw::SyscallArgs& a);
-  hw::HandlerResult sysFileIo(kernel::Thread& t, const hw::SyscallArgs& a);
 
   // Checkpoint engine (defined in cnk/ckpt_image.cpp).
   hw::HandlerResult sysCkptSave(kernel::Thread& t);
@@ -180,7 +169,6 @@ class CnkKernel final : public kernel::KernelBase {
 
   Config cfg_;
   CnkScheduler sched_;
-  kernel::FutexTable futex_;
   PersistRegistry persist_;
   std::unique_ptr<FshipClient> fship_;
   std::unique_ptr<Linker> linker_;
@@ -189,7 +177,6 @@ class CnkKernel final : public kernel::KernelBase {
   std::map<std::uint32_t, std::vector<int>> procCores_;
   std::map<std::string, std::shared_ptr<kernel::ElfImage>> libImages_;
   std::map<int, std::uint32_t> remoteProcOfCore_;
-  std::string console_;
   /// Pending guard-reposition request per core, applied by the IPI
   /// handler (paper Fig 4 flow).
   std::vector<std::optional<std::pair<hw::VAddr, hw::VAddr>>> pendingGuard_;
@@ -197,7 +184,6 @@ class CnkKernel final : public kernel::KernelBase {
   std::uint64_t ipisSent_ = 0;
   std::uint64_t reproResets_ = 0;
   std::uint64_t eccScrubbed_ = 0;
-  std::uint64_t spuriousMcs_ = 0;
   std::uint64_t coredumpsShipped_ = 0;
   bool panicked_ = false;
 

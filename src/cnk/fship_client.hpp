@@ -119,7 +119,6 @@ class FshipClient {
   /// late completion would touch freed memory.
   void reset();
 
-  int ioNodeNetId() const { return ioNodeNetId_; }
   /// True between a timeout-storm declaration and the next rehome.
   bool ioNodeDead() const { return ioNodeDead_; }
   const Config& config() const { return cfg_; }

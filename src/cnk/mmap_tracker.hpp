@@ -48,8 +48,6 @@ class MmapTracker {
   std::size_t freeBlockCount() const { return free_.size(); }
   std::size_t allocatedBlockCount() const { return allocated_.size(); }
   hw::VAddr lowestAllocated() const;
-  hw::VAddr lo() const { return lo_; }
-  hw::VAddr hi() const { return hi_; }
 
   /// Serialize the full zone state (bounds, free list, allocations)
   /// into a checkpoint image / restore it. loadFrom replaces all state

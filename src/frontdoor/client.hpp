@@ -92,7 +92,6 @@ class FdClient {
   /// op's first transmit (busy retries extend, retransmits don't).
   const std::vector<sim::Cycle>& ackLatencies() const { return latencies_; }
   const std::vector<std::uint64_t>& tickets() const { return tickets_; }
-  std::uint32_t clientId() const { return clientId_; }
 
  private:
   struct Op {

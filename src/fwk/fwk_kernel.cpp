@@ -13,6 +13,12 @@ using kernel::Sys;
 using kernel::Thread;
 using hw::HandlerResult;
 
+namespace {
+// The FWK's futex and console costs on top of syscallBaseCost.
+constexpr kernel::FutexCosts kFutexCosts{80, 160, 120, 60};
+constexpr sim::Cycle kConsoleCost = 350;
+}  // namespace
+
 FwkKernel::FwkKernel(hw::Node& node, Config cfg)
     : KernelBase(node),
       cfg_(std::move(cfg)),
@@ -441,16 +447,8 @@ hw::ThreadCtx* FwkKernel::pickNext(hw::Core& core) {
 }
 
 void FwkKernel::onThreadHalt(hw::Core& core, hw::ThreadCtx& ctx) {
-  Thread& t = threadOf(ctx);
-  const hw::VAddr ctid = t.clearChildTid;
   KernelBase::onThreadHalt(core, ctx);
-  if (ctid != 0) {
-    for (Thread* w : futex_.dequeue(t.proc.pid(), ctid, UINT64_MAX)) {
-      wakeThread(*w, 0);
-    }
-  }
-  futex_.remove(&t);
-  sched_.remove(t);
+  sched_.remove(threadOf(ctx));
 }
 
 // ---------------------------------------------------------------------------
@@ -491,7 +489,7 @@ hw::HandlerResult FwkKernel::syscall(hw::Core& core, hw::ThreadCtx& ctx,
     case Sys::kClone:
       return sysClone(t, args);
     case Sys::kFutex:
-      return sysFutex(t, args);
+      return sysFutex(t, args, base, kFutexCosts);
     case Sys::kSchedYield:
       t.ctx.state = hw::ThreadState::kReady;
       sched_.rotate(t);
@@ -530,8 +528,27 @@ hw::HandlerResult FwkKernel::syscall(hw::Core& core, hw::ThreadCtx& ctx,
     case Sys::kUnlink:
     case Sys::kMkdir:
     case Sys::kChdir:
-    case Sys::kDup:
-      return sysFileIo(t, args);
+    case Sys::kDup: {
+      // The local VFS runs the same op an ioproxy would, at the fd's
+      // own offset.
+      kernel::FileCall call;
+      if (auto r = decodeFileSyscall(t, args, base, kConsoleCost, call)) {
+        return *r;
+      }
+      io::VfsClient& c = clientOf(t.proc);
+      io::FsRequest& q = call.req;
+      if (q.op == io::FsOp::kRead || q.op == io::FsOp::kWrite) {
+        q.a2 = c.offsetOf(static_cast<int>(q.a0)).value_or(0);
+      }
+      const io::FsReply rep = io::runFsOp(c, q);
+      copyToUser(t.proc, call.dest,
+                 std::span(rep.payload)
+                     .first(std::min<std::size_t>(rep.payload.size(),
+                                                  call.destLen)));
+      if (q.op == io::FsOp::kChdir && rep.result == 0) t.proc.cwd = c.cwd();
+      return HandlerResult::done(static_cast<std::uint64_t>(rep.result),
+                                 base + c.lastLatency());
+    }
     default:
       // The BG SPI extensions (virt2phys, persist, ...) do not exist
       // on Linux.
@@ -614,65 +631,18 @@ hw::HandlerResult FwkKernel::sysMprotect(Thread& t,
 }
 
 hw::HandlerResult FwkKernel::sysClone(Thread& t, const hw::SyscallArgs& a) {
-  Process& p = t.proc;
-  const std::uint64_t flags = a.arg[0];
   const sim::Cycle base = cfg_.syscallBaseCost;
-  if ((flags & kernel::kCloneVm) == 0) {
+  if ((a.arg[0] & kernel::kCloneVm) == 0) {
     // fork() would be supported by a real Linux; out of scope for the
     // compute-node model.
     return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOSYS),
                                base);
   }
-  Thread& child = p.addThread(allocTid());
-  child.ctx.prog = t.ctx.prog;
-  child.ctx.pc = a.arg[5];
-  for (int i = 0; i < vm::kNumRegs; ++i) child.ctx.regs[i] = t.ctx.regs[i];
-  child.ctx.regs[vm::kRetReg] = 0;
-  child.ctx.regs[1] = a.arg[4];
-  child.ctx.state = hw::ThreadState::kReady;
-  child.ctx.samples =
-      sampleSink_
-          ? sampleSink_(p, static_cast<int>(p.threads().size()) - 1)
-          : nullptr;
-  if (flags & kernel::kCloneChildCleartid) child.clearChildTid = a.arg[3];
-  if (flags & kernel::kCloneParentSettid) {
-    const auto pa = resolveUser(p, a.arg[2]);
-    if (pa) node_.mem().write64(*pa, child.ctx.tid);
-  }
+  Thread& child = cloneThread(t, a);
   const int core = sched_.nextUserCore();
   sched_.enqueue(child, core);
   node_.core(core).kick();
   return HandlerResult::done(child.ctx.tid, base + 2'100);
-}
-
-hw::HandlerResult FwkKernel::sysFutex(Thread& t, const hw::SyscallArgs& a) {
-  const hw::VAddr uaddr = a.arg[0];
-  const std::uint64_t op = a.arg[1];
-  const std::uint64_t val = a.arg[2];
-  const sim::Cycle base = cfg_.syscallBaseCost;
-  Process& p = t.proc;
-  if (op == kernel::kFutexWait) {
-    const auto pa = resolveUser(p, uaddr);
-    if (!pa) {
-      return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kEFAULT),
-                                 base);
-    }
-    if (node_.mem().read64(*pa) != val) {
-      return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kEAGAIN),
-                                 base + 80);
-    }
-    futex_.enqueue(p.pid(), uaddr, &t);
-    t.ctx.state = hw::ThreadState::kBlocked;
-    t.ctx.yieldOnBlock = true;
-    return HandlerResult::blocked(base + 160);
-  }
-  if (op == kernel::kFutexWake) {
-    auto woken = futex_.dequeue(p.pid(), uaddr, val == 0 ? 1 : val);
-    for (Thread* w : woken) wakeThread(*w, 0);
-    return HandlerResult::done(woken.size(), base + 120 + 60 * woken.size());
-  }
-  return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOSYS),
-                             base);
 }
 
 hw::HandlerResult FwkKernel::sysNanosleep(Thread& t, std::uint64_t us) {
@@ -694,116 +664,6 @@ hw::HandlerResult FwkKernel::sysNanosleep(Thread& t, std::uint64_t us) {
     }
   });
   return HandlerResult::blocked(cfg_.syscallBaseCost + 180);
-}
-
-hw::HandlerResult FwkKernel::sysFileIo(Thread& t, const hw::SyscallArgs& a) {
-  Process& p = t.proc;
-  io::VfsClient& c = clientOf(p);
-  const sim::Cycle base = cfg_.syscallBaseCost;
-  switch (static_cast<Sys>(a.nr)) {
-    case Sys::kWrite: {
-      const std::uint64_t fd = a.arg[0];
-      const std::uint64_t len = a.arg[2];
-      std::vector<std::byte> buf(len);
-      if (!copyFromUser(p, a.arg[1], buf)) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      if (fd == 1 || fd == 2) {
-        console_.append(reinterpret_cast<const char*>(buf.data()),
-                        buf.size());
-        return HandlerResult::done(len, base + 350 + len / 16);
-      }
-      const std::int64_t rc = c.write(static_cast<int>(fd), buf);
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    case Sys::kRead: {
-      std::vector<std::byte> buf(a.arg[2]);
-      const std::int64_t rc = c.read(static_cast<int>(a.arg[0]), buf);
-      if (rc > 0) {
-        copyToUser(p, a.arg[1],
-                   std::span(buf.data(), static_cast<std::size_t>(rc)));
-      }
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    case Sys::kOpen: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      const std::int64_t rc = c.open(*path, a.arg[1]);
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    case Sys::kClose: {
-      const std::int64_t rc = c.close(static_cast<int>(a.arg[0]));
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    case Sys::kLseek: {
-      const std::int64_t rc =
-          c.lseek(static_cast<int>(a.arg[0]),
-                  static_cast<std::int64_t>(a.arg[1]), a.arg[2]);
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    case Sys::kStat: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      io::FileStat st;
-      const std::int64_t rc = c.stat(*path, &st);
-      if (rc == 0) {
-        copyToUser(p, a.arg[1], st.encode());
-      }
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    case Sys::kUnlink: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      const std::int64_t rc = c.unlink(*path);
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    case Sys::kMkdir: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      const std::int64_t rc = c.mkdir(*path);
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    case Sys::kChdir: {
-      const auto path = readUserString(p, a.arg[0]);
-      if (!path) {
-        return HandlerResult::done(
-            static_cast<std::uint64_t>(-kernel::kEFAULT), base);
-      }
-      const std::int64_t rc = c.chdir(*path);
-      if (rc == 0) p.cwd = c.cwd();
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    case Sys::kDup: {
-      const std::int64_t rc = c.dup(static_cast<int>(a.arg[0]));
-      return HandlerResult::done(static_cast<std::uint64_t>(rc),
-                                 base + c.lastLatency());
-    }
-    default:
-      return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOSYS),
-                                 base);
-  }
 }
 
 hw::HandlerResult FwkKernel::dlopenForThread(Thread& t,

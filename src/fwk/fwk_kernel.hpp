@@ -25,7 +25,6 @@
 #include "io/nfs_sim.hpp"
 #include "io/ramfs.hpp"
 #include "io/vfs.hpp"
-#include "kernel/futex.hpp"
 #include "kernel/kernel.hpp"
 #include "sim/rng.hpp"
 
@@ -59,7 +58,6 @@ class FwkKernel final : public kernel::KernelBase {
   // ---- KernelBase ----
   std::vector<kernel::BootPhase> bootPhases() const override;
   bool loadJob(const kernel::JobSpec& spec) override;
-  const char* kernelName() const override { return "Linux(FWK)"; }
   std::optional<hw::PAddr> resolveUser(kernel::Process& p,
                                        hw::VAddr va) override;
 
@@ -74,12 +72,6 @@ class FwkKernel final : public kernel::KernelBase {
   sim::Cycle contextSwitchCost() const override { return 1'400; }
 
   // ---- services ----
-  io::Vfs& vfs() { return vfs_; }
-  io::NfsSim& nfs() { return *nfs_; }
-  kernel::FutexTable& futexes() { return futex_; }
-  kernel::FutexTable* futexTable() override { return &futex_; }
-  BuddyAllocator& buddy() { return *buddy_; }
-  const std::string& console() const { return console_; }
   const Config& config() const { return cfg_; }
 
   /// FWK dynamic loading: instant VMA creation, pages fault in lazily
@@ -104,9 +96,7 @@ class FwkKernel final : public kernel::KernelBase {
   hw::HandlerResult sysMunmap(kernel::Thread& t, const hw::SyscallArgs& a);
   hw::HandlerResult sysMprotect(kernel::Thread& t, const hw::SyscallArgs& a);
   hw::HandlerResult sysClone(kernel::Thread& t, const hw::SyscallArgs& a);
-  hw::HandlerResult sysFutex(kernel::Thread& t, const hw::SyscallArgs& a);
   hw::HandlerResult sysNanosleep(kernel::Thread& t, std::uint64_t us);
-  hw::HandlerResult sysFileIo(kernel::Thread& t, const hw::SyscallArgs& a);
 
   /// Materialize the page containing va. Returns the fault cost, or
   /// nullopt if the address is not covered by any VMA.
@@ -117,7 +107,6 @@ class FwkKernel final : public kernel::KernelBase {
 
   Config cfg_;
   FwkScheduler sched_;
-  kernel::FutexTable futex_;
   std::unique_ptr<BuddyAllocator> buddy_;
   std::map<std::uint32_t, AddressSpace> spaces_;
   std::map<std::uint32_t, std::unique_ptr<io::VfsClient>> clients_;
@@ -127,7 +116,6 @@ class FwkKernel final : public kernel::KernelBase {
   std::vector<vm::Program> daemonPrograms_;
   kernel::Process* daemonProc_ = nullptr;
   sim::Rng rng_;
-  std::string console_;
   std::map<int, int> ticksSinceSwitch_;
   std::map<int, kernel::Thread*> lastOnCore_;
   std::uint64_t pageFaults_ = 0;

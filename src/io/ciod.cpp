@@ -1,10 +1,8 @@
 #include "io/ciod.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "kernel/syscalls.hpp"
-#include "sim/bytes.hpp"
 
 namespace bg::io {
 
@@ -123,100 +121,33 @@ void Ciod::sendReplyAt(sim::Cycle when, std::vector<std::byte> bytes,
 }
 
 void Ciod::serve(const FsRequest& req) {
-  IoProxy& proxy = proxyFor(req.srcNode, req.pid);
-  VfsClient& c = proxy.client();
-
+  // The ioproxy performs the actual Linux system call; result codes
+  // and filesystem nuances come straight from the VFS (paper §IV-A:
+  // "the calls produce the same result codes, network filesystem
+  // nuances, etc."). kRead/kWrite carry the offset the client's
+  // shadow reserved, so a retransmit hits the same file range. A
+  // kRename is one op == one replay-cache entry, so a retransmit after
+  // the commit landed replays the cached reply instead of failing on
+  // the now-missing old name.
   FsReply rep;
+  if (req.op == FsOp::kRestoreState) {
+    rep.result = serveRestore(req);
+  } else {
+    rep = runFsOp(proxyFor(req.srcNode, req.pid).client(), req);
+  }
   rep.seq = req.seq;
   rep.srcNode = req.srcNode;
   rep.pid = req.pid;
   rep.tid = req.tid;
-
-  // The ioproxy performs the actual Linux system call; result codes
-  // and filesystem nuances come straight from the VFS (paper §IV-A:
-  // "the calls produce the same result codes, network filesystem
-  // nuances, etc.").
-  switch (req.op) {
-    case FsOp::kOpen: {
-      rep.result = c.open(req.path, req.a0);
-      if (rep.result >= 0) {
-        // Tell the client the fd's initial offset (nonzero only for
-        // O_APPEND) so its shadow can reserve write offsets.
-        sim::ByteWriter w;
-        w.u64(c.offsetOf(static_cast<int>(rep.result)).value_or(0));
-        rep.payload = std::move(w).take();
-      }
-      break;
-    }
-    case FsOp::kClose:
-      rep.result = c.close(static_cast<int>(req.a0));
-      break;
-    case FsOp::kRead: {
-      // Explicit offset (a2) reserved by the client's shadow: a
-      // retransmitted read re-reads the same range.
-      rep.payload.resize(req.a1);
-      rep.result = c.preadAt(static_cast<int>(req.a0), rep.payload, req.a2);
-      rep.payload.resize(rep.result > 0
-                             ? static_cast<std::size_t>(rep.result)
-                             : 0);
-      break;
-    }
-    case FsOp::kWrite:
-      rep.result = c.pwriteAt(static_cast<int>(req.a0), req.payload, req.a2);
-      break;
-    case FsOp::kLseek:
-      rep.result = c.lseek(static_cast<int>(req.a0),
-                           static_cast<std::int64_t>(req.a1), req.a2);
-      break;
-    case FsOp::kStat: {
-      FileStat st;
-      rep.result = c.stat(req.path, &st);
-      if (rep.result == 0) rep.payload = st.encode();
-      break;
-    }
-    case FsOp::kUnlink:
-      rep.result = c.unlink(req.path);
-      break;
-    case FsOp::kMkdir:
-      rep.result = c.mkdir(req.path);
-      break;
-    case FsOp::kChdir:
-      rep.result = c.chdir(req.path);
-      break;
-    case FsOp::kGetcwd: {
-      const std::string& cwd = c.cwd();
-      rep.result = static_cast<std::int64_t>(cwd.size() + 1);
-      rep.payload.resize(cwd.size() + 1);
-      std::memcpy(rep.payload.data(), cwd.c_str(), cwd.size() + 1);
-      break;
-    }
-    case FsOp::kDup:
-      rep.result = c.dup(static_cast<int>(req.a0));
-      break;
-    case FsOp::kRestoreState:
-      rep.result = serveRestore(req);
-      break;
-    case FsOp::kRename: {
-      // New name rides the payload as raw chars; `path` is the old
-      // name. One op == one replay-cache entry, so a retransmit after
-      // the commit landed replays the cached reply instead of failing
-      // on the now-missing old name.
-      std::string newPath(reinterpret_cast<const char*>(req.payload.data()),
-                          req.payload.size());
-      rep.result = c.rename(req.path, newPath);
-      break;
-    }
-  }
   if (rep.result < 0) ++stats_.errors;
 
   // Serialize per proxy thread: the dedicated proxy thread for this
-  // compute thread finishes its previous op first. (kRestoreState
-  // replaced the proxy above; re-resolve rather than reuse `proxy`.)
+  // compute thread finishes its previous op first.
   sim::Engine& eng = ioNode_.engine();
-  IoProxy& p2 = proxyFor(req.srcNode, req.pid);
-  sim::Cycle& busy = p2.threadBusyUntil(req.tid);
+  IoProxy& proxy = proxyFor(req.srcNode, req.pid);
+  sim::Cycle& busy = proxy.threadBusyUntil(req.tid);
   const sim::Cycle start = std::max(eng.now(), busy);
-  const sim::Cycle done = start + perOpOverhead_ + p2.client().lastLatency();
+  const sim::Cycle done = start + perOpOverhead_ + proxy.client().lastLatency();
   busy = done;
 
   auto bytes = rep.encode();

@@ -134,34 +134,6 @@ std::int64_t VfsClient::close(int fd) {
   return 0;
 }
 
-std::int64_t VfsClient::read(int fd, std::span<std::byte> out) {
-  OpenFile* f = fdGet(fd);
-  if (f == nullptr) {
-    lastLatency_ = 100;
-    return -kEBADF;
-  }
-  const std::int64_t n = f->backend->pread(f->handle, out, f->offset);
-  lastLatency_ = f->backend->opLatency(FsOpKind::kRead,
-                                       n > 0 ? static_cast<std::uint64_t>(n) : 0,
-                                       engine_.now());
-  if (n > 0) f->offset += static_cast<std::uint64_t>(n);
-  return n;
-}
-
-std::int64_t VfsClient::write(int fd, std::span<const std::byte> in) {
-  OpenFile* f = fdGet(fd);
-  if (f == nullptr) {
-    lastLatency_ = 100;
-    return -kEBADF;
-  }
-  const std::int64_t n = f->backend->pwrite(f->handle, in, f->offset);
-  lastLatency_ = f->backend->opLatency(FsOpKind::kWrite,
-                                       n > 0 ? static_cast<std::uint64_t>(n) : 0,
-                                       engine_.now());
-  if (n > 0) f->offset += static_cast<std::uint64_t>(n);
-  return n;
-}
-
 std::int64_t VfsClient::preadAt(int fd, std::span<std::byte> out,
                                 std::uint64_t offset) {
   OpenFile* f = fdGet(fd);
@@ -305,6 +277,75 @@ std::int64_t VfsClient::chdir(const std::string& path) {
   if (!st.isDir) return -kernel::kENOTDIR;
   cwd_ = abs;
   return 0;
+}
+
+FsReply runFsOp(VfsClient& c, const FsRequest& req) {
+  FsReply rep;
+  const int fd = static_cast<int>(req.a0);
+  switch (req.op) {
+    case FsOp::kOpen:
+      rep.result = c.open(req.path, req.a0);
+      if (rep.result >= 0) {
+        // The fd's initial offset (nonzero only for O_APPEND), so a
+        // CNK shadow can reserve write offsets.
+        sim::ByteWriter w;
+        w.u64(c.offsetOf(static_cast<int>(rep.result)).value_or(0));
+        rep.payload = std::move(w).take();
+      }
+      break;
+    case FsOp::kClose:
+      rep.result = c.close(fd);
+      break;
+    case FsOp::kRead:
+      rep.payload.resize(req.a1);
+      rep.result = c.preadAt(fd, rep.payload, req.a2);
+      rep.payload.resize(rep.result > 0 ? static_cast<std::size_t>(rep.result)
+                                        : 0);
+      break;
+    case FsOp::kWrite:
+      rep.result = c.pwriteAt(fd, req.payload, req.a2);
+      break;
+    case FsOp::kLseek:
+      rep.result = c.lseek(fd, static_cast<std::int64_t>(req.a1), req.a2);
+      break;
+    case FsOp::kStat: {
+      FileStat st;
+      rep.result = c.stat(req.path, &st);
+      if (rep.result == 0) rep.payload = st.encode();
+      break;
+    }
+    case FsOp::kUnlink:
+      rep.result = c.unlink(req.path);
+      break;
+    case FsOp::kMkdir:
+      rep.result = c.mkdir(req.path);
+      break;
+    case FsOp::kChdir:
+      rep.result = c.chdir(req.path);
+      break;
+    case FsOp::kGetcwd: {
+      const std::string& cwd = c.cwd();
+      rep.result = static_cast<std::int64_t>(cwd.size() + 1);
+      const auto* p = reinterpret_cast<const std::byte*>(cwd.c_str());
+      rep.payload.assign(p, p + cwd.size() + 1);
+      break;
+    }
+    case FsOp::kDup:
+      rep.result = c.dup(fd);
+      break;
+    case FsOp::kRename:
+      // The new name rides the payload as raw chars; `path` is the old
+      // name.
+      rep.result = c.rename(
+          req.path, std::string(reinterpret_cast<const char*>(
+                                    req.payload.data()),
+                                req.payload.size()));
+      break;
+    case FsOp::kRestoreState:
+      rep.result = -kEINVAL;
+      break;
+  }
+  return rep;
 }
 
 }  // namespace bg::io

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "io/protocol.hpp"
 #include "sim/engine.hpp"
 #include "sim/types.hpp"
 
@@ -100,12 +101,11 @@ class VfsClient {
   /// Returns fd >= 0 or -errno.
   std::int64_t open(const std::string& path, std::uint64_t flags);
   std::int64_t close(int fd);
-  std::int64_t read(int fd, std::span<std::byte> out);
-  std::int64_t write(int fd, std::span<const std::byte> in);
-  /// Positioned variants: operate at an explicit offset and leave the
-  /// fd's offset at offset+n. The function-shipping protocol uses
-  /// these so a retransmitted read/write is idempotent — re-executing
-  /// it hits the same file range and re-produces the same state.
+  /// read/write at an explicit offset, leaving the fd's offset at
+  /// offset+n. The function-shipping protocol uses these so a
+  /// retransmitted read/write is idempotent — re-executing it hits the
+  /// same file range and re-produces the same state. At offsetOf(fd)
+  /// they are plain read(2)/write(2).
   std::int64_t preadAt(int fd, std::span<std::byte> out,
                        std::uint64_t offset);
   std::int64_t pwriteAt(int fd, std::span<const std::byte> in,
@@ -164,6 +164,15 @@ class VfsClient {
   int nextFd_ = 3;  // 0/1/2 reserved for std streams
   sim::Cycle lastLatency_ = 0;
 };
+
+/// Run one file op against a process's VFS state: the Linux call an
+/// ioproxy makes (paper §IV-A), shared by CIOD and the FWK's local
+/// file syscalls. Sets the reply's result and payload (read data, the
+/// stat struct, the getcwd string, an opened fd's initial offset);
+/// the routing fields are the caller's. kRead/kWrite use the explicit
+/// offset in a2. kRestoreState is not a VFS op (CIOD rebuilds the
+/// whole proxy) and gets -EINVAL here.
+FsReply runFsOp(VfsClient& c, const FsRequest& req);
 
 /// Normalize a path: collapse //, resolve . and .. lexically.
 std::string normalizePath(const std::string& path);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "io/vfs.hpp"
+
 namespace bg::kernel {
 
 KernelBase::KernelBase(hw::Node& node) : node_(node) {
@@ -174,12 +176,8 @@ sim::Cycle KernelBase::onFault(hw::Core& core, hw::ThreadCtx& ctx,
 void KernelBase::onThreadHalt(hw::Core& core, hw::ThreadCtx& ctx) {
   (void)core;
   Thread& t = threadOf(ctx);
-  // CLONE_CHILD_CLEARTID semantics: clear the tid word and wake any
-  // joiners. The futex wake itself is kernel-specific; both kernels
-  // route through their futex table via this virtual-free mechanism:
-  // the joiner waits on the tid word going to zero, which we signal by
-  // waking all threads blocked on that address in the derived class's
-  // syscall layer. Here we only clear the word.
+  // CLONE_CHILD_CLEARTID: clear the tid word, then wake every thread
+  // waiting on it — the futex wake that completes pthread_join.
   if (t.clearChildTid != 0) {
     const auto pa = resolveUser(t.proc, t.clearChildTid);
     if (pa) node_.mem().write64(*pa, 0);
@@ -190,6 +188,138 @@ void KernelBase::onThreadHalt(hw::Core& core, hw::ThreadCtx& ctx) {
     logRas(RasEvent::Code::kJobExited, t.proc.pid(), t.ctx.tid,
            static_cast<std::uint64_t>(t.proc.exitStatus));
   }
+  if (t.clearChildTid != 0) {
+    for (Thread* w : futex_.dequeue(t.proc.pid(), t.clearChildTid,
+                                    UINT64_MAX)) {
+      wakeThread(*w, 0);
+    }
+  }
+  futex_.remove(&t);
+}
+
+std::optional<hw::HandlerResult> KernelBase::decodeFileSyscall(
+    Thread& t, const hw::SyscallArgs& a, sim::Cycle base,
+    sim::Cycle consoleCost, FileCall& call) {
+  using io::FsOp;
+  io::FsRequest& req = call.req;
+  const auto efault =
+      hw::HandlerResult::done(static_cast<std::uint64_t>(-kEFAULT), base);
+  const auto nr = static_cast<Sys>(a.nr);
+  switch (nr) {
+    case Sys::kRead:
+      req.op = FsOp::kRead;
+      req.a0 = a.arg[0];
+      req.a1 = a.arg[2];
+      call.dest = a.arg[1];
+      call.destLen = a.arg[2];
+      return std::nullopt;
+    case Sys::kWrite: {
+      req.payload.resize(a.arg[2]);
+      if (!copyFromUser(t.proc, a.arg[1], req.payload)) return efault;
+      if (a.arg[0] == 1 || a.arg[0] == 2) {
+        // Console output: delivered to the host-visible console ring
+        // (on real BG/P stdout also ships to CIOD; modelled locally so
+        // examples can print without an I/O node configured).
+        console_.append(reinterpret_cast<const char*>(req.payload.data()),
+                        req.payload.size());
+        return hw::HandlerResult::done(a.arg[2],
+                                       base + consoleCost + a.arg[2] / 16);
+      }
+      req.op = FsOp::kWrite;
+      req.a0 = a.arg[0];
+      req.a1 = a.arg[2];
+      return std::nullopt;
+    }
+    case Sys::kClose:
+    case Sys::kDup:
+      req.op = nr == Sys::kClose ? FsOp::kClose : FsOp::kDup;
+      req.a0 = a.arg[0];
+      return std::nullopt;
+    case Sys::kLseek:
+      req.op = FsOp::kLseek;
+      req.a0 = a.arg[0];
+      req.a1 = a.arg[1];
+      req.a2 = a.arg[2];
+      return std::nullopt;
+    default:
+      break;
+  }
+  // The rest take a path in arg0.
+  auto path = readUserString(t.proc, a.arg[0]);
+  if (!path) return efault;
+  req.path = std::move(*path);
+  switch (nr) {
+    case Sys::kOpen:
+      req.op = FsOp::kOpen;
+      req.a0 = a.arg[1];  // flags
+      break;
+    case Sys::kStat:
+      req.op = FsOp::kStat;
+      call.dest = a.arg[1];
+      call.destLen = io::FileStat::kBytes;
+      break;
+    case Sys::kUnlink:
+      req.op = FsOp::kUnlink;
+      break;
+    case Sys::kMkdir:
+      req.op = FsOp::kMkdir;
+      break;
+    default:
+      req.op = FsOp::kChdir;
+      break;
+  }
+  return std::nullopt;
+}
+
+hw::HandlerResult KernelBase::sysFutex(Thread& t, const hw::SyscallArgs& a,
+                                       sim::Cycle base,
+                                       const FutexCosts& costs) {
+  using R = hw::HandlerResult;
+  const hw::VAddr uaddr = a.arg[0];
+  const std::uint64_t op = a.arg[1];
+  const std::uint64_t val = a.arg[2];
+  Process& p = t.proc;
+  if (op == kFutexWait) {
+    const auto pa = resolveUser(p, uaddr);
+    if (!pa) return R::done(static_cast<std::uint64_t>(-kEFAULT), base);
+    if (node_.mem().read64(*pa) != val) {
+      return R::done(static_cast<std::uint64_t>(-kEAGAIN),
+                     base + costs.mismatch);
+    }
+    futex_.enqueue(p.pid(), uaddr, &t);
+    t.ctx.state = hw::ThreadState::kBlocked;
+    t.ctx.yieldOnBlock = true;  // futex blocks DO yield the core (§VI-C)
+    return R::blocked(base + costs.wait);
+  }
+  if (op == kFutexWake) {
+    auto woken = futex_.dequeue(p.pid(), uaddr, val == 0 ? 1 : val);
+    for (Thread* w : woken) wakeThread(*w, 0);
+    return R::done(woken.size(),
+                   base + costs.wake + costs.perWoken * woken.size());
+  }
+  return R::done(static_cast<std::uint64_t>(-kENOSYS), base);
+}
+
+Thread& KernelBase::cloneThread(Thread& t, const hw::SyscallArgs& a) {
+  Process& p = t.proc;
+  const std::uint64_t flags = a.arg[0];
+  Thread& child = p.addThread(allocTid());
+  child.ctx.prog = t.ctx.prog;
+  child.ctx.pc = a.arg[5];  // start pc (set up by the pthread runtime)
+  for (int i = 0; i < vm::kNumRegs; ++i) child.ctx.regs[i] = t.ctx.regs[i];
+  child.ctx.regs[vm::kRetReg] = 0;  // clone returns 0 in the child
+  child.ctx.regs[1] = a.arg[4];     // TLS pointer = thread argument
+  child.ctx.state = hw::ThreadState::kReady;
+  child.ctx.samples =
+      sampleSink_
+          ? sampleSink_(p, static_cast<int>(p.threads().size()) - 1)
+          : nullptr;
+  if (flags & kCloneChildCleartid) child.clearChildTid = a.arg[3];
+  if (flags & kCloneParentSettid) {
+    const auto pa = resolveUser(p, a.arg[2]);
+    if (pa) node_.mem().write64(*pa, child.ctx.tid);
+  }
+  return child;
 }
 
 std::optional<hw::HandlerResult> KernelBase::commonSyscall(

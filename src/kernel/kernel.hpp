@@ -1,6 +1,8 @@
 // KernelBase: machinery shared by CNK and the FWK baseline — boot
 // phase sequencing, process/thread tables, signal delivery, user-memory
-// copies, and the syscalls whose semantics are kernel-agnostic.
+// copies, and the Linux syscall ABI both kernels expose: the
+// kernel-agnostic syscalls, file-syscall decoding, futexes, the clone
+// child set-up and the console. Each kernel passes its own costs.
 #pragma once
 
 #include <deque>
@@ -13,6 +15,7 @@
 
 #include "hw/kernel_if.hpp"
 #include "hw/node.hpp"
+#include "io/protocol.hpp"
 #include "kernel/futex.hpp"
 #include "kernel/job.hpp"
 #include "kernel/process.hpp"
@@ -145,6 +148,22 @@ constexpr const char* rasCodeName(RasEvent::Code c) {
 /// Number of RasEvent::Code values (array sizing in src/svc).
 inline constexpr std::size_t kNumRasCodes = 24;
 
+/// A decoded file syscall: the op an ioproxy runs, plus where its
+/// reply payload lands in user memory (read data, the stat struct).
+struct FileCall {
+  io::FsRequest req;
+  hw::VAddr dest = 0;
+  std::uint64_t destLen = 0;
+};
+
+/// A kernel's futex costs on top of its syscall base.
+struct FutexCosts {
+  sim::Cycle mismatch;  // WAIT whose value check fails (-EAGAIN)
+  sim::Cycle wait;      // WAIT that blocks
+  sim::Cycle wake;      // WAKE, plus perWoken for each thread woken
+  sim::Cycle perWoken;
+};
+
 class KernelBase : public hw::KernelIf {
  public:
   explicit KernelBase(hw::Node& node);
@@ -165,9 +184,6 @@ class KernelBase : public hw::KernelIf {
   /// Load a job onto this node: create processes/threads, build memory
   /// maps, and start the main threads. Returns false on failure.
   virtual bool loadJob(const JobSpec& spec) = 0;
-
-  /// Kernel name for reports.
-  virtual const char* kernelName() const = 0;
 
   /// Messaging-relevant capabilities (paper §V-C): CNK lets user space
   /// drive the DMA directly and guarantees physically-contiguous
@@ -217,9 +233,12 @@ class KernelBase : public hw::KernelIf {
     sampleSink_ = std::move(f);
   }
 
-  /// Access to the kernel's futex table (used by the user-space mutex
-  /// runtime for handover unlocks). May be null.
-  virtual FutexTable* futexTable() { return nullptr; }
+  /// The futex wait queues (the user-space mutex runtime checks them
+  /// for handover unlocks).
+  const FutexTable& futexTable() const { return futex_; }
+
+  /// stdout/stderr collected from write(1/2) — host-visible console.
+  const std::string& console() const { return console_; }
 
   // statistics
   std::uint64_t threadsKilled() const { return threadsKilled_; }
@@ -246,6 +265,26 @@ class KernelBase : public hw::KernelIf {
 
   virtual const char* unameRelease() const = 0;
 
+  /// Decode read/write/open/close/lseek/stat/unlink/mkdir/chdir/dup
+  /// into `call`. Returns a result instead when the call ends in the
+  /// kernel: -EFAULT for an unreadable path or write buffer (cost
+  /// `base`), or a write to fd 1/2, appended to the console (cost
+  /// base + consoleCost + len/16).
+  std::optional<hw::HandlerResult> decodeFileSyscall(
+      Thread& t, const hw::SyscallArgs& a, sim::Cycle base,
+      sim::Cycle consoleCost, FileCall& call);
+
+  /// futex(WAIT/WAKE) on the (pid, vaddr) queues. A blocked waiter
+  /// yields its core (§VI-C).
+  hw::HandlerResult sysFutex(Thread& t, const hw::SyscallArgs& a,
+                             sim::Cycle base, const FutexCosts& costs);
+
+  /// The thread a clone() creates in t's process: t's registers,
+  /// returning 0, starting at arg5 with the TLS pointer arg4, plus
+  /// CLONE_CHILD_CLEARTID (arg3) and CLONE_PARENT_SETTID (arg2). The
+  /// caller validates the flags and places the thread on a core.
+  Thread& cloneThread(Thread& t, const hw::SyscallArgs& a);
+
   std::uint32_t allocPid() { return nextPid_++; }
   std::uint32_t allocTid() { return nextTid_++; }
 
@@ -255,6 +294,8 @@ class KernelBase : public hw::KernelIf {
 
   SampleSinkProvider sampleSink_;
   hw::Node& node_;
+  FutexTable futex_;
+  std::string console_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::uint32_t nextPid_ = 1;
   std::uint32_t nextTid_ = 1;

@@ -5,7 +5,6 @@ namespace bg::msg {
 hw::HandlerResult Armci::put(kernel::Thread& t, int myRank, int dstRank,
                              hw::VAddr localVa, hw::VAddr remoteVa,
                              std::uint64_t bytes) {
-  ++puts_;
   const RankInfo* me = world_.rank(myRank);
   const RankInfo* peer = world_.rank(dstRank);
   kernel::KernelBase* kern = me->kern;
@@ -37,7 +36,6 @@ hw::HandlerResult Armci::put(kernel::Thread& t, int myRank, int dstRank,
 hw::HandlerResult Armci::get(kernel::Thread& t, int myRank, int srcRank,
                              hw::VAddr remoteVa, hw::VAddr localVa,
                              std::uint64_t bytes) {
-  ++gets_;
   const RankInfo* me = world_.rank(myRank);
   kernel::KernelBase* kern = me->kern;
   kernel::Thread* tp = &t;

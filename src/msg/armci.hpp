@@ -29,16 +29,11 @@ class Armci {
                         hw::VAddr remoteVa, hw::VAddr localVa,
                         std::uint64_t bytes);
 
-  std::uint64_t puts() const { return puts_; }
-  std::uint64_t gets() const { return gets_; }
-
  private:
   MsgWorld& world_;
   Dcmf& dcmf_;
   hw::TorusNet& torus_;
   ArmciConfig cfg_;
-  std::uint64_t puts_ = 0;
-  std::uint64_t gets_ = 0;
 };
 
 }  // namespace bg::msg

@@ -226,13 +226,7 @@ void Cluster::attachSamples(int rank, int threadIndex,
 }
 
 std::string Cluster::consoleOf(int n) const {
-  if (auto* c = dynamic_cast<const cnk::CnkKernel*>(kernels_[n].get())) {
-    return c->console();
-  }
-  if (auto* f = dynamic_cast<const fwk::FwkKernel*>(kernels_[n].get())) {
-    return f->console();
-  }
-  return {};
+  return kernels_[n]->console();
 }
 
 }  // namespace bg::rt

@@ -107,10 +107,8 @@ class Cluster {
   /// replaced instances (their counters are folded in at replacement).
   io::CiodStats ciodTotals() const;
 
-  msg::MsgWorld& world() { return world_; }
   msg::Dcmf& dcmf() { return *dcmf_; }
   msg::Mpi& mpi() { return *mpi_; }
-  msg::Armci& armci() { return *armci_; }
 
   /// Boot every compute-node kernel; returns false if booting stalls.
   bool bootAll(std::uint64_t maxEvents = 10'000'000);

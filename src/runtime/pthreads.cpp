@@ -97,9 +97,7 @@ hw::HandlerResult Pthreads::mutexUnlock(hw::Core& core, kernel::Thread& t,
     return hw::HandlerResult::done(static_cast<std::uint64_t>(-kernel::kEFAULT),
                                    60);
   }
-  kernel::FutexTable* futexes = kern->futexTable();
-  if (futexes != nullptr &&
-      futexes->waiterCount(t.proc.pid(), mutex) > 0) {
+  if (kern->futexTable().waiterCount(t.proc.pid(), mutex) > 0) {
     // Handover: leave the mutex held and wake one waiter, which owns
     // it on return.
     auto r = invokeSyscall(core, t, Sys::kFutex, mutex, kernel::kFutexWake, 1);

@@ -187,7 +187,6 @@ class ServiceNode {
   const std::vector<JobRecord>& jobs() const { return jobs_; }
   PartitionManager& partitions() { return parts_; }
   RasAggregator& ras() { return ras_; }
-  const SchedulerPolicy& policy() const { return *policy_; }
   /// One persisted counter (see SvcCounter for what each one counts).
   std::uint64_t count(SvcCounter c) const { return counters_[c]; }
   /// Hangs the heartbeat watchdog declared (not persisted).

@@ -35,7 +35,6 @@ class Program {
   }
 
   const std::string& name() const { return name_; }
-  const std::vector<Instr>& code() const { return code_; }
   std::size_t size() const { return code_.size(); }
   const Instr& at(std::uint64_t pc) const { return code_[pc]; }
   bool valid(std::uint64_t pc) const { return pc < code_.size(); }

@@ -127,22 +127,26 @@ TEST_F(VfsClientTest, FdTableTracksOffsets) {
   const auto fd = client.open("/tmp/f", kernel::kOCreat | kernel::kORdwr);
   ASSERT_GE(fd, 3);
   const std::uint8_t d[] = {1, 2, 3, 4};
-  EXPECT_EQ(client.write(static_cast<int>(fd), std::as_bytes(std::span(d))),
+  EXPECT_EQ(client.pwriteAt(static_cast<int>(fd),
+                            std::as_bytes(std::span(d)), 0),
             4);
+  EXPECT_EQ(client.offsetOf(static_cast<int>(fd)), 4u);
   EXPECT_EQ(client.lseek(static_cast<int>(fd), 1, kernel::kSeekSet), 1);
+  ASSERT_EQ(client.offsetOf(static_cast<int>(fd)), 1u);
   std::uint8_t out[2];
-  EXPECT_EQ(client.read(static_cast<int>(fd),
-                        std::as_writable_bytes(std::span(out))),
+  EXPECT_EQ(client.preadAt(static_cast<int>(fd),
+                           std::as_writable_bytes(std::span(out)), 1),
             2);
   EXPECT_EQ(out[0], 2);
   EXPECT_EQ(out[1], 3);
+  EXPECT_EQ(client.offsetOf(static_cast<int>(fd)), 3u);
   client.close(static_cast<int>(fd));
 }
 
 TEST_F(VfsClientTest, SeekEndAndCur) {
   const auto fd = client.open("/tmp/f", kernel::kOCreat | kernel::kORdwr);
   const std::uint8_t d[8] = {};
-  client.write(static_cast<int>(fd), std::as_bytes(std::span(d)));
+  client.pwriteAt(static_cast<int>(fd), std::as_bytes(std::span(d)), 0);
   EXPECT_EQ(client.lseek(static_cast<int>(fd), -3, kernel::kSeekEnd), 5);
   EXPECT_EQ(client.lseek(static_cast<int>(fd), 2, kernel::kSeekCur), 7);
   EXPECT_EQ(client.lseek(static_cast<int>(fd), -100, kernel::kSeekSet),
@@ -164,14 +168,15 @@ TEST_F(VfsClientTest, DupSharesBackendState) {
   ASSERT_GT(fd2, fd);
   EXPECT_EQ(client.close(static_cast<int>(fd)), 0);
   const std::uint8_t d[] = {1};
-  EXPECT_EQ(client.write(static_cast<int>(fd2), std::as_bytes(std::span(d))),
+  EXPECT_EQ(client.pwriteAt(static_cast<int>(fd2),
+                            std::as_bytes(std::span(d)), 0),
             1);
   client.close(static_cast<int>(fd2));
 }
 
 TEST_F(VfsClientTest, BadFdErrors) {
   std::uint8_t buf[1];
-  EXPECT_EQ(client.read(99, std::as_writable_bytes(std::span(buf))),
+  EXPECT_EQ(client.preadAt(99, std::as_writable_bytes(std::span(buf)), 0),
             -kernel::kEBADF);
   EXPECT_EQ(client.close(99), -kernel::kEBADF);
 }

@@ -3,13 +3,15 @@
 
 Scans every `src/**/*.hpp` for member and free function declarations,
 then looks for a use of each name anywhere in `src/`, `tests/`,
-`bench/` and `examples/` (.hpp and .cpp). A use is any occurrence of
-the name that is not itself a declaration or an out-of-line
-definition: a call, an address taken (`&Cls::fn`), a `using`
-declaration. Names are matched without their class, so two classes
-sharing a method name shield each other; the scan can miss dead code
-but does not report live code, except for the allowlisted patterns
-below that the regexes misread.
+`bench/` and `examples/` (.hpp and .cpp). A use is a call (`fn(`,
+`fn<T>(`), an address taken (`&fn`, `&Cls::fn`) or a `using`
+declaration. Any other occurrence does not count, so a field, local
+variable or parameter that shares a method's name does not hide the
+dead method. Names are matched without their class, so two classes
+sharing a method name still shield each other; the scan can miss dead
+code but does not report live code, except for the allowlisted
+patterns below that the regexes misread (a function passed by bare
+name as a callback would be one).
 
 Usage:  python3 tools/uncalled_api.py
 
@@ -127,6 +129,53 @@ def is_declaration(toks, k):
     return is_ident(prev) and prev not in KEYWORDS
 
 
+def closes_template(toks, k):
+    """Index just past the `>` matching the `<` at toks[k], or -1 when
+    the statement ends first (then the `<` is a comparison)."""
+    depth = 0
+    for j in range(k, len(toks)):
+        t = toks[j][0]
+        if t == "<":
+            depth += 1
+        elif t == ">":
+            depth -= 1
+            if depth == 0:
+                return j + 1
+        elif t in (";", "{", "}"):
+            return -1
+    return -1
+
+
+def is_use(toks, k):
+    """True when toks[k] is called (`name(`, `name<...>(`), has its
+    address taken (`&name`, `&Cls::name`), or is named in a `using`.
+    Any other occurrence — a field, local or parameter of the same
+    name — is not a use of a function."""
+    nxt = toks[k + 1][0] if k + 1 < len(toks) else ""
+    if nxt == "(":
+        return True
+    if nxt == "<":
+        j = closes_template(toks, k + 1)
+        if 0 <= j < len(toks) and toks[j][0] == "(":
+            return True
+    j = k - 1
+    while j >= 1 and toks[j][0] == "::" and is_ident(toks[j - 1][0]):
+        j -= 2  # skip the qualifier: Cls::fn, ns::Cls::fn
+    if j >= 0 and toks[j][0] == "::":
+        j -= 1  # ::fn
+    if j < 0:
+        return False
+    if toks[j][0] == "using":
+        return True
+    if toks[j][0] != "&":
+        return False
+    # Unary & takes an address; after an operand it is a bitwise and.
+    prev = toks[j - 1][0] if j >= 1 else ""
+    binary = prev in (")", "]") or (prev[:1].isalnum() or prev[:1] == "_"
+                                    ) and prev not in KEYWORDS
+    return not binary
+
+
 def main():
     root = pathlib.Path(__file__).resolve().parent.parent
 
@@ -152,7 +201,7 @@ def main():
                         and tok not in types
                         and not (k > 0 and toks[k - 1][0] == "~")):
                     declared.setdefault(tok, []).append((p, off))
-            else:
+            elif is_use(toks, k):
                 used.add(tok)
 
     dead = sorted((p, off, name) for name, sites in declared.items()
