@@ -80,7 +80,8 @@ inline sim::Json statsToJson(const Stats& s) {
 /// parsing, the `--help` usage and every error message come.
 /// `--json PATH` and `--help` are built in. A switch sets its bool; a
 /// valued flag takes the next argument, which must not start with `--`
-/// and must parse in full as the destination's type.
+/// and must parse in full as the destination's type (a number must
+/// not be negative).
 class Args {
  public:
   /// `name` prefixes every error; `jsonHelp` says what `--json` writes.
@@ -159,8 +160,12 @@ class Args {
     *dst = v;
     return !dst->empty();
   }
+  /// Every numeric flag is a count, a rate, a seed or a cycle span,
+  /// so a leading `-` is rejected: from_chars would take "-5" for an
+  /// int or a double.
   template <class T>
   static bool parseValue(const char* v, T* dst) {
+    if (*v == '-') return false;
     const char* end = v + std::strlen(v);
     const auto [ptr, ec] = std::from_chars(v, end, *dst);
     return ec == std::errc() && ptr == end && ptr != v;
