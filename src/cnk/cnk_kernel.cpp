@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "cnk/coredump.hpp"
-#include "io/vfs.hpp"
 
 namespace bg::cnk {
 

@@ -264,7 +264,7 @@ std::optional<hw::HandlerResult> KernelBase::decodeFileSyscall(
     case Sys::kMkdir:
       req.op = FsOp::kMkdir;
       break;
-    default:
+    default:  // kChdir
       req.op = FsOp::kChdir;
       break;
   }
