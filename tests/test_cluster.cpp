@@ -38,11 +38,6 @@ void emitPathAt(vm::ProgramBuilder& b, std::int64_t off, const char* path) {
   }
 }
 
-/// The same at heapBase+256.
-void emitPath(vm::ProgramBuilder& b, const char* path) {
-  emitPathAt(b, 256, path);
-}
-
 TEST(Cluster, PsetRoutingSendsEachNodeToItsIoNode) {
   // 4 compute nodes, 2 I/O nodes, pset size 2: nodes 0,1 -> ION 0 and
   // nodes 2,3 -> ION 1; each rank's checkpoint lands on its own ION.
@@ -54,7 +49,7 @@ TEST(Cluster, PsetRoutingSendsEachNodeToItsIoNode) {
   ASSERT_TRUE(cluster.bootAll());
 
   vm::ProgramBuilder b("t");
-  emitPath(b, "/tmp/x");
+  emitPathAt(b, 256, "/tmp/x");
   b.mov(1, 21);
   b.li(2, static_cast<std::int64_t>(kernel::kOCreat | kernel::kOWronly));
   b.syscall(sys(kernel::Sys::kOpen));
@@ -147,7 +142,7 @@ TEST(Cluster, GetcwdReflectsShippedChdir) {
   rt::Cluster cluster(cfg);
   ASSERT_TRUE(cluster.bootAll());
   vm::ProgramBuilder b("t");
-  emitPath(b, "/tmp");
+  emitPathAt(b, 256, "/tmp");
   b.mov(1, 21);
   b.syscall(sys(kernel::Sys::kChdir));
   b.sample(0);
@@ -184,7 +179,7 @@ TEST(Cluster, StatShipsAndFillsUserStruct) {
     rt::Cluster cluster(cfg);
     ASSERT_TRUE(cluster.bootAll());
     vm::ProgramBuilder b("t");
-    emitPath(b, "/st");
+    emitPathAt(b, 256, "/st");
     b.mov(1, 21);
     b.li(2, static_cast<std::int64_t>(kernel::kOCreat | kernel::kOWronly));
     b.syscall(sys(kernel::Sys::kOpen));
@@ -488,7 +483,7 @@ TEST(Cluster, FileBackedMmapCopiesInEagerly) {
   cluster.ioRootFs(0).putFile("/tmp/m", contents);
 
   vm::ProgramBuilder b("t");
-  emitPath(b, "/tmp/m");
+  emitPathAt(b, 256, "/tmp/m");
   b.mov(1, 21);
   b.li(2, 0);
   b.syscall(sys(kernel::Sys::kOpen));
