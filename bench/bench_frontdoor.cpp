@@ -89,7 +89,7 @@ FdResult runSwarm(const FdParams& p) {
   // The front-door net is its own collective tree (submission traffic
   // does not contend with the compute-side I/O path), with one
   // faultable uplink per client.
-  hw::CollectiveNet fdnet(cluster.engine(), hw::CollectiveConfig{});
+  hw::CollectiveNet fdnet(cluster.engine());
   hw::LinkFaultModel faults(p.seed, "fd.link");
   hw::LinkFaultRates rates;
   rates.dropRate = p.dropRate;
@@ -118,7 +118,7 @@ FdResult runSwarm(const FdParams& p) {
   // A burst of this size genuinely overloads 8 nodes; give clients
   // enough linear-backoff budget to ride the backlog out rather than
   // abandon (the rejection-rate metric still shows the backpressure).
-  sp.client.maxBusyRetries = 24;
+  sp.clientMaxBusyRetries = 24;
   fd::Swarm swarm(cluster.engine(), fdnet, sp);
 
   // Seeded control-plane fail-stops inside the swarm window.

@@ -5,6 +5,9 @@
 #include "vm/builder.hpp"
 
 namespace bg::apps {
+namespace {
+constexpr std::uint64_t kDoubles = 1;  // double-sum payload elements
+}  // namespace
 
 std::shared_ptr<kernel::ElfImage> allreduceImage(const AllreduceParams& p) {
   using vm::Reg;
@@ -30,7 +33,7 @@ std::shared_ptr<kernel::ElfImage> allreduceImage(const AllreduceParams& p) {
   if (p.computeCycles > 0) b.compute(p.computeCycles);
   b.readTb(rT0);
   b.mov(1, rSrc);
-  b.li(2, static_cast<std::int64_t>(p.doubles));
+  b.li(2, static_cast<std::int64_t>(kDoubles));
   b.mov(3, rDst);
   b.rtcall(static_cast<std::int64_t>(rt::Rt::kMpiAllreduce));
   b.readTb(rT1);

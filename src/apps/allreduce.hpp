@@ -17,7 +17,6 @@ namespace bg::apps {
 
 struct AllreduceParams {
   int iterations = 1000;
-  std::uint64_t doubles = 1;  // double-sum payload elements
   /// Compute between iterations (models the application work whose
   /// duration noise perturbs).
   std::uint64_t computeCycles = 20'000;

@@ -15,13 +15,16 @@ constexpr Reg rEnd = 18;    // window end timebase
 constexpr Reg rNow = 19;
 constexpr Reg rTidBase = 20;
 
+constexpr std::uint64_t kWindowCycles = 850'000;  // 1ms at 850MHz
+constexpr std::uint64_t kUnitCycles = 2'000;      // one work unit
+
 void emitFtqLoop(vm::ProgramBuilder& b, const FtqParams& p) {
   const auto outer = b.loopBegin(rWin, p.windows);
   b.readTb(rEnd);
-  b.addi(rEnd, rEnd, static_cast<std::int64_t>(p.windowCycles));
+  b.addi(rEnd, rEnd, static_cast<std::int64_t>(kWindowCycles));
   b.li(rCount, 0);
   const auto unit = b.label();
-  b.compute(p.unitCycles);
+  b.compute(kUnitCycles);
   b.addi(rCount, rCount, 1);
   b.readTb(rNow);
   b.blt(rNow, rEnd, unit);

@@ -16,8 +16,6 @@ namespace bg::apps {
 
 struct FtqParams {
   int windows = 1000;
-  std::uint64_t windowCycles = 850'000;  // 1ms at 850MHz
-  std::uint64_t unitCycles = 2'000;      // one work unit
   int threads = 4;
 };
 

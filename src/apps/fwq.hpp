@@ -16,19 +16,10 @@ namespace bg::apps {
 
 struct FwqParams {
   int samples = 12000;
-  int repsPerSample = 256;  // DAXPY repetitions per sample
   /// Cycles of one 256-element DAXPY repetition. Calibrated so a clean
   /// sample costs ~658.9K cycles (~0.775ms at 850MHz; the paper's
   /// minimum was 658,958).
   std::uint64_t cyclesPerRep = 2570;
-  std::uint32_t vecBytes = 6144;  // 3 x 256 doubles: x, y, and result
-  /// A light per-sample sweep over a region larger than L1, so each
-  /// sample generates a little shared-cache traffic. This is what
-  /// gives CNK its tiny-but-nonzero noise floor (cross-core bank
-  /// arbitration), matching the paper's <0.006% rather than an
-  /// implausible exact zero. Set to 0 to disable.
-  std::uint32_t streamBytes = 48 << 10;
-  std::uint32_t streamStride = 4096;  // one L1 set: ~12 L3 accesses/sample
   int threads = 4;  // one per core
 };
 

@@ -5,6 +5,12 @@
 #include "vm/builder.hpp"
 
 namespace bg::apps {
+namespace {
+
+constexpr std::uint32_t kTouchBytes = 128 << 10;  // per-phase panel sweep
+constexpr std::uint32_t kTouchStride = 128;
+
+}  // namespace
 
 std::shared_ptr<kernel::ElfImage> linpackImage(const LinpackParams& p) {
   using vm::Reg;
@@ -19,15 +25,13 @@ std::shared_ptr<kernel::ElfImage> linpackImage(const LinpackParams& p) {
   b.readTb(rT0);
 
   const auto top = b.loopBegin(rPhase, p.phases);
-  b.compute(p.computePerPhase);
-  b.memTouch(rPanel, 0, p.touchBytes, p.touchStride, /*write=*/true);
-  if (p.useCollective) {
-    b.mov(1, 10);
-    b.li(2, 1);
-    b.mov(3, 10);
-    b.addi(3, 3, 4096);
-    b.rtcall(static_cast<std::int64_t>(rt::Rt::kMpiAllreduce));
-  }
+  b.compute(kLinpackComputePerPhase);
+  b.memTouch(rPanel, 0, kTouchBytes, kTouchStride, /*write=*/true);
+  b.mov(1, 10);
+  b.li(2, 1);
+  b.mov(3, 10);
+  b.addi(3, 3, 4096);
+  b.rtcall(static_cast<std::int64_t>(rt::Rt::kMpiAllreduce));
   b.loopEnd(rPhase, top);
 
   b.readTb(rT1);

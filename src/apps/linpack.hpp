@@ -13,12 +13,11 @@
 
 namespace bg::apps {
 
+/// Compute cycles of one phase.
+inline constexpr std::uint64_t kLinpackComputePerPhase = 300'000;
+
 struct LinpackParams {
   int phases = 24;
-  std::uint64_t computePerPhase = 300'000;
-  std::uint32_t touchBytes = 128 << 10;  // per-phase panel sweep
-  std::uint32_t touchStride = 128;
-  bool useCollective = true;  // allreduce per phase (multi-rank runs)
 };
 
 std::shared_ptr<kernel::ElfImage> linpackImage(const LinpackParams& p = {});

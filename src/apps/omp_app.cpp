@@ -5,6 +5,9 @@
 #include "vm/builder.hpp"
 
 namespace bg::apps {
+namespace {
+constexpr std::uint64_t kPhaseCycles = 80'000;  // per-thread work per phase
+}  // namespace
 
 std::shared_ptr<kernel::ElfImage> ompAppImage(const OmpAppParams& p) {
   using vm::Reg;
@@ -23,7 +26,7 @@ std::shared_ptr<kernel::ElfImage> ompAppImage(const OmpAppParams& p) {
   const auto phaseTop = b.loopBegin(rPhase, p.phases);
 
   // MPI phase: compute + allreduce with the other ranks.
-  b.compute(p.phaseCycles);
+  b.compute(kPhaseCycles);
   b.mov(1, 10);
   b.li(2, 1);
   b.mov(3, 10);
@@ -52,7 +55,7 @@ std::shared_ptr<kernel::ElfImage> ompAppImage(const OmpAppParams& p) {
   b.sample(rOk);  // per-phase sample: team workers actually created
 
   // Master does its chunk of the parallel work, then joins the team.
-  b.compute(p.phaseCycles);
+  b.compute(kPhaseCycles);
   b.li(rI, 0);
   const auto joinTop = b.label();
   const std::size_t joinDone = b.emitForwardBranch(vm::Op::kBeqz, rOk);
@@ -71,7 +74,7 @@ std::shared_ptr<kernel::ElfImage> ompAppImage(const OmpAppParams& p) {
 
   // Worker: compute its chunk, exit (join synchronizes the team).
   const std::int64_t workerEntry = b.label();
-  b.compute(p.phaseCycles);
+  b.compute(kPhaseCycles);
   b.halt();
 
   for (std::size_t fix : entryFixups) b.patchTarget(fix, workerEntry);

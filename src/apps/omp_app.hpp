@@ -18,8 +18,7 @@
 namespace bg::apps {
 
 struct OmpAppParams {
-  int ompThreads = 4;                 // team size incl. the master
-  std::uint64_t phaseCycles = 80'000; // per-thread work per phase
+  int ompThreads = 4;  // team size incl. the master
   int phases = 3;
 };
 

@@ -5,6 +5,9 @@
 #include "vm/builder.hpp"
 
 namespace bg::apps {
+namespace {
+constexpr std::uint32_t kLibTouchBytes = 16 << 10;  // library text touched
+}  // namespace
 
 std::vector<std::shared_ptr<kernel::ElfImage>> umtLibraries(
     const UmtParams& p) {
@@ -54,7 +57,7 @@ std::shared_ptr<kernel::ElfImage> umtImage(const UmtParams& p) {
   }
   // Master executes out of the library image as well: on the FWK this
   // is where lazy library pages fault in from networked storage.
-  b.memTouch(rLibBase, 0, p.libTouchBytes);
+  b.memTouch(rLibBase, 0, kLibTouchBytes);
   b.compute(p.computeCycles);
   for (int i = 1; i < p.threads; ++i) {
     b.load(vm::kArg0, rTidBase, (i - 1) * 8);
@@ -86,7 +89,7 @@ std::shared_ptr<kernel::ElfImage> umtImage(const UmtParams& p) {
 
   b.mov(1, rFd);
   b.mov(2, 10);  // write from heap base
-  b.li(3, p.outputBytes);
+  b.li(3, kUmtOutputBytes);
   b.syscall(static_cast<std::int64_t>(kernel::Sys::kWrite));
   b.sample(vm::kRetReg);  // bytes written
 
@@ -99,7 +102,7 @@ std::shared_ptr<kernel::ElfImage> umtImage(const UmtParams& p) {
   // Worker: touch the library, compute, exit.
   const std::int64_t workerEntry = b.label();
   b.mov(rLibBase, vm::kArg0);
-  b.memTouch(rLibBase, 0, p.libTouchBytes);
+  b.memTouch(rLibBase, 0, kLibTouchBytes);
   b.compute(p.computeCycles);
   b.halt();
 

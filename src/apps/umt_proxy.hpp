@@ -18,12 +18,13 @@
 
 namespace bg::apps {
 
+/// Bytes the main thread writes to /tmp/umt.out through fship.
+inline constexpr std::uint32_t kUmtOutputBytes = 8192;
+
 struct UmtParams {
   int libs = 2;             // dynamic libraries to dlopen
   int threads = 4;
   std::uint64_t computeCycles = 120'000;  // per thread
-  std::uint32_t libTouchBytes = 16 << 10; // library text executed/touched
-  std::uint32_t outputBytes = 8192;
 };
 
 std::shared_ptr<kernel::ElfImage> umtImage(const UmtParams& p = {});

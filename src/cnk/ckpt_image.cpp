@@ -45,7 +45,7 @@ bool allZero(std::span<const std::byte> buf) {
 // ---------------------------------------------------------------------------
 
 hw::HandlerResult CnkKernel::sysCkptSave(Thread& t) {
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
   if (cfg_.ioNodeNetId < 0) {
     return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOSYS),
                                base);
@@ -85,7 +85,7 @@ hw::HandlerResult CnkKernel::sysCkptSave(Thread& t) {
 }
 
 hw::HandlerResult CnkKernel::sysCkptRestore(Thread& t) {
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
   if (cfg_.ioNodeNetId < 0) {
     return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOSYS),
                                base);

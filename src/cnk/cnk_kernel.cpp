@@ -14,9 +14,13 @@ using kernel::Thread;
 using hw::HandlerResult;
 
 namespace {
-// CNK's futex and console costs on top of syscallBaseCost.
+// CNK's futex and console costs on top of kSyscallBaseCost.
 constexpr kernel::FutexCosts kFutexCosts{30, 60, 40, 25};
 constexpr sim::Cycle kConsoleCost = 120;
+constexpr std::uint64_t kPersistPoolBytes = 32ULL << 20;
+constexpr std::uint64_t kGuardBytes = 64ULL << 10;
+constexpr std::uint64_t kMainStackBytes = 1ULL << 20;
+constexpr std::uint32_t kJobUid = 1000;  // owner uid for persistent regions
 }  // namespace
 
 CnkKernel::CnkKernel(hw::Node& node, Config cfg)
@@ -30,8 +34,8 @@ CnkKernel::CnkKernel(hw::Node& node, Config cfg)
   linker_ = std::make_unique<Linker>(*this);
   clockStop_ = std::make_unique<hw::ClockStop>(node);
   // Persistent pool sits at the top of physical memory.
-  const std::uint64_t poolBase = node.mem().size() - cfg_.persistPoolBytes;
-  persist_.configurePool(poolBase, cfg_.persistPoolBytes, kPersistVBase);
+  const std::uint64_t poolBase = node.mem().size() - kPersistPoolBytes;
+  persist_.configurePool(poolBase, kPersistPoolBytes, kPersistVBase);
 }
 
 CnkKernel::~CnkKernel() = default;
@@ -75,7 +79,7 @@ bool CnkKernel::loadJob(const JobSpec& spec) {
   PartitionRequest req;
   req.physBase = cfg_.kernelReservedBytes;
   req.physSize =
-      node_.mem().size() - cfg_.kernelReservedBytes - cfg_.persistPoolBytes;
+      node_.mem().size() - cfg_.kernelReservedBytes - kPersistPoolBytes;
   req.processes = spec.processes;
   req.textBytes = spec.exe->textBytes();
   req.dataBytes = spec.exe->dataBytes();
@@ -124,7 +128,7 @@ bool CnkKernel::loadJob(const JobSpec& spec) {
     p.heapLimit = hsBase + lay.heapStack.size / 2;
     p.stackTop = hsEnd;
     p.sharedBase = lay.shared.size > 0 ? lay.shared.vbase : 0;
-    mmap_[pid].reset(p.heapLimit, hsEnd - cfg_.mainStackBytes);
+    mmap_[pid].reset(p.heapLimit, hsEnd - kMainStackBytes);
 
     // Core assignment: contiguous blocks (VN mode: one core each; SMP:
     // all cores to the single process).
@@ -146,7 +150,7 @@ bool CnkKernel::loadJob(const JobSpec& spec) {
 
     // Import persistent regions requested by the job.
     for (const std::string& name : spec.persistentRegions) {
-      auto r = persist_.openOrCreate(name, hw::kPage1M, cfg_.jobUid);
+      auto r = persist_.openOrCreate(name, hw::kPage1M, kJobUid);
       if (r) {
         kernel::MemRegionDesc d;
         d.name = "persist:" + name;
@@ -176,7 +180,7 @@ bool CnkKernel::loadJob(const JobSpec& spec) {
 
     // Main-thread guard page at the heap boundary (Fig 4).
     main.guardLo = p.brk;
-    main.guardHi = p.brk + cfg_.guardBytes;
+    main.guardHi = p.brk + kGuardBytes;
 
     sched_.assign(main, cores.front());
     newProcs.push_back(&p);
@@ -272,10 +276,10 @@ hw::HandlerResult CnkKernel::syscall(hw::Core& core, hw::ThreadCtx& ctx,
                         args.arg[1]);
   }
   if (auto r = commonSyscall(core, t, args)) {
-    r->cost += cfg_.syscallBaseCost;
+    r->cost += kSyscallBaseCost;
     return *r;
   }
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
   switch (static_cast<Sys>(args.nr)) {
     case Sys::kExit:
     case Sys::kExitGroup:
@@ -372,7 +376,7 @@ hw::HandlerResult CnkKernel::syscall(hw::Core& core, hw::ThreadCtx& ctx,
 
 hw::HandlerResult CnkKernel::sysBrk(Thread& t, std::uint64_t newBrk) {
   Process& p = t.proc;
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
   if (newBrk == 0) return HandlerResult::done(p.brk, base + 10);
   if (newBrk < p.heapBase || newBrk > p.heapLimit) {
     return HandlerResult::done(p.brk, base + 10);  // Linux brk semantics
@@ -385,9 +389,9 @@ hw::HandlerResult CnkKernel::sysBrk(Thread& t, std::uint64_t newBrk) {
     // If the caller is not on the main thread's core, this takes an
     // IPI to reposition the DAC registers there (paper §IV-C).
     Thread* main = p.mainThread();
-    if (main != nullptr && newBrk + cfg_.guardBytes > main->guardLo) {
+    if (main != nullptr && newBrk + kGuardBytes > main->guardLo) {
       main->guardLo = p.brk;
-      main->guardHi = p.brk + cfg_.guardBytes;
+      main->guardHi = p.brk + kGuardBytes;
       const int mainCore = main->ctx.coreAffinity;
       if (mainCore >= 0 && mainCore != t.ctx.coreAffinity) {
         pendingGuard_[static_cast<std::size_t>(mainCore)] = {
@@ -409,7 +413,7 @@ hw::HandlerResult CnkKernel::sysMmap(Thread& t, const hw::SyscallArgs& a) {
   MmapTracker& mt = mmap_[p.pid()];
   const std::uint64_t len = a.arg[1];
   const std::uint64_t flags = a.arg[3];
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
 
   if (len == 0) {
     return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kEINVAL),
@@ -471,7 +475,7 @@ hw::HandlerResult CnkKernel::sysMunmap(Thread& t, const hw::SyscallArgs& a) {
   const bool ok = mt.free(a.arg[0], hw::alignUp(a.arg[1], 4096));
   return HandlerResult::done(
       ok ? 0 : static_cast<std::uint64_t>(-kernel::kEINVAL),
-      cfg_.syscallBaseCost + 50);
+      kSyscallBaseCost + 50);
 }
 
 hw::HandlerResult CnkKernel::sysMprotect(Thread& t,
@@ -485,14 +489,14 @@ hw::HandlerResult CnkKernel::sysMprotect(Thread& t,
   p.lastMprotectLen = a.arg[1];
   mmap_[p.pid()].setProt(a.arg[0], a.arg[1],
                          static_cast<std::uint8_t>(a.arg[2] & 7));
-  return HandlerResult::done(0, cfg_.syscallBaseCost + 30);
+  return HandlerResult::done(0, kSyscallBaseCost + 30);
 }
 
 hw::HandlerResult CnkKernel::sysClone(hw::Core& core, Thread& t,
                                       const hw::SyscallArgs& a) {
   Process& p = t.proc;
   const std::uint64_t flags = a.arg[0];
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
 
   // Validate against the static NPTL flag set (§IV-B1). CNK supports
   // thread creation only — no fork/exec (§VII-B).
@@ -550,13 +554,13 @@ hw::HandlerResult CnkKernel::sysClone(hw::Core& core, Thread& t,
 hw::HandlerResult CnkKernel::sysPersistOpen(Thread& t,
                                             const hw::SyscallArgs& a) {
   Process& p = t.proc;
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
   const auto name = readUserString(p, a.arg[0], 256);
   if (!name) {
     return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kEFAULT),
                                base);
   }
-  const auto r = persist_.openOrCreate(*name, a.arg[1], cfg_.jobUid);
+  const auto r = persist_.openOrCreate(*name, a.arg[1], kJobUid);
   if (!r) {
     return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kEACCES),
                                base + 60);
@@ -680,11 +684,6 @@ hw::HandlerResult CnkKernel::onInterrupt(hw::Core& core, hw::Irq irq) {
             logRas(kernel::RasEvent::Code::kMachineCheck,
                    kernel::RasEvent::Severity::kWarn, pid, tid, syn.paddr);
             cost += 150;
-            break;
-          case hw::McSyndrome::Kind::kSpurious:
-            logRas(kernel::RasEvent::Code::kMachineCheck,
-                   kernel::RasEvent::Severity::kWarn, 0, 0, 0);
-            cost += 80;
             break;
           case hw::McSyndrome::Kind::kUncorrectable:
             panic = true;

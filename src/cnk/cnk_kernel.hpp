@@ -39,18 +39,13 @@ class CnkKernel final : public kernel::KernelBase {
   struct Config {
     int maxThreadsPerCore = 3;
     std::uint64_t kernelReservedBytes = 16ULL << 20;
-    std::uint64_t persistPoolBytes = 32ULL << 20;
-    std::uint64_t guardBytes = 64ULL << 10;
-    std::uint64_t mainStackBytes = 1ULL << 20;
-    sim::Cycle syscallBaseCost = 90;  // trap + dispatch on CNK
-    int ioNodeNetId = -1;             // set by the cluster harness
+    int ioNodeNetId = -1;  // set by the cluster harness
     /// Function-shipping reliability knobs (watchdog, retransmit,
     /// failover grace); defaults are invisible on a fault-free run.
     FshipClient::Config fship;
     /// §VIII extended thread affinity: allow a core to execute a
     /// pthread from one designated "remote" process.
     bool remoteThreadExtension = false;
-    std::uint32_t jobUid = 1000;  // owner uid for persistent regions
   };
 
   explicit CnkKernel(hw::Node& node) : CnkKernel(node, Config()) {}
@@ -77,7 +72,6 @@ class CnkKernel final : public kernel::KernelBase {
 
   // ---- job/service API ----
   void unloadJob();  // persistent regions survive
-  const Config& config() const { return cfg_; }
 
   FshipClient& fship() { return *fship_; }
   Linker& linker() { return *linker_; }
@@ -134,6 +128,8 @@ class CnkKernel final : public kernel::KernelBase {
   }
 
  private:
+  static constexpr sim::Cycle kSyscallBaseCost = 90;  // trap + dispatch
+
   hw::HandlerResult sysBrk(kernel::Thread& t, std::uint64_t newBrk);
   hw::HandlerResult sysMmap(kernel::Thread& t, const hw::SyscallArgs& a);
   hw::HandlerResult sysMunmap(kernel::Thread& t, const hw::SyscallArgs& a);

@@ -64,53 +64,81 @@ sim::Cycle FshipClient::shipRaw(io::FsOp op, std::uint32_t pid,
                                 std::string path,
                                 std::vector<std::byte> payload,
                                 Completion completion) {
+  PendingOp p;
+  p.req.srcNode = kern_.node().id();
+  p.req.pid = pid;
+  p.req.tid = tid;
+  p.req.op = op;
+  p.req.a0 = a0;
+  p.req.a1 = a1;
+  p.req.a2 = a2;
+  p.req.path = std::move(path);
+  p.req.payload = std::move(payload);
+  p.completion = std::move(completion);
+  ++stats_.requests;
+  const sim::Cycle cost = marshalCost(p.req.payload.size());
+
   const ChanKey key{pid, tid};
-  // One op at a time per (pid, tid): the calling thread is blocked,
-  // and kernel-internal chains are sequential.
-  assert(pending_.find(key) == pending_.end());
+  const auto busy = pending_.find(key);
+  if (busy == pending_.end()) {
+    start(key, std::move(p));
+  } else if (op == io::FsOp::kRestoreState) {
+    // A restore rebuilds the ioproxy every other op of the process
+    // needs, so it takes the channel at once. The op it displaces
+    // (parked by rehome) runs again after the ack under a fresh seq:
+    // the spare's replay cache would drop its old, lower one as stale.
+    cancelTimer(busy->second);
+    queued_[key].push_front(std::move(busy->second));
+    pending_.erase(busy);
+    start(key, std::move(p));
+  } else {
+    queued_[key].push_back(std::move(p));
+  }
+  return cost;
+}
 
-  io::FsRequest req;
-  req.seq = ++nextSeq_[key];
-  req.srcNode = kern_.node().id();
-  req.pid = pid;
-  req.tid = tid;
-  req.op = op;
-  req.a0 = a0;
-  req.a1 = a1;
-  req.a2 = a2;
-  req.path = std::move(path);
-  req.payload = std::move(payload);
-
+void FshipClient::start(const ChanKey& key, PendingOp op) {
+  op.req.seq = ++nextSeq_[key];
   // Idempotency: read/write carry the shadow offset explicitly, so a
   // retransmitted (or replayed-after-failover) op hits the same file
   // range and produces the same result.
-  if (op == io::FsOp::kRead || op == io::FsOp::kWrite) {
-    auto sit = shadow_.find(pid);
+  if (op.req.op == io::FsOp::kRead || op.req.op == io::FsOp::kWrite) {
+    auto sit = shadow_.find(key.first);
     if (sit != shadow_.end()) {
-      auto fit = sit->second.fds.find(static_cast<int>(a0));
-      if (fit != sit->second.fds.end()) req.a2 = fit->second->offset;
+      auto fit = sit->second.fds.find(static_cast<int>(op.req.a0));
+      if (fit != sit->second.fds.end()) op.req.a2 = fit->second->offset;
     }
   }
-
-  ++stats_.requests;
-  const sim::Cycle cost = marshalCost(req.payload.size());
-
-  PendingOp p;
-  p.req = std::move(req);
-  p.completion = std::move(completion);
-  p.timeout = cfg_.requestTimeout;
-  auto [it, inserted] = pending_.emplace(key, std::move(p));
+  op.attempts = 0;
+  op.timeout = cfg_.requestTimeout;
+  // While the ioproxy on a replacement I/O node is not rebuilt yet,
+  // the op parks behind the restore ack and is transmitted then.
+  op.parked = shadow_[key.first].awaitingRestore &&
+              op.req.op != io::FsOp::kRestoreState;
+  const auto [it, inserted] = pending_.emplace(key, std::move(op));
+  assert(inserted && "channel already has an op in flight");
   (void)inserted;
-
-  if (shadow_[pid].awaitingRestore && op != io::FsOp::kRestoreState) {
-    // The ioproxy on the replacement I/O node is not rebuilt yet; the
-    // op queues behind the restore ack and is transmitted then.
-    it->second.parked = true;
-  } else {
+  if (!it->second.parked) {
     transmit(it->second);
     armTimer(key, it->second, it->second.timeout, /*grace=*/false);
   }
-  return cost;
+}
+
+void FshipClient::retire(std::map<ChanKey, PendingOp>::iterator it) {
+  const ChanKey key = it->first;
+  pending_.erase(it);
+  const auto q = queued_.find(key);
+  if (q == queued_.end()) return;
+  PendingOp next = std::move(q->second.front());
+  q->second.pop_front();
+  if (q->second.empty()) queued_.erase(q);
+  start(key, std::move(next));
+}
+
+std::size_t FshipClient::pendingCount() const {
+  std::size_t n = pending_.size();
+  for (const auto& [key, q] : queued_) n += q.size();
+  return n;
 }
 
 hw::HandlerResult FshipClient::ship(kernel::Thread& t, io::FsOp op,
@@ -178,7 +206,7 @@ void FshipClient::giveUp(const ChanKey& key, PendingOp& op) {
     // the service node try the next spare.
     const std::uint32_t pid = op.req.pid;
     shadow_[pid].awaitingRestore = false;
-    pending_.erase(key);
+    retire(pending_.find(key));
     std::vector<ChanKey> gated;
     for (auto& [k, p] : pending_) {
       if (k.first == pid && p.parked) gated.push_back(k);
@@ -216,7 +244,7 @@ void FshipClient::abandonWithEio(const ChanKey& key) {
   rep.pid = it->second.req.pid;
   rep.tid = it->second.req.tid;
   rep.result = -kernel::kEIO;
-  pending_.erase(it);
+  retire(it);
   ++stats_.eioReturns;
   // Shadow state is deliberately not touched: the op's server-side
   // effect is unknown (the reply may have been lost after commit) —
@@ -269,11 +297,10 @@ void FshipClient::rehome(int newIoNodeNetId) {
   // restore and is retransmitted — exactly once, thanks to the
   // explicit offsets and the replay cache — when it acks.
   for (auto it = pending_.begin(); it != pending_.end();) {
+    cancelTimer(it->second);
     if (it->second.req.op == io::FsOp::kRestoreState) {
-      cancelTimer(it->second);
-      it = pending_.erase(it);
+      it = pending_.erase(it);  // its queue waits for the new restore
     } else {
-      cancelTimer(it->second);
       it->second.parked = true;
       ++it;
     }
@@ -288,6 +315,9 @@ void FshipClient::rehome(int newIoNodeNetId) {
   for (const auto& [key, p] : pending_) {
     if (!shadow_[key.first].dirty()) pids.push_back(key.first);
   }
+  for (const auto& [key, q] : queued_) {
+    if (!shadow_[key.first].dirty()) pids.push_back(key.first);
+  }
   std::sort(pids.begin(), pids.end());
   pids.erase(std::unique(pids.begin(), pids.end()), pids.end());
   for (const std::uint32_t pid : pids) {
@@ -299,6 +329,7 @@ void FshipClient::rehome(int newIoNodeNetId) {
 void FshipClient::reset() {
   for (auto& [key, p] : pending_) cancelTimer(p);
   pending_.clear();
+  queued_.clear();
   shadow_.clear();
   // Sequence numbers are deliberately NOT cleared: CIOD's per-channel
   // replay cache outlives the job, and the kernel-internal (pid 0,
@@ -388,10 +419,10 @@ void FshipClient::onReply(hw::CollPacket&& pkt) {
 
   if (op.req.op == io::FsOp::kRestoreState) {
     const std::uint32_t pid = op.req.pid;
-    pending_.erase(it);
     shadow_[pid].awaitingRestore = false;
-    // Flush everything that queued behind the restore: fresh timeout
-    // credit on the (healthy) spare.
+    // Flush everything that parked behind the restore: fresh timeout
+    // credit on the (healthy) spare. Ops queued on the restore's own
+    // channel start after it, in order.
     for (auto& [k, p] : pending_) {
       if (k.first != pid || !p.parked) continue;
       p.parked = false;
@@ -400,11 +431,12 @@ void FshipClient::onReply(hw::CollPacket&& pkt) {
       transmit(p);
       armTimer(k, p, p.timeout, /*grace=*/false);
     }
+    retire(it);
     return;
   }
 
   Completion c = std::move(op.completion);
-  pending_.erase(it);
+  retire(it);
   if (c) c(std::move(*rep));
 }
 

@@ -8,8 +8,11 @@
 // trivial — no kernel context switch ever happens on a kernel stack.
 //
 // Reliability: each (pid, tid) channel carries at most one op at a
-// time (the thread is blocked), numbered by a monotone per-channel
-// seq. A watchdog retransmits with bounded exponential backoff;
+// time, numbered by a monotone per-channel seq. A user thread is
+// blocked while its op is out; ops that share a channel otherwise
+// (the coredump and checkpoint-image chains on pid 0's, a failover
+// restore on its process's tid-0 channel) queue FIFO behind the op in
+// flight. A watchdog retransmits with bounded exponential backoff;
 // duplicate and stale replies are suppressed by seq; a request that
 // exhausts its retries raises RAS and either returns -EIO to the app
 // or parks for a failover grace window. The client also keeps a
@@ -21,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -103,6 +107,8 @@ class FshipClient {
   /// Lower-level variant for kernel-internal chains (the dynamic
   /// linker's open/read/close sequence): completion gets the reply.
   /// A reply with result == -EIO may be synthesized by the watchdog.
+  /// An op shipped on a channel that already has one in flight waits
+  /// behind it; completions fire in shipping order.
   using Completion = std::function<void(io::FsReply&&)>;
   sim::Cycle shipRaw(io::FsOp op, std::uint32_t pid, std::uint32_t tid,
                      std::uint64_t a0, std::uint64_t a1, std::uint64_t a2,
@@ -123,7 +129,8 @@ class FshipClient {
   bool ioNodeDead() const { return ioNodeDead_; }
   const Config& config() const { return cfg_; }
   const FshipStats& stats() const { return stats_; }
-  std::size_t pendingCount() const { return pending_.size(); }
+  /// Ops shipped and not yet completed, queued ones included.
+  std::size_t pendingCount() const;
   /// Remote fds a process holds open via the shadow (the checkpoint
   /// engine refuses to cut while any exist: fd state is not in the
   /// image, so a restored process would hold dangling descriptors).
@@ -158,6 +165,11 @@ class FshipClient {
     bool parked = false;  // awaiting failover grace or a restore ack
   };
 
+  /// Number `op` on its channel and put it on the wire (or park it
+  /// behind an awaited restore). The channel must be idle.
+  void start(const ChanKey& key, PendingOp op);
+  /// Drop the channel's op in flight and start the next queued one.
+  void retire(std::map<ChanKey, PendingOp>::iterator it);
   void transmit(PendingOp& op);
   void armTimer(const ChanKey& key, PendingOp& op, sim::Cycle delay,
                 bool grace);
@@ -177,7 +189,8 @@ class FshipClient {
   int ioNodeNetId_;
   Config cfg_;
   std::map<ChanKey, std::uint64_t> nextSeq_;
-  std::map<ChanKey, PendingOp> pending_;
+  std::map<ChanKey, PendingOp> pending_;  // the op in flight per channel
+  std::map<ChanKey, std::deque<PendingOp>> queued_;  // waiting behind it
   std::map<std::uint32_t, ProcShadow> shadow_;
   bool ioNodeDead_ = false;
   FshipStats stats_;

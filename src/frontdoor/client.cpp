@@ -4,16 +4,20 @@
 #include <utility>
 
 namespace bg::fd {
+namespace {
+constexpr sim::Cycle kResponseTimeoutCycles = 600'000;
+constexpr int kMaxAttempts = 6;  // transmits per op before abandoning
+}  // namespace
 
 FdClient::FdClient(sim::Engine& engine, hw::CollectiveNet& net,
                    int serverNetId, int netId, std::uint32_t clientId,
-                   FdClientConfig cfg)
+                   int maxBusyRetries)
     : engine_(engine),
       net_(net),
       serverNetId_(serverNetId),
       netId_(netId),
       clientId_(clientId),
-      cfg_(cfg) {}
+      maxBusyRetries_(maxBusyRetries) {}
 
 FdClient::~FdClient() {
   // The engine outlives clients in every harness; armed watchdogs must
@@ -102,7 +106,7 @@ void FdClient::armTimer(Op& op) {
   // Exponential backoff, capped so a long outage doesn't push the
   // retry horizon past any plausible restart window.
   const int shift = std::min(op.attempts - 1, 4);
-  const sim::Cycle wait = cfg_.responseTimeoutCycles << shift;
+  const sim::Cycle wait = kResponseTimeoutCycles << shift;
   const std::uint64_t seq = op.req.seq;
   op.timer = engine_.schedule(wait, [this, seq] { onTimeout(seq); });
 }
@@ -112,7 +116,7 @@ void FdClient::onTimeout(std::uint64_t seq) {
   if (it == ops_.end()) return;
   Op& op = it->second;
   op.timer = 0;
-  if (op.attempts >= cfg_.maxAttempts) {
+  if (op.attempts >= kMaxAttempts) {
     ++counters_.abandoned;
     finish(seq, false);
     return;
@@ -169,7 +173,7 @@ void FdClient::onPacket(hw::CollPacket&& p) {
           break;
         }
         case Status::kServerBusy: {
-          if (op.busyRetries >= cfg_.maxBusyRetries) {
+          if (op.busyRetries >= maxBusyRetries_) {
             ++counters_.busyAbandoned;
             finish(seq, false);
             break;

@@ -33,12 +33,6 @@ namespace bg::fd {
 /// serialization. Injections must not perturb real traffic's timing.
 inline constexpr int kDupInjectSrcOffset = 1'000'000;
 
-struct FdClientConfig {
-  sim::Cycle responseTimeoutCycles = 600'000;
-  int maxAttempts = 6;     // transmits per op before abandoning
-  int maxBusyRetries = 8;  // fresh-seq resubmits after kServerBusy
-};
-
 enum class FollowUp : std::uint8_t { kNone, kQuery, kCancel };
 
 /// One predecided submit operation.
@@ -74,8 +68,9 @@ class FdClient {
     std::uint64_t queriesDone = 0;
   };
 
+  /// `maxBusyRetries` bounds the fresh-seq resubmits after kServerBusy.
   FdClient(sim::Engine& engine, hw::CollectiveNet& net, int serverNetId,
-           int netId, std::uint32_t clientId, FdClientConfig cfg = {});
+           int netId, std::uint32_t clientId, int maxBusyRetries);
   ~FdClient();
 
   /// Register this client's response handler on the net. Call once.
@@ -120,7 +115,7 @@ class FdClient {
   int serverNetId_;
   int netId_;
   std::uint32_t clientId_;
-  FdClientConfig cfg_;
+  int maxBusyRetries_;
 
   std::map<std::uint64_t, Op> ops_;  // in-flight, by seq
   std::uint64_t nextSeq_ = 1;

@@ -14,6 +14,12 @@ constexpr std::uint64_t kFdMagic = 0x42474644'494E464CULL;  // "BGFDINFL"
 // quota-reject counter.
 constexpr std::uint32_t kFdImageVersion = 2;
 constexpr const char* kFdRegionName = "fd.inflight";
+constexpr std::uint64_t kFdRegionBytes = 1ULL << 20;
+// Batch window: the first accepted submit arms a flush this many
+// cycles out; everything accepted meanwhile rides the same flush.
+constexpr sim::Cycle kBatchIntervalCycles = 40'000;
+// Per-client replay-cache entries (exactly-once window).
+constexpr std::size_t kReplayWindow = 64;
 }  // namespace
 
 FrontDoor::FrontDoor(sim::Engine& engine, svc::ServiceHost& host,
@@ -90,7 +96,7 @@ void FrontDoor::onPacket(hw::CollPacket&& p) {
       }
       return;
     }
-    if (cc.bySeq.size() >= cfg_.replayWindow && !cc.bySeq.empty() &&
+    if (cc.bySeq.size() >= kReplayWindow && !cc.bySeq.empty() &&
         q->seq < cc.bySeq.begin()->first) {
       // Below the cache window: this seq was processed so long ago its
       // entry was evicted. Processing it again would break
@@ -316,7 +322,7 @@ void FrontDoor::cacheAndSend(const Request& q, Response p, int dstNode) {
   cr.ticket = p.ticket;
   cr.retryAfterCycles = p.retryAfterCycles;
   cc.bySeq[q.seq] = cr;
-  while (cc.bySeq.size() > cfg_.replayWindow) {
+  while (cc.bySeq.size() > kReplayWindow) {
     cc.bySeq.erase(cc.bySeq.begin());  // oldest seq falls off the window
   }
   sendResponse(p, dstNode);
@@ -324,8 +330,7 @@ void FrontDoor::cacheAndSend(const Request& q, Response p, int dstNode) {
 
 void FrontDoor::armFlush() {
   if (flushEvent_ != 0 || batch_.empty()) return;
-  flushEvent_ = engine_.schedule(cfg_.batchIntervalCycles,
-                                 [this] { flush(); });
+  flushEvent_ = engine_.schedule(kBatchIntervalCycles, [this] { flush(); });
 }
 
 void FrontDoor::flush() {
@@ -421,8 +426,8 @@ bool FrontDoor::saveImage() {
   const std::vector<std::byte> image = std::move(w).take();
 
   svc::CheckpointStore& store = host_.store();
-  const auto r = store.registry().openOrCreate(kFdRegionName,
-                                               cfg_.persistRegionBytes, 0);
+  const auto r =
+      store.registry().openOrCreate(kFdRegionName, kFdRegionBytes, 0);
   return r && cnk::writeSealed(store.mem(), r->pbase, r->size, kFdMagic,
                                image);
 }

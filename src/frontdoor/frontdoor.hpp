@@ -46,9 +46,6 @@ namespace bg::fd {
 struct FrontDoorConfig {
   /// The server's endpoint id on the front-door collective net.
   int netId = 0;
-  /// Batch window: the first accepted submit arms a flush this many
-  /// cycles out; everything accepted meanwhile rides the same flush.
-  sim::Cycle batchIntervalCycles = 40'000;
   /// A batch reaching this size flushes immediately.
   std::size_t maxBatch = 64;
   /// Admission bound: submits bounce with kServerBusy once the batch
@@ -56,12 +53,9 @@ struct FrontDoorConfig {
   std::size_t maxQueueDepth = 256;
   /// Backpressure hint sent with kServerBusy.
   sim::Cycle retryAfterCycles = 300'000;
-  /// Per-client replay-cache entries (exactly-once window).
-  std::size_t replayWindow = 64;
   /// Persist the in-flight table into the host's checkpoint store so
   /// it survives control-plane crashes.
   bool persist = false;
-  std::uint64_t persistRegionBytes = 1ULL << 20;
   /// Multi-tenant identity: map a wire clientId to an accounting
   /// AccountId. Unset (or returning 0) = anonymous single-tenant
   /// traffic; no quota checks, no account tagging — and therefore no

@@ -3,12 +3,24 @@
 #include <utility>
 
 namespace bg::fd {
+namespace {
+
+constexpr sim::Cycle kBurstPeriodCycles = 2'000'000;
+constexpr sim::Cycle kBurstWidthCycles = 200'000;
+constexpr double kBackgroundFraction = 0.2;
+constexpr sim::Cycle kStartOffsetCycles = 50'000;
+constexpr double kFwkFraction = 0.25;
+constexpr std::uint32_t kJobNodes = 1;
+constexpr std::uint32_t kJobMaxRetries = 1;
+constexpr sim::Cycle kFollowUpDelayCycles = 150'000;
+
+}  // namespace
 
 Swarm::Swarm(sim::Engine& engine, hw::CollectiveNet& net, SwarmParams params)
     : engine_(engine), net_(net), p_(std::move(params)) {}
 
 sim::Cycle Swarm::horizonCycles() const {
-  return static_cast<sim::Cycle>(p_.bursts) * p_.burstPeriodCycles;
+  return static_cast<sim::Cycle>(p_.bursts) * kBurstPeriodCycles;
 }
 
 void Swarm::start() {
@@ -24,32 +36,32 @@ void Swarm::start() {
   for (std::uint32_t c = 0; c < p_.clients; ++c) {
     auto client = std::make_unique<FdClient>(
         engine_, net_, p_.serverNetId, p_.serverNetId + 1 + static_cast<int>(c),
-        c, p_.client);
+        c, p_.clientMaxBusyRetries);
     client->attach();
 
     for (std::uint32_t s = 0; s < p_.submitsPerClient; ++s) {
       // Unconditional draws, fixed order.
       const std::uint64_t burst = rng.nextBelow(p_.bursts);
       const double bg = rng.nextDouble();
-      const std::uint64_t inBurst = rng.nextBelow(p_.burstWidthCycles);
+      const std::uint64_t inBurst = rng.nextBelow(kBurstWidthCycles);
       const std::uint64_t anywhere = rng.nextBelow(horizon);
       const double kdraw = rng.nextDouble();
       const double fdraw = rng.nextDouble();
       const double ddraw = rng.nextDouble();
 
       const sim::Cycle arrival =
-          p_.startOffsetCycles +
-          (bg < p_.backgroundFraction
+          kStartOffsetCycles +
+          (bg < kBackgroundFraction
                ? anywhere
-               : burst * p_.burstPeriodCycles + inBurst);
+               : burst * kBurstPeriodCycles + inBurst);
 
       SubmitOp op;
       op.jobName = 'c' + std::to_string(c) + 's' + std::to_string(s);
-      op.kernel = kdraw < p_.fwkFraction ? 1 : 0;
-      op.nodes = p_.jobNodes;
+      op.kernel = kdraw < kFwkFraction ? 1 : 0;
+      op.nodes = kJobNodes;
       op.processes = 1;
       op.estCycles = p_.estCycles;
-      op.maxRetries = p_.jobMaxRetries;
+      op.maxRetries = kJobMaxRetries;
       op.exeName = p_.exeName;
       op.forceDup = ddraw < p_.forcedDupRate;
       if (fdraw < p_.cancelRate) {
@@ -57,7 +69,7 @@ void Swarm::start() {
       } else if (fdraw < p_.cancelRate + p_.queryRate) {
         op.followUp = FollowUp::kQuery;
       }
-      op.followUpDelay = p_.followUpDelayCycles;
+      op.followUpDelay = kFollowUpDelayCycles;
 
       client->scheduleSubmitAt(arrival, std::move(op));
     }

@@ -28,29 +28,20 @@ struct SwarmParams {
   std::uint64_t seed = 42;
   int serverNetId = 0;
 
-  // Arrival process: `bursts` windows of `burstWidthCycles`, one every
-  // `burstPeriodCycles`, plus a background fraction spread uniformly
-  // over the whole horizon.
+  // Arrival process: `bursts` windows of 200K cycles, one every 2M
+  // cycles, plus a 20% background spread uniformly over the whole
+  // horizon.
   std::uint32_t bursts = 4;
-  sim::Cycle burstPeriodCycles = 2'000'000;
-  sim::Cycle burstWidthCycles = 200'000;
-  double backgroundFraction = 0.2;
-  sim::Cycle startOffsetCycles = 50'000;
 
-  // Job mix.
-  double fwkFraction = 0.25;
-  std::uint32_t jobNodes = 1;
+  // Job mix: a quarter FWK, one node each.
   std::uint64_t estCycles = 400'000;
-  std::uint32_t jobMaxRetries = 1;
   std::string exeName = "fdwork";
 
   // Injected client behavior.
   double cancelRate = 0.0;  // follow-up CANCEL after the ack
   double queryRate = 0.0;   // follow-up QUERY after the ack
   double forcedDupRate = 0.0;  // send the submit frame twice
-  sim::Cycle followUpDelayCycles = 150'000;
-
-  FdClientConfig client;
+  int clientMaxBusyRetries = 8;  // fresh-seq resubmits after kServerBusy
 };
 
 class Swarm {

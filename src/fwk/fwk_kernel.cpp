@@ -14,7 +14,13 @@ using kernel::Thread;
 using hw::HandlerResult;
 
 namespace {
-// The FWK's futex and console costs on top of syscallBaseCost.
+constexpr sim::Cycle kTickCycles = 850'000;  // HZ=1000 at 850MHz
+constexpr int kTimesliceTicks = 6;
+constexpr sim::Cycle kSyscallBaseCost = 260;
+constexpr sim::Cycle kTickHandlerCost = 1'150;
+constexpr sim::Cycle kPageFaultCost = 2'600;
+constexpr sim::Cycle kTlbRefillCost = 48;
+// The FWK's futex and console costs on top of kSyscallBaseCost.
 constexpr kernel::FutexCosts kFutexCosts{80, 160, 120, 60};
 constexpr sim::Cycle kConsoleCost = 350;
 }  // namespace
@@ -90,9 +96,10 @@ void FwkKernel::spawnDaemons() {
   proc->brk = heap.base;
   proc->heapLimit = heap.base + heap.size;
 
-  daemonPrograms_.reserve(cfg_.daemons.size());
+  const std::vector<DaemonSpec> daemons = defaultDaemons();
+  daemonPrograms_.reserve(daemons.size());
   int i = 0;
-  for (const DaemonSpec& spec : cfg_.daemons) {
+  for (const DaemonSpec& spec : daemons) {
     daemonPrograms_.push_back(daemonProgram(spec));
     Thread& t = proc->addThread(allocTid());
     t.ctx.prog = &daemonPrograms_.back();
@@ -112,17 +119,14 @@ void FwkKernel::startTick() {
   // boot (clocksource calibration, init timing) — a per-boot offset
   // drawn from the entropy stream.
   for (int c = 0; c < node_.numCores(); ++c) {
-    node_.core(c).setDecrementer(cfg_.tickCycles +
-                                 rng_.nextBelow(cfg_.tickCycles));
+    node_.core(c).setDecrementer(kTickCycles +
+                                 rng_.nextBelow(kTickCycles));
   }
 }
 
 bool FwkKernel::loadJob(const JobSpec& spec) {
   if (!booted_ || spec.exe == nullptr) return false;
-  if (!cfg_.daemons.empty() && daemonProc_ == nullptr &&
-      cfg_.enableDaemons) {
-    spawnDaemons();
-  }
+  if (daemonProc_ == nullptr && cfg_.enableDaemons) spawnDaemons();
   if (cfg_.enableTick) startTick();
 
   for (const auto& lib : spec.libs) registerLibImage(lib);
@@ -240,7 +244,7 @@ std::optional<sim::Cycle> FwkKernel::faultInPage(Process& p, hw::VAddr va) {
   const auto frame = buddy_->alloc(hw::kPage4K);
   if (!frame) return std::nullopt;  // OOM
   ++pageFaults_;
-  sim::Cycle cost = cfg_.pageFaultCost;
+  sim::Cycle cost = kPageFaultCost;
   node_.mem().zero(*frame, hw::kPage4K);
   if (v->kind == Vma::Kind::kFileLazy && v->file != nullptr) {
     const auto& img = v->file->textContents();
@@ -311,22 +315,22 @@ hw::HandlerResult FwkKernel::onTlbMiss(hw::Core& core, hw::ThreadCtx& ctx,
   e.valid = true;
   core.mmu().install(e);
   ++tlbRefills_;
-  return HandlerResult::done(0, cost + cfg_.tlbRefillCost);
+  return HandlerResult::done(0, cost + kTlbRefillCost);
 }
 
 hw::HandlerResult FwkKernel::onInterrupt(hw::Core& core, hw::Irq irq) {
   switch (irq) {
     case hw::Irq::kDecrementer: {
       ++ticks_;
-      if (cfg_.enableTick) core.setDecrementer(cfg_.tickCycles);
-      sim::Cycle cost = cfg_.tickHandlerCost;
+      if (cfg_.enableTick) core.setDecrementer(kTickCycles);
+      sim::Cycle cost = kTickHandlerCost;
       int& slice = ticksSinceSwitch_[core.id()];
       ++slice;
       hw::ThreadCtx* cur = core.current();
       if (cur != nullptr && cur->state == hw::ThreadState::kRunning) {
         Thread& t = threadOf(*cur);
         const bool daemonWants = sched_.daemonReady(core.id());
-        const bool expired = slice >= cfg_.timesliceTicks &&
+        const bool expired = slice >= kTimesliceTicks &&
                              sched_.hasOtherReady(core.id(), t);
         if (daemonWants || expired) {
           // Preempt: back of the queue, switch to the next runnable.
@@ -400,11 +404,6 @@ hw::HandlerResult FwkKernel::onInterrupt(hw::Core& core, hw::Irq irq) {
                    kernel::RasEvent::Severity::kWarn, pid, 0, syn.paddr);
             cost += 400;  // EDAC path is heavier than CNK's scrub
             break;
-          case hw::McSyndrome::Kind::kSpurious:
-            logRas(kernel::RasEvent::Code::kMachineCheck,
-                   kernel::RasEvent::Severity::kWarn, 0, 0, 0);
-            cost += 300;
-            break;
           case hw::McSyndrome::Kind::kParity:
             if (cur != nullptr && !cur->done()) killThread(threadOf(*cur));
             logRas(kernel::RasEvent::Code::kMachineCheck,
@@ -470,10 +469,10 @@ hw::HandlerResult FwkKernel::syscall(hw::Core& core, hw::ThreadCtx& ctx,
                                      const hw::SyscallArgs& args) {
   Thread& t = threadOf(ctx);
   if (auto r = commonSyscall(core, t, args)) {
-    r->cost += cfg_.syscallBaseCost;
+    r->cost += kSyscallBaseCost;
     return *r;
   }
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
   switch (static_cast<Sys>(args.nr)) {
     case Sys::kExit:
     case Sys::kExitGroup:
@@ -559,7 +558,7 @@ hw::HandlerResult FwkKernel::syscall(hw::Core& core, hw::ThreadCtx& ctx,
 
 hw::HandlerResult FwkKernel::sysBrk(Thread& t, std::uint64_t newBrk) {
   Process& p = t.proc;
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
   if (newBrk == 0) return HandlerResult::done(p.brk, base + 40);
   if (newBrk < p.heapBase || newBrk > p.heapLimit) {
     return HandlerResult::done(p.brk, base + 40);
@@ -573,7 +572,7 @@ hw::HandlerResult FwkKernel::sysMmap(Thread& t, const hw::SyscallArgs& a) {
   AddressSpace& space = spaces_[p.pid()];
   const std::uint64_t len = hw::alignUp(a.arg[1], hw::kPage4K);
   const std::uint64_t flags = a.arg[3];
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
   if (len == 0) {
     return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kEINVAL),
                                base);
@@ -610,7 +609,7 @@ hw::HandlerResult FwkKernel::sysMunmap(Thread& t, const hw::SyscallArgs& a) {
   for (int c = 0; c < node_.numCores(); ++c) {
     node_.core(c).mmu().invalidate(p.pid());
   }
-  return HandlerResult::done(0, cfg_.syscallBaseCost + 260);
+  return HandlerResult::done(0, kSyscallBaseCost + 260);
 }
 
 hw::HandlerResult FwkKernel::sysMprotect(Thread& t,
@@ -627,11 +626,11 @@ hw::HandlerResult FwkKernel::sysMprotect(Thread& t,
   }
   return HandlerResult::done(
       ok ? 0 : static_cast<std::uint64_t>(-kernel::kEINVAL),
-      cfg_.syscallBaseCost + 350);
+      kSyscallBaseCost + 350);
 }
 
 hw::HandlerResult FwkKernel::sysClone(Thread& t, const hw::SyscallArgs& a) {
-  const sim::Cycle base = cfg_.syscallBaseCost;
+  const sim::Cycle base = kSyscallBaseCost;
   if ((a.arg[0] & kernel::kCloneVm) == 0) {
     // fork() would be supported by a real Linux; out of scope for the
     // compute-node model.
@@ -650,7 +649,7 @@ hw::HandlerResult FwkKernel::sysNanosleep(Thread& t, std::uint64_t us) {
   // slack, interrupt coalescing).
   const sim::Cycle dur = sim::usToCycles(static_cast<double>(us));
   const sim::Cycle jitter = static_cast<sim::Cycle>(
-      rng_.nextExp(static_cast<double>(cfg_.tickCycles) * 0.03));
+      rng_.nextExp(static_cast<double>(kTickCycles) * 0.03));
   t.ctx.state = hw::ThreadState::kBlocked;
   t.ctx.yieldOnBlock = true;
   Thread* tp = &t;
@@ -663,7 +662,7 @@ hw::HandlerResult FwkKernel::sysNanosleep(Thread& t, std::uint64_t us) {
       node_.core(tp->ctx.coreAffinity).raise(hw::Irq::kExternal);
     }
   });
-  return HandlerResult::blocked(cfg_.syscallBaseCost + 180);
+  return HandlerResult::blocked(kSyscallBaseCost + 180);
 }
 
 hw::HandlerResult FwkKernel::dlopenForThread(Thread& t,
@@ -671,7 +670,7 @@ hw::HandlerResult FwkKernel::dlopenForThread(Thread& t,
   auto it = libImages_.find(name);
   if (it == libImages_.end()) {
     return HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOENT),
-                               cfg_.syscallBaseCost);
+                               kSyscallBaseCost);
   }
   Process& p = t.proc;
   AddressSpace& space = spaces_[p.pid()];
@@ -700,7 +699,7 @@ hw::HandlerResult FwkKernel::dlopenForThread(Thread& t,
   space.addVma(data);
 
   // dlopen itself is quick: just mapping metadata.
-  return HandlerResult::done(text.base, cfg_.syscallBaseCost + 2'500);
+  return HandlerResult::done(text.base, kSyscallBaseCost + 2'500);
 }
 
 }  // namespace bg::fwk

@@ -33,22 +33,15 @@ namespace bg::fwk {
 class FwkKernel final : public kernel::KernelBase {
  public:
   struct Config {
-    sim::Cycle tickCycles = 850'000;  // HZ=1000 at 850MHz
-    int timesliceTicks = 6;
     bool enableTick = true;
     bool enableDaemons = true;
     bool demandPaging = true;  // false => prefault at job load
     bool strippedBoot = false;
     std::uint64_t kernelReservedBytes = 48ULL << 20;
-    sim::Cycle syscallBaseCost = 260;
-    sim::Cycle tickHandlerCost = 1'150;
-    sim::Cycle pageFaultCost = 2'600;
-    sim::Cycle tlbRefillCost = 48;
     /// External entropy (interrupt timing, device init) that varies
     /// between real-world runs; vary it to model Linux's lack of
     /// cycle-reproducibility (paper Table II last row).
     std::uint64_t entropy = 0x5EED;
-    std::vector<DaemonSpec> daemons = defaultDaemons();
   };
 
   explicit FwkKernel(hw::Node& node) : FwkKernel(node, Config()) {}
@@ -72,8 +65,6 @@ class FwkKernel final : public kernel::KernelBase {
   sim::Cycle contextSwitchCost() const override { return 1'400; }
 
   // ---- services ----
-  const Config& config() const { return cfg_; }
-
   /// FWK dynamic loading: instant VMA creation, pages fault in lazily
   /// from (remote) storage as they are touched — the structural
   /// opposite of CNK's eager full-image load.

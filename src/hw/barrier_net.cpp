@@ -21,7 +21,7 @@ void BarrierNet::arrive(std::uint64_t groupId, int nodeId,
   g.arrived = 0;
   g.waiters.clear();
   ++completed_;
-  engine_.schedule(cfg_.latency, [waiters = std::move(waiters)]() {
+  engine_.schedule(kBarrierLatency, [waiters = std::move(waiters)]() {
     for (const auto& [node, fn] : waiters) {
       if (fn) fn();
     }

@@ -17,20 +17,17 @@
 
 namespace bg::hw {
 
-struct BarrierConfig {
-  sim::Cycle latency = 1100;  // ~1.3us global barrier at 850MHz
-};
+inline constexpr sim::Cycle kBarrierLatency = 1100;  // ~1.3us at 850MHz
 
 class BarrierNet {
  public:
-  BarrierNet(sim::Engine& engine, const BarrierConfig& cfg)
-      : engine_(engine), cfg_(cfg) {}
+  explicit BarrierNet(sim::Engine& engine) : engine_(engine) {}
 
   /// Define the membership of a barrier group.
   void configureGroup(std::uint64_t groupId, int members);
 
-  /// Arrive at the barrier; onRelease fires `latency` after the last
-  /// member arrives. All members release at the same cycle — this is
+  /// Arrive at the barrier; onRelease fires kBarrierLatency after the
+  /// last member arrives. All members release at the same cycle — this is
   /// the property the multichip-reproducibility reboot relies on.
   void arrive(std::uint64_t groupId, int nodeId,
               std::function<void()> onRelease);
@@ -57,7 +54,6 @@ class BarrierNet {
   };
 
   sim::Engine& engine_;
-  BarrierConfig cfg_;
   bool persistent_ = false;
   std::unordered_map<std::uint64_t, Group> groups_;
   std::uint64_t completed_ = 0;

@@ -116,7 +116,7 @@ bool CacheArray::judgeParity() {
 SharedCache::SharedCache(const SharedCacheConfig& cfg) : cfg_(cfg) {
   assert(cfg_.banks >= 1);
   for (std::uint32_t b = 0; b < cfg_.banks; ++b) {
-    bankArrays_.emplace_back(cfg_.sizeBytes / cfg_.banks, cfg_.lineBytes,
+    bankArrays_.emplace_back(cfg_.sizeBytes / cfg_.banks, kL3LineBytes,
                              cfg_.ways);
   }
   bankBusyUntil_.assign(cfg_.banks, 0);
@@ -124,7 +124,7 @@ SharedCache::SharedCache(const SharedCacheConfig& cfg) : cfg_(cfg) {
 }
 
 std::uint32_t SharedCache::bankOf(PAddr pa) const {
-  const std::uint64_t line = pa / cfg_.lineBytes;
+  const std::uint64_t line = pa / kL3LineBytes;
   switch (cfg_.bankMap) {
     case BankMap::kDirect:
       return static_cast<std::uint32_t>(line % cfg_.banks);

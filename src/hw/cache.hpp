@@ -105,13 +105,14 @@ enum class BankMap : std::uint8_t {
   kHighBits, // bank = high physical address bits (pathological for tiling)
 };
 
+inline constexpr std::uint32_t kL3LineBytes = 128;
+inline constexpr sim::Cycle kL3HitLatency = 12;
+
 struct SharedCacheConfig {
   std::uint64_t sizeBytes = 8ULL << 20;  // BG/P: 8MB L3
-  std::uint32_t lineBytes = 128;
   std::uint32_t ways = 8;
   std::uint32_t banks = 2;
   BankMap bankMap = BankMap::kXorFold;
-  sim::Cycle hitLatency = 12;
   sim::Cycle bankBusy = 4;  // cycles a bank stays busy per access
 };
 
@@ -132,7 +133,6 @@ class SharedCache {
   std::uint32_t bankOf(PAddr pa) const;
   void flushAll();
 
-  const SharedCacheConfig& config() const { return cfg_; }
   const CacheStats& stats() const { return stats_; }
   std::uint64_t bankConflicts() const { return conflicts_; }
   const std::vector<std::uint64_t>& bankAccesses() const {

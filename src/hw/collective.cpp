@@ -4,6 +4,17 @@
 #include <cassert>
 
 namespace bg::hw {
+namespace {
+
+constexpr sim::Cycle kPerHopLatency = 250;  // per tree hop
+constexpr double kBytesPerCycle = 0.8;      // ~700MB/s at 850MHz
+constexpr sim::Cycle kTreeDepth = 4;        // CN -> ION hops
+
+sim::Cycle serialize(std::uint64_t bytes) {
+  return static_cast<sim::Cycle>(static_cast<double>(bytes) / kBytesPerCycle);
+}
+
+}  // namespace
 
 void CollectiveNet::deliver(CollPacket&& p) {
   ++packetsDelivered_;
@@ -19,8 +30,7 @@ void CollectiveNet::send(CollPacket packet) {
   const sim::Cycle start = std::max(now, busy);
   const sim::Cycle ser = serialize(bytes);
   busy = start + ser;
-  sim::Cycle arrive =
-      start + ser + cfg_.perHopLatency * static_cast<sim::Cycle>(cfg_.treeDepth);
+  sim::Cycle arrive = start + ser + kPerHopLatency * kTreeDepth;
 
   if (faults_ != nullptr && faults_->anyEnabled()) {
     LinkFaultOutcome f = faults_->judge(
@@ -61,8 +71,7 @@ void CollectiveNet::contribute(std::uint64_t groupId, int nodeId,
   // Last contributor: results flow up and back down the tree.
   const std::uint64_t bytes = r.sum.size() * sizeof(double);
   const sim::Cycle lat =
-      2 * cfg_.perHopLatency * static_cast<sim::Cycle>(cfg_.treeDepth) +
-      2 * serialize(bytes);
+      2 * kPerHopLatency * kTreeDepth + 2 * serialize(bytes);
   auto done = std::move(r.waiters);
   auto result = std::move(r.sum);
   reductions_.erase(groupId);

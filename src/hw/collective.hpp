@@ -30,19 +30,12 @@ struct CollPacket {
   std::vector<std::byte> payload;
 };
 
-struct CollectiveConfig {
-  sim::Cycle perHopLatency = 250;   // per tree hop
-  double bytesPerCycle = 0.8;       // ~700MB/s at 850MHz
-  int treeDepth = 4;                // CN -> ION hops
-};
-
 class CollectiveNet {
  public:
   using PacketHandler = std::function<void(CollPacket&&)>;
   using ReduceHandler = std::function<void(const std::vector<double>&)>;
 
-  CollectiveNet(sim::Engine& engine, const CollectiveConfig& cfg)
-      : engine_(engine), cfg_(cfg) {}
+  explicit CollectiveNet(sim::Engine& engine) : engine_(engine) {}
 
   void setHandler(int nodeId, PacketHandler h) {
     handlers_[nodeId] = std::move(h);
@@ -65,7 +58,6 @@ class CollectiveNet {
                   std::vector<double> values, int groupSize,
                   ReduceHandler onResult);
 
-  const CollectiveConfig& config() const { return cfg_; }
   std::uint64_t packetsDelivered() const { return packetsDelivered_; }
   std::uint64_t bytesDelivered() const { return bytesDelivered_; }
 
@@ -77,15 +69,9 @@ class CollectiveNet {
     std::vector<std::pair<int, ReduceHandler>> waiters;
   };
 
-  sim::Cycle serialize(std::uint64_t bytes) const {
-    return static_cast<sim::Cycle>(
-        static_cast<double>(bytes) / cfg_.bytesPerCycle);
-  }
-
   void deliver(CollPacket&& p);
 
   sim::Engine& engine_;
-  CollectiveConfig cfg_;
   LinkFaultModel* faults_ = nullptr;
   std::unordered_map<int, PacketHandler> handlers_;
   std::unordered_map<int, sim::Cycle> uplinkBusyUntil_;

@@ -103,7 +103,7 @@ sim::Cycle Core::lineCost(PAddr pa, sim::Cycle atRelativeCost) {
   }
   const sim::Cycle now = node_.engine().now() + sliceCost_ + atRelativeCost;
   const SharedCache::Result r = node_.l3().access(pa, now);
-  sim::Cycle c = node_.l3().config().hitLatency + r.extraStall;
+  sim::Cycle c = kL3HitLatency + r.extraStall;
   if (!r.hit) {
     c += node_.ddr().accessLatency(now + c);
     if (node_.ddr().faultsArmed()) {
@@ -505,17 +505,6 @@ void Core::runSlice() {
     if (pendingIrqs_ != 0 || cost > 0) {
       scheduleSlice(std::max<sim::Cycle>(cost, 1));
     }
-    return;
-  }
-
-  // Slice-granular fault injection (hang / spurious machine check),
-  // judged only when a runnable thread is about to execute so the
-  // draw sequence tracks work done, not idle probes.
-  if (node_.sliceFaultsArmed() && node_.judgeSliceFaults(*this)) {
-    // Hung mid-schedule: the slice never runs and no follow-on is
-    // scheduled. cyclesBusy_ freezes — the heartbeat monitor's cue.
-    cyclesBusy_ += cost;
-    inSlice_ = false;
     return;
   }
 

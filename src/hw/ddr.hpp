@@ -17,31 +17,25 @@ namespace bg::hw {
 class MemFaultModel;
 enum class EccOutcome : std::uint8_t;
 
-struct DdrConfig {
-  sim::Cycle accessLatency = 60;      // L3-miss-to-DDR cycles
-  sim::Cycle refreshInterval = 6630;  // ~7.8us at 850MHz
-  sim::Cycle refreshDuration = 28;
-};
+inline constexpr sim::Cycle kDdrAccessLatency = 60;  // L3 miss to DDR
+inline constexpr sim::Cycle kDdrRefreshInterval = 6630;  // ~7.8us at 850MHz
+inline constexpr sim::Cycle kDdrRefreshDuration = 28;
 
 class Ddr {
  public:
-  explicit Ddr(const DdrConfig& cfg = {}) : cfg_(cfg) {}
-
   /// Latency of an access issued at `now`, including any stall caused
   /// by an in-progress refresh window. Purely a function of `now`, so
   /// reproducible runs see identical stalls.
   sim::Cycle accessLatency(sim::Cycle now) const {
-    const sim::Cycle phase = now % cfg_.refreshInterval;
+    const sim::Cycle phase = now % kDdrRefreshInterval;
     const sim::Cycle stall =
-        phase < cfg_.refreshDuration ? cfg_.refreshDuration - phase : 0;
-    return cfg_.accessLatency + stall;
+        phase < kDdrRefreshDuration ? kDdrRefreshDuration - phase : 0;
+    return kDdrAccessLatency + stall;
   }
 
   void enterSelfRefresh() { selfRefresh_ = true; }
   void exitSelfRefresh() { selfRefresh_ = false; }
   bool inSelfRefresh() const { return selfRefresh_; }
-
-  const DdrConfig& config() const { return cfg_; }
 
   /// ECC fault injection (paper §III: ECC DDR). The Node attaches the
   /// machine-wide MemFaultModel and keeps `armed_` in sync with the
@@ -59,7 +53,6 @@ class Ddr {
   EccOutcome judgeEcc();
 
  private:
-  DdrConfig cfg_;
   bool selfRefresh_ = false;
   bool armed_ = false;
   MemFaultModel* faults_ = nullptr;

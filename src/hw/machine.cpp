@@ -29,9 +29,9 @@ MachineConfig Machine::normalize(MachineConfig cfg) {
 
 Machine::Machine(const MachineConfig& cfg)
     : cfg_(normalize(cfg)),
-      collective_(engine_, cfg_.collective),
+      collective_(engine_),
       torus_(engine_, cfg_.torus),
-      barrier_(engine_, cfg_.barrier),
+      barrier_(engine_),
       collFaults_(cfg_.seed, "collective-faults"),
       torusFaults_(cfg_.seed, "torus-faults"),
       memFaults_(cfg_.seed, "mem-faults") {

@@ -31,8 +31,6 @@ struct MachineConfig {
   int spareIoNodes = 0;
   NodeConfig node;
   TorusConfig torus;              // dims default derived if {1,1,1}
-  CollectiveConfig collective;
-  BarrierConfig barrier;
   /// Seeded link-fault injection (defaults: all rates zero = off, no
   /// RNG draws, bit-identical to a fault-free build).
   LinkFaultRates collectiveFaults;
@@ -82,7 +80,7 @@ class Machine {
   LinkFaultModel& collectiveFaults() { return collFaults_; }
   LinkFaultModel& torusFaults() { return torusFaults_; }
 
-  /// Seeded compute-node fault model (ECC/parity/hang/spurious-MC).
+  /// Seeded compute-node fault model (ECC/parity).
   /// Read-only: its rates come from the config, and the nodes cache
   /// armed flags derived from them for the hot paths.
   const MemFaultModel& memFaults() const { return memFaults_; }

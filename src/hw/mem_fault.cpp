@@ -34,21 +34,4 @@ bool MemFaultModel::judgeParity(int node) {
   return false;
 }
 
-SliceFaultOutcome MemFaultModel::judgeSlice(int node) {
-  SliceFaultOutcome out;
-  const MemFaultRates& r = rates_;
-  if (!r.sliceEnabled()) return out;
-  sim::Rng& rng = rngFor(node);
-  if (r.hangRate > 0.0 && rng.nextDouble() < r.hangRate) {
-    ++stats_.coreHangs;
-    out.hang = true;
-    return out;  // a hung core takes no further faults this slice
-  }
-  if (r.spuriousMcRate > 0.0 && rng.nextDouble() < r.spuriousMcRate) {
-    ++stats_.spuriousMcs;
-    out.spuriousMc = true;
-  }
-  return out;
-}
-
 }  // namespace bg::hw

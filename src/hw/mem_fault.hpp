@@ -2,20 +2,21 @@
 //
 // The paper's reliability story rests on the compute node's hardware
 // fault plane: ECC DDR that corrects single-bit flips and machine-
-// checks on multi-bit ones, parity-protected L1 lines the kernel can
-// recover by invalidate+refill, and the occasional core that simply
-// stops making forward progress. MemFaultModel injects all of those
-// as seeded probabilistic events, mirroring LinkFaultModel's
-// zero-RNG-when-clean contract: when the rates are all zero the
-// judge helpers return immediately without touching the generator, so
-// a fault-free run is bit-identical to a build without the model.
+// checks on multi-bit ones, and parity-protected L1 lines the kernel
+// can recover by invalidate+refill. MemFaultModel injects those as
+// seeded probabilistic events (a core that stops making forward
+// progress comes from fault schedules, through Core::hang()),
+// mirroring LinkFaultModel's zero-RNG-when-clean contract: when the
+// rates are all zero the judge helpers return immediately without
+// touching the generator, so a fault-free run is bit-identical to a
+// build without the model.
 //
 // Each node draws from its own named stream (`Rng(seed ^ nodeId,
 // "mem-faults")`) created up front by the Machine, and judging happens
 // at deterministic points in the simulation (DDR accesses, L1 line
-// fills, slice starts), so the same seed yields the same fault pattern
-// on every run. Streams are strictly per node, so one node's fault
-// pattern never depends on another node's traffic.
+// fills), so the same seed yields the same fault pattern on every
+// run. Streams are strictly per node, so one node's fault pattern
+// never depends on another node's traffic.
 #pragma once
 
 #include <cstdint>
@@ -26,41 +27,25 @@
 
 namespace bg::hw {
 
-/// Per-access / per-slice fault probabilities, shared by every compute
-/// node.
+/// Per-access fault probabilities, shared by every compute node.
 struct MemFaultRates {
   double ceRate = 0.0;          ///< correctable ECC per DDR access
   double ueRate = 0.0;          ///< uncorrectable ECC per DDR access
   double parityRate = 0.0;      ///< L1 parity flip per line fill
-  double hangRate = 0.0;        ///< core hang per executed slice
-  double spuriousMcRate = 0.0;  ///< spurious machine check per slice
 
   bool eccEnabled() const { return ceRate > 0.0 || ueRate > 0.0; }
   bool parityEnabled() const { return parityRate > 0.0; }
-  bool sliceEnabled() const {
-    return hangRate > 0.0 || spuriousMcRate > 0.0;
-  }
-  bool enabled() const {
-    return eccEnabled() || parityEnabled() || sliceEnabled();
-  }
+  bool enabled() const { return eccEnabled() || parityEnabled(); }
 };
 
 struct MemFaultStats {
   std::uint64_t correctable = 0;    ///< CE events injected
   std::uint64_t uncorrectable = 0;  ///< UE events injected
   std::uint64_t parityFlips = 0;    ///< L1 parity events injected
-  std::uint64_t coreHangs = 0;      ///< cores hung
-  std::uint64_t spuriousMcs = 0;    ///< spurious machine checks
 };
 
 /// What a single DDR access judgement decided.
 enum class EccOutcome : std::uint8_t { kNone, kCorrectable, kUncorrectable };
-
-/// What a single slice judgement decided.
-struct SliceFaultOutcome {
-  bool hang = false;
-  bool spuriousMc = false;
-};
 
 class MemFaultModel {
  public:
@@ -88,10 +73,6 @@ class MemFaultModel {
 
   /// Judge one L1 line fill on `node`. Draws nothing at rate zero.
   bool judgeParity(int node);
-
-  /// Judge one executed core slice on `node`. Draws nothing when the
-  /// node's slice rates are zero.
-  SliceFaultOutcome judgeSlice(int node);
 
   /// Totals across nodes.
   const MemFaultStats& stats() const { return stats_; }

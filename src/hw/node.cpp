@@ -6,8 +6,7 @@
 namespace bg::hw {
 
 Node::Node(sim::Engine& engine, int id, const NodeConfig& cfg)
-    : engine_(engine), id_(id), cfg_(cfg), mem_(cfg.memBytes),
-      ddr_(cfg.ddr), l3_(cfg.l3) {
+    : engine_(engine), id_(id), cfg_(cfg), mem_(cfg.memBytes), l3_(cfg.l3) {
   cores_.reserve(static_cast<std::size_t>(cfg.cores));
   for (int i = 0; i < cfg.cores; ++i) {
     cores_.push_back(std::make_unique<Core>(i, *this));
@@ -33,27 +32,12 @@ void Node::restartFromSelfRefresh() {
 }
 
 void Node::attachMemFaults(MemFaultModel* m) {
-  memFaults_ = m;
   ddr_.attachFaults(m, id_);
   for (auto& c : cores_) c->l1().attachFaults(m, id_);
   if (m == nullptr) return;
   const MemFaultRates& r = m->rates();
   ddr_.armFaults(r.eccEnabled());
   for (auto& c : cores_) c->l1().armParityFaults(r.parityEnabled());
-  sliceFaultsArmed_ = r.sliceEnabled();
-}
-
-bool Node::judgeSliceFaults(Core& c) {
-  const SliceFaultOutcome out = memFaults_->judgeSlice(id_);
-  if (out.hang) {
-    c.hang();
-    return true;
-  }
-  if (out.spuriousMc) {
-    pushMc(McSyndrome{McSyndrome::Kind::kSpurious, 0, c.id()});
-    c.raise(Irq::kMachineCheck);
-  }
-  return false;
 }
 
 void Node::injectUncorrectable(PAddr addr, int coreId) {

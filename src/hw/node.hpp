@@ -24,8 +24,6 @@ struct NodeConfig {
   int cores = 4;                          // BG/P: quad PPC450
   std::uint64_t memBytes = 512ULL << 20;  // simulated DDR size
   SharedCacheConfig l3;
-  DdrConfig ddr;
-  std::uint64_t bootSramBytes = 64ULL << 10;
 };
 
 /// A latched machine-check syndrome. Hardware that detects a memory
@@ -39,9 +37,8 @@ struct McSyndrome {
     kCorrectable,    // single-bit ECC, scrubbed transparently
     kUncorrectable,  // multi-bit ECC, node must panic
     kParity,         // L1 parity flip, recovered by invalidate+refill
-    kSpurious,       // machine check with no real fault behind it
   };
-  Kind kind = Kind::kSpurious;
+  Kind kind = Kind::kCorrectable;
   PAddr paddr = 0;  // faulting physical address (0 if n/a)
   int core = 0;     // core that observed the fault
 };
@@ -96,7 +93,6 @@ class Node {
   /// armed flags from its rates, so the hot paths only ever test
   /// cached bools.
   void attachMemFaults(MemFaultModel* m);
-  bool sliceFaultsArmed() const { return sliceFaultsArmed_; }
 
   /// Syndrome queue (drained by the kernel's machine-check handler).
   void pushMc(const McSyndrome& s) { mcQueue_.push_back(s); }
@@ -106,10 +102,6 @@ class Node {
     mcQueue_.erase(mcQueue_.begin());
     return true;
   }
-
-  /// Judge slice-granular faults (hang / spurious MC) for `core`.
-  /// Returns true when the core was hung and must stop executing.
-  bool judgeSliceFaults(Core& c);
 
   /// Schedule-driven injection: latch a syndrome and raise the
   /// machine-check IRQ on `coreId` (used by tests/fault schedules and
@@ -135,8 +127,6 @@ class Node {
   CollectiveNet* collective_ = nullptr;
   TorusNet* torus_ = nullptr;
   BarrierNet* barrier_ = nullptr;
-  MemFaultModel* memFaults_ = nullptr;
-  bool sliceFaultsArmed_ = false;
   std::vector<McSyndrome> mcQueue_;
 };
 

@@ -136,7 +136,7 @@ const std::vector<TorusNet::Hop>* TorusNet::routeFor(int src, int dst) const {
 std::pair<sim::Cycle, sim::Cycle> TorusNet::reserveRoute(
     int src, int dst, std::uint64_t bytes) {
   const sim::Cycle ser = static_cast<sim::Cycle>(
-      static_cast<double>(bytes) / cfg_.bytesPerCycle);
+      static_cast<double>(bytes) / kTorusBytesPerCycle);
   // Degraded links inflate their reservation by `retries` CRC
   // retransmit rounds; the lookup is gated so a clean machine pays
   // nothing on the hot path.
@@ -151,7 +151,7 @@ std::pair<sim::Cycle, sim::Cycle> TorusNet::reserveRoute(
       const int deg = faults_->degradeOf(key);
       if (deg > 0) {
         const sim::Cycle penalty =
-            static_cast<sim::Cycle>(deg) * (ser + 2 * cfg_.hopLatency);
+            static_cast<sim::Cycle>(deg) * (ser + 2 * kTorusHopLatency);
         linkSer += penalty;
         retryExtra += penalty;
         faults_->chargeRetries(deg);
@@ -199,9 +199,9 @@ std::pair<sim::Cycle, sim::Cycle> TorusNet::reserveRoute(
       }
     }
   }
-  const sim::Cycle arrive = start + ser +
-                            cfg_.hopLatency * static_cast<sim::Cycle>(hopCount) +
-                            retryExtra;
+  const sim::Cycle arrive =
+      start + ser + kTorusHopLatency * static_cast<sim::Cycle>(hopCount) +
+      retryExtra;
   return {start, arrive};
 }
 
@@ -214,8 +214,8 @@ sim::Cycle TorusNet::faultRecoveryDelay(int srcNode, std::uint64_t bytes) {
     // Link-level CRC retransmit: the packet is re-serialized after a
     // NACK turnaround; software above never sees the loss.
     extra += static_cast<sim::Cycle>(static_cast<double>(bytes) /
-                                     cfg_.bytesPerCycle) +
-             2 * cfg_.hopLatency;
+                                     kTorusBytesPerCycle) +
+             2 * kTorusHopLatency;
   }
   return extra;
 }
@@ -227,7 +227,7 @@ void TorusNet::sendPacket(TorusPacket packet) {
   if (arrive == kUnreachable) return;  // no healthy route; counted
   arrive += faultRecoveryDelay(packet.srcNode, packet.payload.size());
   bytesMoved_ += packet.payload.size();
-  engine_.scheduleAt(arrive + cfg_.dmaRecvCost,
+  engine_.scheduleAt(arrive + kTorusDmaRecvCost,
                      [this, p = std::move(packet)]() mutable {
                        auto it = handlers_.find(p.dstNode);
                        if (it != handlers_.end() && it->second) {
@@ -250,9 +250,9 @@ void TorusNet::dmaPut(int srcNode, PAddr srcPa, int dstNode, PAddr dstPa,
     src->mem().read(srcPa, buf);
     dst->mem().write(dstPa, buf);
     const sim::Cycle done =
-        engine_.now() + cfg_.dmaInjectCost +
+        engine_.now() + kTorusDmaInjectCost +
         static_cast<sim::Cycle>(static_cast<double>(bytes) /
-                                cfg_.bytesPerCycle / 4.0);
+                                kTorusBytesPerCycle / 4.0);
     engine_.scheduleAt(done, [cb = std::move(onRemoteDelivered)] {
       if (cb) cb();
     });
@@ -267,16 +267,16 @@ void TorusNet::dmaPut(int srcNode, PAddr srcPa, int dstNode, PAddr dstPa,
     // The destination fell off the healthy graph: the payload is lost
     // but the injection FIFO still drains, so the source's completion
     // counter advances and the app is not wedged on its own send.
-    engine_.schedule(cfg_.dmaInjectCost, [cb = std::move(onLocalComplete)] {
+    engine_.schedule(kTorusDmaInjectCost, [cb = std::move(onLocalComplete)] {
       if (cb) cb();
     });
     return;
   }
   arrive += faultRecoveryDelay(srcNode, bytes);
   const sim::Cycle injectDone =
-      std::max(start, engine_.now() + cfg_.dmaInjectCost) +
+      std::max(start, engine_.now() + kTorusDmaInjectCost) +
       static_cast<sim::Cycle>(static_cast<double>(bytes) /
-                              cfg_.bytesPerCycle);
+                              kTorusBytesPerCycle);
 
   // The payload is captured at injection time (the DMA streams from
   // memory as it goes; we snapshot at send which is equivalent for
@@ -285,7 +285,7 @@ void TorusNet::dmaPut(int srcNode, PAddr srcPa, int dstNode, PAddr dstPa,
   src->mem().read(srcPa, buf);
 
   engine_.scheduleAt(
-      arrive + cfg_.dmaInjectCost + cfg_.dmaRecvCost,
+      arrive + kTorusDmaInjectCost + kTorusDmaRecvCost,
       [dst, dstPa, buf = std::move(buf),
        cb = std::move(onRemoteDelivered)]() mutable {
         dst->mem().write(dstPa, buf);
@@ -305,7 +305,7 @@ void TorusNet::dmaGet(int srcNode, PAddr localPa, int dstNode,
   if (reqArrive == kUnreachable) return;  // request lost; counted
   reqArrive += faultRecoveryDelay(srcNode, 32);
   engine_.scheduleAt(
-      reqArrive + cfg_.dmaRecvCost,
+      reqArrive + kTorusDmaRecvCost,
       [this, srcNode, localPa, dstNode, remotePa, bytes,
        cb = std::move(onComplete)]() mutable {
         dmaPut(dstNode, remotePa, srcNode, localPa, bytes,

@@ -28,11 +28,14 @@ class Node;
 
 struct TorusConfig {
   std::array<int, 3> dims{1, 1, 1};
-  sim::Cycle hopLatency = 85;     // ~100ns per hop at 850MHz
-  double bytesPerCycle = 0.5;     // 425MB/s per link at 850MHz
-  sim::Cycle dmaInjectCost = 180; // descriptor processing at the source
-  sim::Cycle dmaRecvCost = 120;   // reception FIFO processing
 };
+
+// Link and DMA timing; the messaging layers (DCMF, ARMCI) charge the
+// same costs for their software-visible halves of a transfer.
+inline constexpr sim::Cycle kTorusHopLatency = 85;      // ~100ns at 850MHz
+inline constexpr double kTorusBytesPerCycle = 0.5;      // 425MB/s per link
+inline constexpr sim::Cycle kTorusDmaInjectCost = 180;  // source descriptor
+inline constexpr sim::Cycle kTorusDmaRecvCost = 120;    // reception FIFO
 
 /// Small control/eager packet delivered to the destination node's
 /// registered handler (the messaging runtime).
@@ -123,7 +126,6 @@ class TorusNet {
   /// detour route actually taken, or -1 when `b` is unreachable
   /// from `a`.
   int hops(int a, int b) const;
-  const TorusConfig& config() const { return cfg_; }
   sim::Engine& engine() { return engine_; }
   std::uint64_t bytesMoved() const { return bytesMoved_; }
 

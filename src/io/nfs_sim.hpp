@@ -16,17 +16,9 @@
 
 namespace bg::io {
 
-struct NfsConfig {
-  sim::Cycle baseLatency = 170'000;   // ~200us round trip at 850MHz
-  double cyclesPerByte = 8.5;         // ~100MB/s server bandwidth
-  sim::Cycle jitterMean = 25'000;     // exponential service-time jitter
-  std::uint64_t seed = 7;
-};
-
 class NfsSim : public FsBackend {
  public:
-  explicit NfsSim(const NfsConfig& cfg = {})
-      : cfg_(cfg), rng_(cfg.seed, "nfs") {}
+  NfsSim() : rng_(/*seed=*/7, "nfs") {}
 
   std::int64_t open(const std::string& path, std::uint64_t flags) override {
     return inner_.open(path, flags);
@@ -55,20 +47,11 @@ class NfsSim : public FsBackend {
   }
   std::int64_t fileSize(std::int64_t h) override { return inner_.fileSize(h); }
 
-  sim::Cycle opLatency(FsOpKind, std::uint64_t bytes, sim::Cycle) override {
-    const sim::Cycle jitter =
-        static_cast<sim::Cycle>(rng_.nextExp(
-            static_cast<double>(cfg_.jitterMean)));
-    return cfg_.baseLatency +
-           static_cast<sim::Cycle>(cfg_.cyclesPerByte *
-                                   static_cast<double>(bytes)) +
-           jitter;
-  }
+  sim::Cycle opLatency(FsOpKind, std::uint64_t bytes, sim::Cycle) override;
 
   RamFs& storage() { return inner_; }
 
  private:
-  NfsConfig cfg_;
   RamFs inner_;
   sim::Rng rng_;
 };

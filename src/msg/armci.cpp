@@ -1,6 +1,12 @@
 #include "msg/armci.hpp"
 
 namespace bg::msg {
+namespace {
+
+constexpr sim::Cycle kLayerOverhead = 360;  // ARMCI bookkeeping per op
+constexpr sim::Cycle kAckPacketCost = 260;  // software cost of the remote ack
+
+}  // namespace
 
 hw::HandlerResult Armci::put(kernel::Thread& t, int myRank, int dstRank,
                              hw::VAddr localVa, hw::VAddr remoteVa,
@@ -13,12 +19,12 @@ hw::HandlerResult Armci::put(kernel::Thread& t, int myRank, int dstRank,
   // Ack travel time back from the target.
   const sim::Cycle ackLatency =
       static_cast<sim::Cycle>(torus_.hops(me->nodeId, peer->nodeId)) *
-          torus_.config().hopLatency +
-      cfg_.ackPacketCost;
+          hw::kTorusHopLatency +
+      kAckPacketCost;
 
   sim::Engine& eng = torus_.engine();
   const sim::Cycle cost =
-      cfg_.layerOverhead + dcmf_.injectionCost(myRank, bytes);
+      kLayerOverhead + dcmf_.injectionCost(myRank, bytes);
   eng.schedule(cost, [this, myRank, dstRank, localVa, remoteVa, bytes,
                       &eng, kern, tp, ackLatency] {
     dcmf_.iput(myRank, dstRank, localVa, remoteVa, bytes,
@@ -43,12 +49,12 @@ hw::HandlerResult Armci::get(kernel::Thread& t, int myRank, int srcRank,
   // ARMCI's get path adds request marshalling before the DCMF get and
   // a local-handoff cost after the data lands.
   const sim::Cycle cost =
-      cfg_.layerOverhead * 2 + dcmf_.injectionCost(myRank, 32);
+      kLayerOverhead * 2 + dcmf_.injectionCost(myRank, 32);
   eng.schedule(cost, [this, myRank, srcRank, remoteVa, localVa, bytes,
                       &eng, kern, tp] {
     dcmf_.iget(myRank, srcRank, remoteVa, localVa, bytes,
                [&eng, kern, tp, this] {
-                 eng.schedule(cfg_.layerOverhead + cfg_.ackPacketCost,
+                 eng.schedule(kLayerOverhead + kAckPacketCost,
                               [kern, tp] { kern->wakeThread(*tp, 0); });
                });
   });

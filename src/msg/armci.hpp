@@ -11,16 +11,10 @@
 
 namespace bg::msg {
 
-struct ArmciConfig {
-  sim::Cycle layerOverhead = 360;  // ARMCI bookkeeping per op
-  sim::Cycle ackPacketCost = 260;  // software cost of the remote ack
-};
-
 class Armci {
  public:
-  Armci(MsgWorld& world, Dcmf& dcmf, hw::TorusNet& torus,
-        ArmciConfig cfg = {})
-      : world_(world), dcmf_(dcmf), torus_(torus), cfg_(cfg) {}
+  Armci(MsgWorld& world, Dcmf& dcmf, hw::TorusNet& torus)
+      : world_(world), dcmf_(dcmf), torus_(torus) {}
 
   hw::HandlerResult put(kernel::Thread& t, int myRank, int dstRank,
                         hw::VAddr localVa, hw::VAddr remoteVa,
@@ -33,7 +27,6 @@ class Armci {
   MsgWorld& world_;
   Dcmf& dcmf_;
   hw::TorusNet& torus_;
-  ArmciConfig cfg_;
 };
 
 }  // namespace bg::msg

@@ -10,6 +10,13 @@ namespace {
 
 constexpr std::uint32_t kDcmfChannel = 0xDC;
 
+constexpr sim::Cycle kSwSendOverhead = 280;  // descriptor build, user space
+constexpr sim::Cycle kSwRecvOverhead = 560;  // eager handler dispatch
+constexpr sim::Cycle kPutLocalOverhead = 170;
+constexpr sim::Cycle kGetOverhead = 300;
+constexpr sim::Cycle kPinSyscallCost = 520;         // per 4KB page, non-CNK
+constexpr double kBounceCopyCyclesPerByte = 0.25;  // bounce buffer, non-CNK
+
 enum class PktKind : std::uint32_t {
   kEager = 0,
   kPutData = 1,
@@ -51,8 +58,8 @@ bool decodePkt(std::span<const std::byte> buf, PktHeader* h,
 
 }  // namespace
 
-Dcmf::Dcmf(MsgWorld& world, hw::TorusNet& torus, DcmfConfig cfg)
-    : world_(world), torus_(torus), cfg_(cfg) {}
+Dcmf::Dcmf(MsgWorld& world, hw::TorusNet& torus)
+    : world_(world), torus_(torus) {}
 
 void Dcmf::attachNode(int nodeId) {
   torus_.setPacketHandler(
@@ -69,13 +76,13 @@ sim::Cycle Dcmf::injectionCost(int rank, std::uint64_t bytes) const {
   if (rankUsesUserDma(rank)) {
     // User-space descriptor into the injection FIFO; the static map is
     // computable in user space, so no syscall at all.
-    return cfg_.swSendOverhead;
+    return kSwSendOverhead;
   }
   // FWK path: pin each 4KB page by syscall and copy through a
   // contiguous bounce buffer.
   const std::uint64_t pages = (bytes + hw::kPage4K - 1) / hw::kPage4K;
-  return cfg_.swSendOverhead + pages * cfg_.pinSyscallCost +
-         static_cast<sim::Cycle>(cfg_.bounceCopyCyclesPerByte *
+  return kSwSendOverhead + pages * kPinSyscallCost +
+         static_cast<sim::Cycle>(kBounceCopyCyclesPerByte *
                                  static_cast<double>(bytes));
 }
 
@@ -113,9 +120,9 @@ void Dcmf::isend(int srcRank, int dstRank, std::uint64_t tag,
 
   if (onLocal) {
     const sim::Cycle injectTime =
-        torus_.config().dmaInjectCost +
+        hw::kTorusDmaInjectCost +
         static_cast<sim::Cycle>(static_cast<double>(wireBytes) /
-                                torus_.config().bytesPerCycle);
+                                hw::kTorusBytesPerCycle);
     torus_.engine().schedule(injectTime, std::move(onLocal));
   }
 }
@@ -180,9 +187,9 @@ void Dcmf::iput(int srcRank, int dstRank, hw::VAddr localVa,
   torus_.sendPacket(std::move(pkt));
   if (onLocal) {
     const sim::Cycle injectTime =
-        torus_.config().dmaInjectCost +
+        hw::kTorusDmaInjectCost +
         static_cast<sim::Cycle>(static_cast<double>(wireBytes) /
-                                torus_.config().bytesPerCycle);
+                                hw::kTorusBytesPerCycle);
     torus_.engine().schedule(injectTime, std::move(onLocal));
   }
 }
@@ -295,7 +302,7 @@ hw::HandlerResult Dcmf::send(kernel::Thread& t, int myRank, int dstRank,
   const sim::Cycle cost =
       injectionCost(myRank, bytes) +
       static_cast<sim::Cycle>(static_cast<double>(bytes) /
-                              torus_.config().bytesPerCycle / 2.0);
+                              hw::kTorusBytesPerCycle / 2.0);
   torus_.engine().schedule(
       cost, [this, myRank, dstRank, tag, buf = std::move(buf)]() mutable {
         isend(myRank, dstRank, tag, std::move(buf), nullptr);
@@ -327,7 +334,7 @@ hw::HandlerResult Dcmf::recvWait(kernel::Thread& t, int myRank, int srcRank,
   }
   if (immediate) {
     return hw::HandlerResult::done(
-        gotBytes, cfg_.swRecvOverhead +
+        gotBytes, kSwRecvOverhead +
                       static_cast<sim::Cycle>(0.25 *
                                               static_cast<double>(gotBytes)));
   }
@@ -342,14 +349,14 @@ hw::HandlerResult Dcmf::recvWait(kernel::Thread& t, int myRank, int srcRank,
             m.data.size(), static_cast<std::size_t>(maxBytes));
         writeUser(myRank, dst, std::span(m.data.data(), n));
         const sim::Cycle proc =
-            cfg_.swRecvOverhead +
+            kSwRecvOverhead +
             static_cast<sim::Cycle>(0.25 * static_cast<double>(n));
         torus_.engine().schedule(proc,
                                  [kern, tp, n] { kern->wakeThread(*tp, n); });
       }});
   t.ctx.state = hw::ThreadState::kBlocked;
   t.ctx.yieldOnBlock = false;
-  return hw::HandlerResult::blocked(cfg_.swRecvOverhead);
+  return hw::HandlerResult::blocked(kSwRecvOverhead);
 }
 
 hw::HandlerResult Dcmf::put(kernel::Thread& t, int myRank, int dstRank,
@@ -359,7 +366,7 @@ hw::HandlerResult Dcmf::put(kernel::Thread& t, int myRank, int dstRank,
   kernel::KernelBase* kern = me->kern;
   kernel::Thread* tp = &t;
   const sim::Cycle cost =
-      cfg_.putLocalOverhead + injectionCost(myRank, bytes);
+      kPutLocalOverhead + injectionCost(myRank, bytes);
 
   if (!waitRemote) {
     torus_.engine().schedule(
@@ -384,7 +391,7 @@ hw::HandlerResult Dcmf::get(kernel::Thread& t, int myRank, int srcRank,
   const RankInfo* me = world_.rank(myRank);
   kernel::KernelBase* kern = me->kern;
   kernel::Thread* tp = &t;
-  const sim::Cycle cost = cfg_.getOverhead + injectionCost(myRank, 32);
+  const sim::Cycle cost = kGetOverhead + injectionCost(myRank, 32);
   torus_.engine().schedule(
       cost, [this, myRank, srcRank, remoteVa, localVa, bytes, kern, tp] {
         iget(myRank, srcRank, remoteVa, localVa, bytes,

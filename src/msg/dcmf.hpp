@@ -24,15 +24,6 @@
 
 namespace bg::msg {
 
-struct DcmfConfig {
-  sim::Cycle swSendOverhead = 280;   // descriptor build, user space
-  sim::Cycle swRecvOverhead = 560;   // eager handler dispatch at target
-  sim::Cycle putLocalOverhead = 170;
-  sim::Cycle getOverhead = 300;
-  sim::Cycle pinSyscallCost = 520;        // per 4KB page on non-CNK
-  double bounceCopyCyclesPerByte = 0.25;  // bounce buffer on non-CNK
-};
-
 struct DcmfStats {
   std::uint64_t eagerSends = 0;
   std::uint64_t puts = 0;
@@ -42,7 +33,7 @@ struct DcmfStats {
 
 class Dcmf {
  public:
-  Dcmf(MsgWorld& world, hw::TorusNet& torus, DcmfConfig cfg = {});
+  Dcmf(MsgWorld& world, hw::TorusNet& torus);
 
   /// Install the torus packet handler for a node (all ranks on it).
   void attachNode(int nodeId);
@@ -115,7 +106,6 @@ class Dcmf {
 
   MsgWorld& world_;
   hw::TorusNet& torus_;
-  DcmfConfig cfg_;
   std::map<int, std::deque<EagerMsg>> unexpected_;  // by receiving rank
   std::map<int, std::vector<Waiter>> waiting_;
   std::map<std::uint64_t, std::function<void()>> putCompletions_;

@@ -7,6 +7,13 @@ namespace bg::msg {
 
 namespace {
 
+constexpr sim::Cycle kMatchOverhead = 640;  // tag matching vs raw DCMF
+constexpr sim::Cycle kRndvOverhead = 420;   // per handshake leg
+constexpr sim::Cycle kCollSwOverhead = 480;
+// Extra per-collective cost on kernels without user-space network
+// access (socket-style kernel path on the FWK).
+constexpr sim::Cycle kKernelPathOverhead = 2'600;
+
 // Control message carried in the DCMF payload for MSG-tagged sends.
 // Copied whole into the payload, so the padding after `isEager` is a
 // named, zeroed field.
@@ -62,7 +69,7 @@ hw::HandlerResult Mpi::send(kernel::Thread& t, int myRank, int dstRank,
     std::vector<std::byte> data(bytes);
     dcmf_.readUser(myRank, src, data);
     const sim::Cycle cost =
-        cfg_.matchOverhead + inject +
+        kMatchOverhead + inject +
         static_cast<sim::Cycle>(static_cast<double>(bytes) * 0.25);
     // Envelope construction + matching bookkeeping precede injection.
     dcmf_.engineOf().schedule(
@@ -101,7 +108,7 @@ hw::HandlerResult Mpi::send(kernel::Thread& t, int myRank, int dstRank,
     // buffer drains locally; the receive when data is visible at the
     // target.
     dcmf_.engineOf().schedule(
-        cfg_.rndvOverhead,
+        kRndvOverhead,
         [this, id, rv, dstVa, senderKern, sender] {
           dcmf_.iput(
               rv.srcRank, rv.dstRank, rv.srcVa, dstVa, rv.bytes,
@@ -118,7 +125,7 @@ hw::HandlerResult Mpi::send(kernel::Thread& t, int myRank, int dstRank,
         });
   });
 
-  const sim::Cycle cost = cfg_.matchOverhead + cfg_.rndvOverhead + inject;
+  const sim::Cycle cost = kMatchOverhead + kRndvOverhead + inject;
   dcmf_.engineOf().schedule(cost, [this, myRank, dstRank, tag, id, bytes] {
     dcmf_.isend(myRank, dstRank, msgTag(tag), encodeRts(id, bytes),
                 nullptr);
@@ -149,7 +156,7 @@ hw::HandlerResult Mpi::recv(kernel::Thread& t, int myRank, int srcRank,
                       std::span(m.data.data() + sizeof(MsgCtrl), n));
       // Receive-side matching + unpack cost before the data is usable.
       const sim::Cycle proc =
-          cfg_.matchOverhead / 2 +
+          kMatchOverhead / 2 +
           static_cast<sim::Cycle>(0.25 * static_cast<double>(n));
       dcmf_.engineOf().schedule(proc,
                                 [kern, tp, n] { kern->wakeThread(*tp, n); });
@@ -168,7 +175,7 @@ hw::HandlerResult Mpi::recv(kernel::Thread& t, int myRank, int srcRank,
   dcmf_.irecv(myRank, srcRank, msgTag(tag), handle);
   t.ctx.state = hw::ThreadState::kBlocked;
   t.ctx.yieldOnBlock = false;
-  return hw::HandlerResult::blocked(cfg_.matchOverhead);
+  return hw::HandlerResult::blocked(kMatchOverhead);
 }
 
 hw::HandlerResult Mpi::allreduceSum(kernel::Thread& t, int myRank,
@@ -186,12 +193,12 @@ hw::HandlerResult Mpi::allreduceSum(kernel::Thread& t, int myRank,
   const std::uint64_t epoch = allreduceEpoch_[myRank]++;
   const std::uint64_t groupId = 0xA11C'0000ULL + epoch;
 
-  sim::Cycle cost = cfg_.collSwOverhead +
+  sim::Cycle cost = kCollSwOverhead +
                     static_cast<sim::Cycle>(8.0 * 0.25 *
                                             static_cast<double>(count));
   if (!kern->supportsUserSpaceDma()) {
     // Kernel-mediated (socket-ish) injection path.
-    cost += cfg_.kernelPathOverhead;
+    cost += kKernelPathOverhead;
   }
 
   Dcmf* dcmf = &dcmf_;
@@ -222,10 +229,10 @@ hw::HandlerResult Mpi::bcast(kernel::Thread& t, int myRank, int rootRank,
   const std::uint64_t epoch = allreduceEpoch_[myRank]++;
   const std::uint64_t groupId = 0xBCA5'0000ULL + epoch;
 
-  sim::Cycle cost = cfg_.collSwOverhead +
+  sim::Cycle cost = kCollSwOverhead +
                     static_cast<sim::Cycle>(8.0 * 0.25 *
                                             static_cast<double>(count));
-  if (!kern->supportsUserSpaceDma()) cost += cfg_.kernelPathOverhead;
+  if (!kern->supportsUserSpaceDma()) cost += kKernelPathOverhead;
 
   Dcmf* dcmf = &dcmf_;
   coll_.contribute(groupId, me->nodeId, std::move(vals), worldSize_,
@@ -246,8 +253,8 @@ hw::HandlerResult Mpi::barrier(kernel::Thread& t, int myRank) {
   const RankInfo* me = world_.rank(myRank);
   kernel::KernelBase* kern = me->kern;
   kernel::Thread* tp = &t;
-  sim::Cycle cost = cfg_.collSwOverhead / 2;
-  if (!kern->supportsUserSpaceDma()) cost += cfg_.kernelPathOverhead / 2;
+  sim::Cycle cost = kCollSwOverhead / 2;
+  if (!kern->supportsUserSpaceDma()) cost += kKernelPathOverhead / 2;
   barrier_.arrive(kBarrierGroup, me->nodeId,
                   [kern, tp] { kern->wakeThread(*tp, 0); });
   t.ctx.state = hw::ThreadState::kBlocked;

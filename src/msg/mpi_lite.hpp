@@ -19,12 +19,6 @@ namespace bg::msg {
 
 struct MpiConfig {
   std::uint64_t eagerThreshold = 1200;  // bytes
-  sim::Cycle matchOverhead = 640;       // tag matching vs raw DCMF
-  sim::Cycle rndvOverhead = 420;        // per handshake leg
-  sim::Cycle collSwOverhead = 480;
-  /// Extra per-collective cost on kernels without user-space network
-  /// access (socket-style kernel path on the FWK).
-  sim::Cycle kernelPathOverhead = 2'600;
 };
 
 struct MpiStats {

@@ -12,8 +12,6 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   mc.spareIoNodes = cfg_.spareIoNodes;
   mc.node = cfg_.node;
   mc.torus = cfg_.torus;
-  mc.collective = cfg_.collective;
-  mc.barrier = cfg_.barrier;
   mc.collectiveFaults = cfg_.collectiveFaults;
   mc.torusFaults = cfg_.torusFaults;
   mc.memFaults = cfg_.memFaults;
@@ -78,11 +76,10 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       });
 
   // Messaging stack.
-  dcmf_ = std::make_unique<msg::Dcmf>(world_, machine_->torus(), cfg_.dcmf);
+  dcmf_ = std::make_unique<msg::Dcmf>(world_, machine_->torus());
   mpi_ = std::make_unique<msg::Mpi>(world_, *dcmf_, machine_->collective(),
                                     machine_->barrier(), cfg_.mpi);
-  armci_ = std::make_unique<msg::Armci>(world_, *dcmf_, machine_->torus(),
-                                        cfg_.armci);
+  armci_ = std::make_unique<msg::Armci>(world_, *dcmf_, machine_->torus());
   for (int n = 0; n < machine_->numComputeNodes(); ++n) {
     dcmf_->attachNode(n);
     dispatchers_[n]->attachMessaging(&world_, dcmf_.get(), mpi_.get(),

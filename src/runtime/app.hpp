@@ -46,17 +46,13 @@ struct ClusterConfig {
   fwk::FwkKernel::Config fwk;
   hw::NodeConfig node;
   hw::TorusConfig torus;
-  hw::CollectiveConfig collective;
-  hw::BarrierConfig barrier;
-  msg::DcmfConfig dcmf;
   msg::MpiConfig mpi;
-  msg::ArmciConfig armci;
   /// Seeded link-fault injection; all-zero rates (the default) draw no
   /// random numbers and leave every schedule bit-identical.
   hw::LinkFaultRates collectiveFaults;
   hw::LinkFaultRates torusFaults;
-  /// Seeded compute-node memory/core fault injection (ECC, parity,
-  /// hangs); same all-zero-default contract as the link rates.
+  /// Seeded compute-node memory fault injection (ECC, parity); same
+  /// all-zero-default contract as the link rates.
   hw::MemFaultRates memFaults;
   std::uint64_t seed = 42;
 };

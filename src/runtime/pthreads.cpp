@@ -4,14 +4,18 @@ namespace bg::rt {
 
 using kernel::Sys;
 
+namespace {
+constexpr std::uint64_t kStackBytes = 1ULL << 20;  // >1MB: malloc goes to mmap
+constexpr std::uint64_t kGuardBytes = 64ULL << 10;
+}  // namespace
+
 hw::HandlerResult Pthreads::create(hw::Core& core, kernel::Thread& t,
                                    std::uint64_t startPc,
                                    std::uint64_t arg) {
   sim::Cycle cost = 140;  // pthread_create bookkeeping
 
   // Stack: >=1MB allocations go through mmap (paper §IV-B1).
-  Malloc::Result stack =
-      malloc_.alloc(core, t, cfg_.stackBytes + cfg_.guardBytes);
+  Malloc::Result stack = malloc_.alloc(core, t, kStackBytes + kGuardBytes);
   cost += stack.cost;
   if (stack.addr == 0) {
     return hw::HandlerResult::done(static_cast<std::uint64_t>(-kernel::kENOMEM),
@@ -21,13 +25,13 @@ hw::HandlerResult Pthreads::create(hw::Core& core, kernel::Thread& t,
   // Guard range at the low end of the stack; NPTL mprotects it just
   // before clone (§IV-C / Fig 4).
   auto mp = invokeSyscall(core, t, Sys::kMprotect, stack.addr,
-                          cfg_.guardBytes, 0);
+                          kGuardBytes, 0);
   cost += mp.cost;
 
   // tid word lives at the top of the stack block; clone writes the
   // child tid there (PARENT_SETTID) and the kernel clears and wakes it
   // at exit (CHILD_CLEARTID).
-  const hw::VAddr stackTop = stack.addr + cfg_.stackBytes + cfg_.guardBytes;
+  const hw::VAddr stackTop = stack.addr + kStackBytes + kGuardBytes;
   const hw::VAddr tidWord = stackTop - 8;
 
   auto cl = invokeSyscall(core, t, Sys::kClone, kernel::kNptlCloneFlags,

@@ -16,15 +16,9 @@
 
 namespace bg::rt {
 
-struct PthreadConfig {
-  std::uint64_t stackBytes = 1ULL << 20;  // >1MB: malloc goes to mmap
-  std::uint64_t guardBytes = 64ULL << 10;
-};
-
 class Pthreads {
  public:
-  Pthreads(Malloc& malloc, PthreadConfig cfg = {})
-      : malloc_(malloc), cfg_(cfg) {}
+  explicit Pthreads(Malloc& malloc) : malloc_(malloc) {}
 
   hw::HandlerResult create(hw::Core& core, kernel::Thread& t,
                            std::uint64_t startPc, std::uint64_t arg);
@@ -39,7 +33,6 @@ class Pthreads {
 
  private:
   Malloc& malloc_;
-  PthreadConfig cfg_;
   // (pid, tid) -> tid word address, for join.
   std::map<std::pair<std::uint32_t, std::uint64_t>, hw::VAddr> tidWords_;
 };

@@ -61,8 +61,6 @@ struct FairShareConfig {
   sim::Cycle decayPeriodCycles = 2'000'000;
   std::uint64_t decayNumer = 7;
   std::uint32_t decayShift = 3;  // 7/8 per period: half-life ~5 periods
-  /// May the fair-share policy preempt lower-QOS running work?
-  bool preemption = true;
   bool enabled() const { return !accounts.empty(); }
 };
 

@@ -11,6 +11,8 @@ constexpr std::uint64_t kSnapshotMagic = 0x42474356'434B5054ULL;  // "BGCVCKPT"
 constexpr std::uint64_t kJournalMagic = 0x42474356'4A524E4CULL;   // "BGCVJRNL"
 constexpr std::uint64_t kStampBytes = 16;  // generation, sequence number
 constexpr hw::VAddr kSvcPersistVBase = 0x5000'0000ULL;
+constexpr const char* kRegionName = "svc.jobqueue";
+constexpr std::uint32_t kUid = 0;  // the service daemon's uid
 
 /// Region bytes a record with a `bodyBytes` body takes.
 constexpr std::uint64_t frameBytes(std::uint64_t bodyBytes) {
@@ -33,7 +35,7 @@ std::optional<Stamp> stampOf(std::span<const std::byte> payload) {
 CheckpointStore::CheckpointStore(Config cfg)
     : cfg_(std::move(cfg)), mem_(cfg_.poolBytes) {
   reg_.configurePool(0, cfg_.poolBytes, kSvcPersistVBase);
-  reg_.openOrCreate(cfg_.regionName, cfg_.regionBytes, cfg_.uid);
+  reg_.openOrCreate(kRegionName, cfg_.regionBytes, kUid);
 }
 
 bool CheckpointStore::writeRecord(std::uint64_t magic, std::uint64_t at,
@@ -42,8 +44,7 @@ bool CheckpointStore::writeRecord(std::uint64_t magic, std::uint64_t at,
   // Reopen by name on every save — the same path a restarted daemon
   // takes — so uid and size checks are exercised continuously and the
   // region address provably never moves.
-  const auto r = reg_.openOrCreate(cfg_.regionName, cfg_.regionBytes,
-                                   cfg_.uid);
+  const auto r = reg_.openOrCreate(kRegionName, cfg_.regionBytes, kUid);
   sim::ByteWriter payload;
   payload.u64(seq == 0 ? gen_ + 1 : gen_);
   payload.u64(seq);
@@ -82,14 +83,14 @@ bool CheckpointStore::append(std::span<const std::byte> record) {
 }
 
 bool CheckpointStore::wantsSnapshot(std::uint64_t recordBytes) const {
-  const cnk::PersistRegion* r = reg_.find(cfg_.regionName);
+  const cnk::PersistRegion* r = reg_.find(kRegionName);
   const std::uint64_t bytes = frameBytes(recordBytes);
   return gen_ == 0 || r == nullptr ||
          journalBytes_ + bytes > snapshotBytes_ || tail_ + bytes > r->size;
 }
 
 std::optional<std::vector<std::byte>> CheckpointStore::load() const {
-  const cnk::PersistRegion* r = reg_.find(cfg_.regionName);
+  const cnk::PersistRegion* r = reg_.find(kRegionName);
   if (r == nullptr) return std::nullopt;
   std::optional<std::vector<std::byte>> snap =
       cnk::readSealed(mem_, r->pbase, r->size, kSnapshotMagic);

@@ -46,8 +46,6 @@ class CheckpointStore {
   struct Config {
     std::uint64_t poolBytes = 16ULL << 20;
     std::uint64_t regionBytes = 4ULL << 20;
-    std::uint32_t uid = 0;  // the service daemon's uid
-    std::string regionName = "svc.jobqueue";
   };
 
   CheckpointStore() : CheckpointStore(Config{}) {}

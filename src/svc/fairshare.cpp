@@ -102,7 +102,7 @@ std::vector<std::size_t> FairSharePolicy::select(const SchedContext& ctx) {
 
 std::vector<JobId> FairSharePolicy::selectPreemptions(
     const SchedContext& ctx) {
-  if (!preemption_ || ctx.accounts.empty() || ctx.queue.empty()) return {};
+  if (ctx.accounts.empty() || ctx.queue.empty()) return {};
 
   // Replay the select walk to find the best-ranked job each kind
   // blocks on, with the capacity higher-ranked launches would consume

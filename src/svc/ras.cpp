@@ -1,6 +1,9 @@
 #include "svc/ras.hpp"
 
 namespace bg::svc {
+namespace {
+constexpr sim::Cycle kLinkWindowCycles = 2'000'000;  // link-sick window
+}  // namespace
 
 RasAggregator::RasAggregator(RasAggregatorConfig cfg) : cfg_(cfg) {}
 
@@ -63,7 +66,7 @@ void RasAggregator::noteLinkWarn(Source& src, const kernel::RasEvent& e) {
   if (cfg_.linkSickThreshold == 0) return;
   src.linkWarnCycles.push_back(e.cycle);
   const sim::Cycle floor =
-      e.cycle >= cfg_.linkWindowCycles ? e.cycle - cfg_.linkWindowCycles : 0;
+      e.cycle >= kLinkWindowCycles ? e.cycle - kLinkWindowCycles : 0;
   while (!src.linkWarnCycles.empty() && src.linkWarnCycles.front() <= floor) {
     src.linkWarnCycles.pop_front();
   }

@@ -48,11 +48,10 @@ struct RasAggregatorConfig {
   sim::Cycle warnWindowCycles = 2'000'000;
   std::uint32_t warnDrainThreshold = 0;
   /// Link-health predictor: a node logging >= linkSickThreshold
-  /// kLinkDegraded events (CRC retry storms) within linkWindowCycles
+  /// kLinkDegraded events (CRC retry storms) within a 2M-cycle window
   /// is declared link-sick; a kLinkDead event declares it sick
   /// immediately. 0 disables the degraded-window watch (kLinkDead
   /// still fires the handler when one is set).
-  sim::Cycle linkWindowCycles = 2'000'000;
   std::uint32_t linkSickThreshold = 0;
 };
 

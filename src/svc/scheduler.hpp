@@ -119,18 +119,13 @@ class BackfillPolicy final : public SchedulerPolicy {
 /// Multi-tenant fair-share: strict QOS bands, hierarchical fair-share
 /// order within a band (SLURM-style decayed-usage priority via
 /// SchedContext::accounts), per-account maxRunning/maxNodes enforced at
-/// select time, and optional preemption of lower-QOS running work when
-/// a higher-QOS job is starved of nodes.
+/// select time, and preemption of lower-QOS running work when a
+/// higher-QOS job is starved of nodes.
 class FairSharePolicy final : public SchedulerPolicy {
  public:
-  explicit FairSharePolicy(bool preemption = true)
-      : preemption_(preemption) {}
   const char* name() const override { return "fairshare"; }
   std::vector<std::size_t> select(const SchedContext& ctx) override;
   std::vector<JobId> selectPreemptions(const SchedContext& ctx) override;
-
- private:
-  bool preemption_;
 };
 
 enum class SchedPolicyKind : std::uint8_t { kFifo, kBackfill, kFairShare };

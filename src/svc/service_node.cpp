@@ -9,6 +9,16 @@ namespace bg::svc {
 
 using enum SvcCounter;
 
+namespace {
+// Grace period a draining node waits before it is scrubbed and
+// returned to service (lets in-flight events for killed threads land
+// while the kernel still owns them).
+constexpr sim::Cycle kDrainCycles = 200'000;
+// Repair time for a node lost to a fatal RAS event, after which it is
+// reset and rebooted.
+constexpr sim::Cycle kRepairCycles = 2'000'000;
+}  // namespace
+
 ServiceNode::ServiceNode(rt::Cluster& cluster, ServiceNodeConfig cfg,
                          CheckpointStore* store)
     : cluster_(cluster),
@@ -22,9 +32,7 @@ ServiceNode::ServiceNode(rt::Cluster& cluster, ServiceNodeConfig cfg,
       }()),
       ras_(cfg.ras),
       accounting_(cfg.fairshare),
-      policy_(cfg.policy == SchedPolicyKind::kFairShare
-                  ? std::make_unique<FairSharePolicy>(cfg.fairshare.preemption)
-                  : makePolicy(cfg.policy)),
+      policy_(makePolicy(cfg.policy)),
       store_(store),
       alive_(std::make_shared<bool>(true)),
       nodeOps_(static_cast<std::size_t>(parts_.size())),
@@ -132,7 +140,7 @@ void ServiceNode::bootNode(int n) {
 }
 
 void ServiceNode::schedulePump() {
-  schedulePumpAt(engine().now() + cfg_.pollIntervalCycles);
+  schedulePumpAt(engine().now() + kPollIntervalCycles);
 }
 
 void ServiceNode::schedulePumpAt(sim::Cycle due) {
@@ -606,7 +614,7 @@ void ServiceNode::drainHeldNodes(JobRecord& jr, sim::Cycle now,
     if (parts_.state(h) != NodeLifecycle::kRunning) continue;
     killUserThreadsOn(h);
     parts_.beginDrain(h, now);
-    scheduleDrainDone(h, now + cfg_.drainCycles);
+    scheduleDrainDone(h, now + kDrainCycles);
   }
 }
 
@@ -668,7 +676,7 @@ void ServiceNode::onNodeFatal(int node, const kernel::RasEvent& e) {
     ++counters_[kNodesRetired];
     note("node_retired", 0, now, {node});
   } else {
-    scheduleRepairDone(node, now + cfg_.repairCycles);
+    scheduleRepairDone(node, now + kRepairCycles);
   }
 
   if (victim == 0) return;
@@ -705,7 +713,7 @@ void ServiceNode::onWarnStorm(int node, sim::Cycle cycle) {
     requeueOrFail(*jr, now);
   } else {
     parts_.beginDrain(node, now);
-    scheduleDrainDone(node, now + cfg_.drainCycles);
+    scheduleDrainDone(node, now + kDrainCycles);
   }
 }
 
@@ -739,7 +747,7 @@ void ServiceNode::onIoNodeDead(int node, const kernel::RasEvent& e) {
   ++counters_[kIoReboots];
   ioRepairPending_[static_cast<std::size_t>(ioIdx)] = 1;
   note("io_dead", 0, now, {node});
-  const sim::Cycle due = now + cfg_.repairCycles;
+  const sim::Cycle due = now + kRepairCycles;
   engine().scheduleAt(due, guarded([this, ioIdx] { repairIoNode(ioIdx); }));
 
   std::vector<JobId> victims;
@@ -1064,8 +1072,8 @@ bool ServiceNode::loadFrom(sim::ByteReader& r, CheckpointStore& store) {
     if (due < now) {
       const sim::Cycle behind = now - due;
       const sim::Cycle k =
-          (behind + cfg_.pollIntervalCycles - 1) / cfg_.pollIntervalCycles;
-      due += k * cfg_.pollIntervalCycles;
+          (behind + kPollIntervalCycles - 1) / kPollIntervalCycles;
+      due += k * kPollIntervalCycles;
     }
     schedulePumpAt(due);
   } else {
@@ -1075,7 +1083,7 @@ bool ServiceNode::loadFrom(sim::ByteReader& r, CheckpointStore& store) {
 }
 
 void ServiceNode::watchOrphanBoot(int node) {
-  engine().schedule(cfg_.pollIntervalCycles, guarded([this, node] {
+  engine().schedule(kPollIntervalCycles, guarded([this, node] {
     if (parts_.state(node) != NodeLifecycle::kBooting) return;
     if (!cluster_.kernelOn(node).booted()) {
       watchOrphanBoot(node);

@@ -49,18 +49,12 @@ namespace bg::svc {
 
 class CheckpointStore;
 
+/// Control-loop cadence: RAS polling, completion checks, and
+/// scheduling rounds happen every this many cycles.
+inline constexpr sim::Cycle kPollIntervalCycles = 50'000;
+
 struct ServiceNodeConfig {
   SchedPolicyKind policy = SchedPolicyKind::kBackfill;
-  /// Control-loop cadence: RAS polling, completion checks, and
-  /// scheduling rounds happen every this many cycles.
-  sim::Cycle pollIntervalCycles = 50'000;
-  /// Grace period a draining node waits before it is scrubbed and
-  /// returned to service (lets in-flight events for killed threads
-  /// land while the kernel still owns them).
-  sim::Cycle drainCycles = 200'000;
-  /// Repair time for a node lost to a fatal RAS event, after which it
-  /// is reset and rebooted.
-  sim::Cycle repairCycles = 2'000'000;
   /// Checkpoint cadence when a CheckpointStore is attached: 1 writes
   /// through after every state-mutating event (crash-transparent
   /// restart); N > 1 checkpoints every Nth control-loop pump only

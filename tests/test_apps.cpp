@@ -87,7 +87,7 @@ TEST(LinpackApp, ReportsOneTotalPerRank) {
   ASSERT_TRUE(cluster.run());
   ASSERT_EQ(s0.size(), 1u);
   ASSERT_EQ(s1.size(), 1u);
-  EXPECT_GT(s0[0], 6u * lp.computePerPhase);
+  EXPECT_GT(s0[0], 6u * apps::kLinpackComputePerPhase);
 }
 
 TEST(AllreduceApp, SamplesPerIterationAndConsistentResults) {
@@ -171,7 +171,7 @@ TEST(UmtApp, DlopenThreadsAndOutputFile) {
   ASSERT_EQ(s.size(), 3u);
   EXPECT_GT(s[0], 0u);                      // dlopen phase took time
   EXPECT_GT(s[1], up.computeCycles);        // compute phase ran
-  EXPECT_EQ(s[2], up.outputBytes);          // file written via fship
+  EXPECT_EQ(s[2], apps::kUmtOutputBytes);   // file written via fship
   EXPECT_TRUE(cluster.ioRootFs(0).exists("/tmp/umt.out"));
   // Both libraries got loaded.
   kernel::Process* p = cluster.processOfRank(0);

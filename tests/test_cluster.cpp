@@ -456,7 +456,7 @@ TEST(Cluster, SyscallAbiSameOnBothKernels) {
     EXPECT_EQ(cluster.consoleOf(0), wantConsole);
     if (kind == rt::KernelKind::kFwk) {
       // FWK handler costs, each plus a 1-cycle timebase read and the
-      // 4-cycle trap: syscallBaseCost 260, +350 + len/16 for the
+      // 4-cycle trap: base syscall cost 260, +350 + len/16 for the
       // console, +80 for a futex value mismatch, the rest VFS latency.
       EXPECT_EQ(cycles, (std::vector<std::uint64_t>{
                             1965, 1965, 415,         // mkdir x2, chdir

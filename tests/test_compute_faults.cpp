@@ -1,8 +1,8 @@
 // Compute-node fault plane, end to end (paper §III, §V):
 //
-//   hardware  — seeded ECC/parity/hang injection (hw::MemFaultModel)
-//               with the zero-RNG-when-clean contract the link-fault
-//               model established;
+//   hardware  — seeded ECC/parity injection (hw::MemFaultModel) with
+//               the zero-RNG-when-clean contract the link-fault model
+//               established, and scheduled core hangs (Core::hang());
 //   kernel    — machine-check handlers that scrub correctables (kWarn
 //               RAS), and on an uncorrectable error panic cleanly:
 //               fatal RAS, lightweight coredump function-shipped to

@@ -758,7 +758,7 @@ struct QuotaRig {
                s.checkpointEveryPumps = 0;
                return s;
              }()),
-        net(cluster.engine(), hw::CollectiveConfig{}),
+        net(cluster.engine()),
         door(cluster.engine(), host, net, fcfg) {
     host.store().registerImage(fdWorkImage());
     host.start();
@@ -869,7 +869,7 @@ TEST(FdFairShare, SwarmMapsClientsToQosTiersDeterministically) {
     svc::ServiceHost host(cluster, scfg);
     host.store().registerImage(fdWorkImage());
 
-    hw::CollectiveNet fdnet(cluster.engine(), hw::CollectiveConfig{});
+    hw::CollectiveNet fdnet(cluster.engine());
     fd::FrontDoorConfig fcfg;
     // Identity plumbing: wire clientId -> account (QOS tier).
     fcfg.accountOf = [](std::uint32_t cid) {

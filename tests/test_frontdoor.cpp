@@ -154,7 +154,7 @@ struct DirectRig {
           s.checkpointEveryPumps = 0;
           return s;
         }()),
-        net(cluster.engine(), hw::CollectiveConfig{}),
+        net(cluster.engine()),
         door(cluster.engine(), host, net, fcfg) {
     host.store().registerImage(fdWorkImage());
     door.attach();
@@ -299,7 +299,7 @@ ScenResult runScenario(const ScenOpts& o) {
   svc::ServiceHost host(cluster, scfg);
   host.store().registerImage(fdWorkImage());
 
-  hw::CollectiveNet fdnet(cluster.engine(), hw::CollectiveConfig{});
+  hw::CollectiveNet fdnet(cluster.engine());
   hw::LinkFaultModel faults(o.seed, "fd.link");
   hw::LinkFaultRates rates;
   rates.dropRate = o.dropRate;
@@ -547,7 +547,7 @@ TEST(Frontdoor, IdleFrontDoorIsScheduleNeutral) {
     svc::ServiceHost host(cluster, svc::ServiceNodeConfig{});
     host.store().registerImage(fdWorkImage());
 
-    hw::CollectiveNet fdnet(cluster.engine(), hw::CollectiveConfig{});
+    hw::CollectiveNet fdnet(cluster.engine());
     std::unique_ptr<fd::FrontDoor> door;
     if (withDoor) {
       door = std::make_unique<fd::FrontDoor>(cluster.engine(), host, fdnet,

@@ -147,7 +147,7 @@ TEST(Protocol, ReplyChecksumCatchesEverySingleByteFlip) {
 struct RunOpts {
   hw::LinkFaultRates faults;     // collective-network default rates
   int spareIoNodes = 0;
-  sim::Cycle crashCiodAt = 0;    // 0 = never
+  sim::Cycle crashCiodAt = 0;    // cycles after job load; 0 = never
   bool watchAndFailover = false; // play service node on storm
   sim::Cycle requestTimeout = 300'000;
   sim::Cycle maxTimeout = 2'400'000;
@@ -221,16 +221,26 @@ IoRun runIoCluster(const RunOpts& o) {
     }
     eng.schedule(20'000, watchStorm);
   };
+  const sim::Cycle start = eng.now();
+  sim::Cycle crashedAt = 0;
   if (o.crashCiodAt != 0) {
-    eng.scheduleAt(o.crashCiodAt, [&cluster] { cluster.ciod(0).crash(); });
+    eng.scheduleAt(start + o.crashCiodAt, [&cluster, &eng, &crashedAt] {
+      crashedAt = eng.now();
+      cluster.ciod(0).crash();
+    });
     if (o.watchAndFailover) {
-      eng.scheduleAt(o.crashCiodAt + 20'000, watchStorm);
+      eng.scheduleAt(start + o.crashCiodAt + 20'000, watchStorm);
     }
   }
 
-  const sim::Cycle start = eng.now();
   if (!cluster.loadJob(job) || !cluster.run(8'000'000'000ULL)) return r;
   r.elapsed = eng.now() - start;
+  if (o.crashCiodAt != 0) {
+    // The crash must land mid-run: after the job loaded, before it
+    // finished.
+    EXPECT_GT(crashedAt, start) << "CIOD crash fired before the job loaded";
+    EXPECT_LT(crashedAt, eng.now()) << "CIOD crash never fired mid-run";
+  }
   r.fship = cluster.fshipTotals();
   r.ciod = cluster.ciodTotals();
   r.link = cluster.machine().collectiveFaults().stats();
@@ -433,6 +443,65 @@ TEST(FshipFaults, LostRepliesBecomeEioPlusRasWhenNoSpareExists) {
       << "give-up must raise kIoTimeout RAS for the service node";
   EXPECT_GT(run.rasIoDead, 0u) << "storm must declare the I/O node dead";
   EXPECT_EQ(run.pendingOps, 0u) << "threads left blocked forever";
+}
+
+// --- channel queueing ----------------------------------------------------
+
+// Kernel-internal chains share pid 0's (pid, tid) channel: a second op
+// shipped while the first is still out waits behind it, and both
+// complete in shipping order.
+TEST(FshipChannel, SecondOpOnBusyChannelCompletesAfterTheFirst) {
+  rt::ClusterConfig cfg;
+  rt::Cluster cluster(cfg);
+  ASSERT_TRUE(cluster.bootAll());
+  cnk::FshipClient& f = cluster.cnkOn(0)->fship();
+
+  std::vector<std::int64_t> results;  // in completion order
+  auto record = [&results](io::FsReply&& rep) {
+    results.push_back(rep.result);
+  };
+  f.shipRaw(io::FsOp::kMkdir, 0, 0, 0, 0, 0, "/tmp/q", {}, record);
+  f.shipRaw(io::FsOp::kMkdir, 0, 0, 0, 0, 0, "/tmp/q", {}, record);
+  EXPECT_EQ(f.pendingCount(), 2u);
+  cluster.engine().run();
+
+  // The first mkdir creates the directory; the second finds it there.
+  ASSERT_EQ(results.size(), 2u) << "an op on a busy channel was lost";
+  EXPECT_EQ(results[0], 0);
+  EXPECT_EQ(results[1], -kernel::kEEXIST);
+  EXPECT_TRUE(cluster.ioRootFs(0).exists("/tmp/q"));
+  EXPECT_EQ(f.pendingCount(), 0u);
+  EXPECT_EQ(f.stats().retransmits, 0u);
+}
+
+// A failover's restore for pid 0 lands on pid 0's channel while an op
+// is out there: the restore goes first, the displaced op completes on
+// the spare after it, and the channel keeps working.
+TEST(FshipChannel, RestoreOnBusyChannelRunsFirstAndKeepsTheChannel) {
+  rt::ClusterConfig cfg;
+  cfg.spareIoNodes = 1;
+  rt::Cluster cluster(cfg);
+  ASSERT_TRUE(cluster.bootAll());
+  cnk::FshipClient& f = cluster.cnkOn(0)->fship();
+
+  std::vector<std::int64_t> results;
+  auto record = [&results](io::FsReply&& rep) {
+    results.push_back(rep.result);
+  };
+  f.shipRaw(io::FsOp::kMkdir, 0, 0, 0, 0, 0, "/tmp/r", {}, record);
+  // The CIOD dies before the request reaches it.
+  ASSERT_GE(cluster.failoverIoNode(0), 0);
+  cluster.engine().run();
+  ASSERT_EQ(results.size(), 1u) << "the displaced op never completed";
+  EXPECT_EQ(results[0], 0);
+  EXPECT_EQ(f.stats().restoresSent, 1u);
+  EXPECT_EQ(cluster.ciodTotals().restores, 1u);
+
+  f.shipRaw(io::FsOp::kMkdir, 0, 0, 0, 0, 0, "/tmp/r", {}, record);
+  cluster.engine().run();
+  ASSERT_EQ(results.size(), 2u) << "pid 0's channel stayed parked";
+  EXPECT_EQ(results[1], -kernel::kEEXIST);
+  EXPECT_EQ(f.pendingCount(), 0u);
 }
 
 // --- slow lane: multi-seed sweep ----------------------------------------

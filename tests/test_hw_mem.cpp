@@ -508,14 +508,12 @@ TEST(SharedCache, XorFoldSpreadsPowerOfTwoStrides) {
 
 TEST(Ddr, RefreshAddsDeterministicStall) {
   Ddr d;
-  const auto& cfg = d.config();
   // At the start of a refresh window the full duration stalls.
-  EXPECT_EQ(d.accessLatency(0), cfg.accessLatency + cfg.refreshDuration);
+  EXPECT_EQ(d.accessLatency(0), kDdrAccessLatency + kDdrRefreshDuration);
   // Past the window, no stall.
-  EXPECT_EQ(d.accessLatency(cfg.refreshDuration), cfg.accessLatency);
+  EXPECT_EQ(d.accessLatency(kDdrRefreshDuration), kDdrAccessLatency);
   // Phase repeats every interval.
-  EXPECT_EQ(d.accessLatency(cfg.refreshInterval),
-            d.accessLatency(0));
+  EXPECT_EQ(d.accessLatency(kDdrRefreshInterval), d.accessLatency(0));
 }
 
 }  // namespace

@@ -13,8 +13,7 @@ namespace {
 
 TEST(Collective, DeliversPacketAfterLatency) {
   sim::Engine eng;
-  CollectiveConfig cfg;
-  CollectiveNet net(eng, cfg);
+  CollectiveNet net(eng);
   bool got = false;
   sim::Cycle at = 0;
   net.setHandler(5, [&](CollPacket&& p) {
@@ -36,7 +35,7 @@ TEST(Collective, DeliversPacketAfterLatency) {
 
 TEST(Collective, UplinkSerializesBackToBackSends) {
   sim::Engine eng;
-  CollectiveNet net(eng, {});
+  CollectiveNet net(eng);
   std::vector<sim::Cycle> arrivals;
   net.setHandler(2, [&](CollPacket&&) { arrivals.push_back(eng.now()); });
   for (int i = 0; i < 2; ++i) {
@@ -53,7 +52,7 @@ TEST(Collective, UplinkSerializesBackToBackSends) {
 
 TEST(Collective, ReductionSumsContributionsFromAll) {
   sim::Engine eng;
-  CollectiveNet net(eng, {});
+  CollectiveNet net(eng);
   std::vector<double> r0, r1;
   net.contribute(9, 0, {1.5, 2.0}, 2,
                  [&](const std::vector<double>& v) { r0 = v; });
@@ -69,7 +68,7 @@ TEST(Collective, ReductionSumsContributionsFromAll) {
 
 TEST(Collective, ReductionCompletesRelativeToLastArrival) {
   sim::Engine eng;
-  CollectiveNet net(eng, {});
+  CollectiveNet net(eng);
   sim::Cycle done = 0;
   net.contribute(9, 0, {1.0}, 2, [&](const auto&) {});
   eng.runUntil(500'000);  // rank 1 is late (noise on its node)
@@ -176,7 +175,7 @@ TEST_F(TorusFixture, LocalLoopbackPutWorks) {
 
 TEST(BarrierNet, ReleasesAllAtSameCycleAfterLast) {
   sim::Engine eng;
-  BarrierNet bar(eng, {});
+  BarrierNet bar(eng);
   bar.configureGroup(1, 3);
   std::vector<sim::Cycle> released(3, 0);
   bar.arrive(1, 0, [&] { released[0] = eng.now(); });
@@ -187,13 +186,13 @@ TEST(BarrierNet, ReleasesAllAtSameCycleAfterLast) {
   eng.run();
   EXPECT_EQ(released[0], released[1]);
   EXPECT_EQ(released[1], released[2]);
-  EXPECT_EQ(released[2], 900u + BarrierConfig{}.latency);
+  EXPECT_EQ(released[2], 900u + kBarrierLatency);
   EXPECT_EQ(bar.barriersCompleted(), 1u);
 }
 
 TEST(BarrierNet, ReusableForConsecutiveBarriers) {
   sim::Engine eng;
-  BarrierNet bar(eng, {});
+  BarrierNet bar(eng);
   bar.configureGroup(1, 2);
   int releases = 0;
   for (int round = 0; round < 3; ++round) {
@@ -207,13 +206,13 @@ TEST(BarrierNet, ReusableForConsecutiveBarriers) {
 
 TEST(BarrierNet, ResetClearsUnlessPersistent) {
   sim::Engine eng;
-  BarrierNet volatileBar(eng, {});
+  BarrierNet volatileBar(eng);
   volatileBar.configureGroup(1, 2);
   const std::uint64_t configured = volatileBar.stateHash();
   volatileBar.resetArbiters();
   EXPECT_NE(volatileBar.stateHash(), configured);  // group state dropped
 
-  BarrierNet persistentBar(eng, {});
+  BarrierNet persistentBar(eng);
   persistentBar.configureGroup(1, 2);
   persistentBar.setPersistentAcrossReset(true);
   const std::uint64_t before = persistentBar.stateHash();

@@ -294,7 +294,9 @@ TEST(MigrationSvc, BlownMigrateDeadlineLeavesJobRunningDegraded) {
 
 TEST(MigrationSvc, FailedMigrateCommitLeavesJobRunningDegraded) {
   // The window opens at the link death; the CIOD dies 60k cycles into
-  // it, so the image ship fails and the pset fails over to the spare.
+  // it, so the image write is lost and the watchdog fails it with EIO,
+  // which fails the commit. The pset then fails over to the spare: the
+  // restore for pid 0 goes first and the parked close runs after it.
   const MigRun r = runLinkDeathJob({.ciodCrashDelay = 60'000});
   ASSERT_TRUE(r.drained);
   EXPECT_EQ(r.migrateReqNotes, 1);
@@ -310,7 +312,7 @@ TEST(MigrationSvc, FailedMigrateCommitLeavesJobRunningDegraded) {
   EXPECT_EQ(r.attempts, 1);
   ASSERT_EQ(r.samples.size(), 1u);
   EXPECT_EQ(r.samples[0], 600u * 5);
-  EXPECT_EQ(r.hash, 0x5669ac647d159f25ULL);
+  EXPECT_EQ(r.hash, 0x1175db12a1650035ULL);
   EXPECT_EQ(r.counters,
             (std::vector<std::uint64_t>{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                                         1, 0, 1, 0, 1, 0}));

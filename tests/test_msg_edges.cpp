@@ -85,7 +85,7 @@ TEST(MsgEdges, PutToSelfRankWorks) {
 
 TEST(MsgEdges, ConcurrentReductionsOnDistinctGroupsDoNotMix) {
   sim::Engine eng;
-  hw::CollectiveNet net(eng, {});
+  hw::CollectiveNet net(eng);
   std::vector<double> ra, rb;
   // Interleave the arrivals of two independent reductions.
   net.contribute(1, 0, {1.0}, 2, [&](const auto& v) { ra = v; });
@@ -101,7 +101,7 @@ TEST(MsgEdges, ConcurrentReductionsOnDistinctGroupsDoNotMix) {
 
 TEST(MsgEdges, BarrierGroupsAreIndependent) {
   sim::Engine eng;
-  hw::BarrierNet bar(eng, {});
+  hw::BarrierNet bar(eng);
   bar.configureGroup(1, 2);
   bar.configureGroup(2, 3);
   int g1 = 0, g2 = 0;

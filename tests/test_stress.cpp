@@ -84,11 +84,11 @@ TEST_P(CacheSweep, SteadyStateHitsAndStatsConsistency) {
   // Working set half the cache: second pass must hit everywhere.
   const std::uint64_t setBytes = cfg.sizeBytes / 2;
   sim::Cycle now = 0;
-  for (hw::PAddr a = 0; a < setBytes; a += cfg.lineBytes) {
+  for (hw::PAddr a = 0; a < setBytes; a += hw::kL3LineBytes) {
     c.access(a, now += 10);
   }
   const std::uint64_t missesAfterFill = c.stats().misses;
-  for (hw::PAddr a = 0; a < setBytes; a += cfg.lineBytes) {
+  for (hw::PAddr a = 0; a < setBytes; a += hw::kL3LineBytes) {
     c.access(a, now += 10);
   }
   if (p.steadyStateHits) {
@@ -97,7 +97,7 @@ TEST_P(CacheSweep, SteadyStateHitsAndStatsConsistency) {
     // Capacity/conflict geometries: misses continue, but never exceed
     // the access count (sanity) and the first pass missed everything.
     EXPECT_GE(c.stats().misses, missesAfterFill);
-    EXPECT_EQ(missesAfterFill, setBytes / cfg.lineBytes);
+    EXPECT_EQ(missesAfterFill, setBytes / hw::kL3LineBytes);
   }
   EXPECT_EQ(c.stats().accesses, c.stats().hits + c.stats().misses);
   // Every access landed in a valid bank.

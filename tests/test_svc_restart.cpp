@@ -141,7 +141,7 @@ TEST(SvcRestart, TwoCrashesHashEqualToUninterruptedRun) {
   // must continue the identical schedule.
   ASSERT_GE(decisionCycles(base).size(), 2u);
   const auto [g1, g2] = widestGaps(base);
-  const sim::Cycle interval = svc::ServiceNodeConfig{}.pollIntervalCycles;
+  const sim::Cycle interval = svc::kPollIntervalCycles;
   ASSERT_GT(g1.len, 6 * interval) << "stream has no quiet window";
   ASSERT_GT(g2.len, 6 * interval) << "stream has no second quiet window";
 
@@ -459,7 +459,7 @@ TEST(SvcJournal, CorruptedLastRecordRestartsWarmFromTheRecordBefore) {
   const RunResult base = runStream(42, 10, {}, {}, 10);
   ASSERT_TRUE(base.drained);
   const Gap g = widestGaps(base).first;
-  const sim::Cycle interval = svc::ServiceNodeConfig{}.pollIntervalCycles;
+  const sim::Cycle interval = svc::kPollIntervalCycles;
   ASSERT_GT(g.len, 6 * interval);
 
   rt::ClusterConfig cfg;

@@ -170,7 +170,6 @@ TEST(TorusRouting, DeliveryLatencyDecomposesIntoHopsAndSerialization) {
     auto machine = makeMachine(s);
     TorusNet& t = machine->torus();
     const int total = s.dims[0] * s.dims[1] * s.dims[2];
-    const TorusConfig& tc = t.config();
     // Every reachable pair off node 0, one idle-network packet each.
     for (int dst = 1; dst < total; ++dst) {
       const int hops = t.hops(0, dst);
@@ -188,10 +187,10 @@ TEST(TorusRouting, DeliveryLatencyDecomposesIntoHopsAndSerialization) {
       machine->engine().run();
       ASSERT_GT(deliveredAt, sentAt) << "seed " << seed << " dst " << dst;
       const sim::Cycle ser = static_cast<sim::Cycle>(
-          64.0 / tc.bytesPerCycle);
+          64.0 / kTorusBytesPerCycle);
       EXPECT_EQ(deliveredAt - sentAt,
-                ser + tc.hopLatency * static_cast<sim::Cycle>(hops) +
-                    tc.dmaRecvCost)
+                ser + kTorusHopLatency * static_cast<sim::Cycle>(hops) +
+                    kTorusDmaRecvCost)
           << "seed " << seed << " dst " << dst << " hops " << hops;
     }
     // Hard link faults are pure state: no RNG was drawn anywhere.
@@ -273,7 +272,6 @@ TEST(TorusRouting, DegradedLinkChargesCrcRetryRoundsPerTraversal) {
   mc.computeNodes = 4;
   Machine machine(mc);
   TorusNet& t = machine.torus();
-  const TorusConfig& tc = t.config();
   ASSERT_TRUE(t.degradeLink(0, 0, /*positive=*/true, /*retries=*/3));
 
   sim::Cycle deliveredAt = 0;
@@ -289,10 +287,10 @@ TEST(TorusRouting, DegradedLinkChargesCrcRetryRoundsPerTraversal) {
   machine.engine().run();
   ASSERT_GT(deliveredAt, sentAt);
   const sim::Cycle ser =
-      static_cast<sim::Cycle>(64.0 / tc.bytesPerCycle);
-  const sim::Cycle perRound = ser + 2 * tc.hopLatency;
+      static_cast<sim::Cycle>(64.0 / kTorusBytesPerCycle);
+  const sim::Cycle perRound = ser + 2 * kTorusHopLatency;
   EXPECT_EQ(deliveredAt - sentAt,
-            ser + tc.hopLatency + tc.dmaRecvCost + 3 * perRound);
+            ser + kTorusHopLatency + kTorusDmaRecvCost + 3 * perRound);
   EXPECT_EQ(machine.torusFaults().stats().crcRetries, 3u);
 
   // Healing the link removes the penalty.
@@ -305,7 +303,7 @@ TEST(TorusRouting, DegradedLinkChargesCrcRetryRoundsPerTraversal) {
   q.payload.resize(64);
   t.sendPacket(std::move(q));
   machine.engine().run();
-  EXPECT_EQ(deliveredAt - sentAt2, ser + tc.hopLatency + tc.dmaRecvCost);
+  EXPECT_EQ(deliveredAt - sentAt2, ser + kTorusHopLatency + kTorusDmaRecvCost);
   EXPECT_EQ(machine.torusFaults().stats().crcRetries, 3u);
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Report header-declared functions that nothing calls.
+"""Report header-declared functions that nothing calls, and option
+fields that nothing sets.
 
-Scans every `src/**/*.hpp` for member and free function declarations,
+Functions: scans every `src/**/*.hpp` for member and free function
+declarations,
 then looks for a use of each name anywhere in `src/`, `tests/`,
 `bench/` and `examples/` (.hpp and .cpp). A use is a call (`fn(`,
 `fn<T>(`), an address taken (`&fn`, `&Cls::fn`) or a `using`
@@ -13,10 +15,20 @@ code but does not report live code, except for the allowlisted
 patterns below that the regexes misread (a function passed by bare
 name as a callback would be one).
 
+Options: scans every struct in `src/**/*.hpp` whose name ends in
+`Config`, `Rates` or `Params` for its data members, then looks in the
+same four directories for an assignment to each name: `.f = v`, a
+compound `.f += v`, a nested `.f.x = v`, or `.f.assign(` /
+`.f.push_back(` (which also covers `.f.x.assign(`). A designated
+initializer `{.f = v}` counts. A field no file sets holds its default
+on every run, so it belongs in a named constant instead. Names are
+matched without their struct, as for functions.
+
 Usage:  python3 tools/uncalled_api.py
 
-Prints every uncalled name, allowlisted ones with their reason, and
-exits 1 when a name outside the allowlist has no use, 0 otherwise.
+Prints every uncalled function and unset field, allowlisted functions
+with their reason, and exits 1 when anything outside the allowlist is
+reported, 0 otherwise.
 """
 
 import pathlib
@@ -45,6 +57,12 @@ KEYWORDS = {
 }
 
 TOKEN = re.compile(r"[A-Za-z_]\w*|::|->|&&|\|\||\S")
+
+OPTION_STRUCT = re.compile(r"(Config|Rates|Params)$")
+ASSIGN_OPS = {"+", "-", "*", "/", "%", "&", "|", "^"}  # before a `=`
+CONTAINER_SETTERS = {"assign", "push_back"}
+NOT_FIELDS = {"using", "static", "friend", "enum", "struct", "class",
+              "template", "typedef"}
 
 
 def strip_code(text):
@@ -176,6 +194,97 @@ def is_use(toks, k):
     return not binary
 
 
+def declarator_end(stmt):
+    """Index of the first `=`, `{`, `(` or `[` outside template angle
+    brackets and parentheses in a member statement, or len(stmt)."""
+    angle = paren = 0
+    for i, (t, _) in enumerate(stmt):
+        if paren == 0 and t == "<":
+            angle += 1
+        elif paren == 0 and t == ">" and angle:
+            angle -= 1
+        elif paren == 0 and angle == 0 and t in ("=", "{", "(", "["):
+            return i
+        elif t == "(":
+            paren += 1
+        elif t == ")":
+            paren -= 1
+    return len(stmt)
+
+
+def option_fields(toks):
+    """(name, offset) of every data member of a struct whose name ends
+    in Config, Rates or Params. Nested types, `using`, static members
+    and member functions are skipped."""
+    fields = []
+    k = 0
+    while k + 2 < len(toks):
+        if not (toks[k][0] in ("struct", "class")
+                and OPTION_STRUCT.search(toks[k + 1][0])
+                and toks[k + 2][0] == "{"):
+            k += 1
+            continue
+        depth, k, stmt = 1, k + 3, []
+        while k < len(toks) and depth > 0:
+            t = toks[k][0]
+            depth += (t == "{") - (t == "}")
+            if depth == 1 and t == ";":
+                end = declarator_end(stmt)
+                skip = (end == 0 or stmt[0][0] in NOT_FIELDS
+                        or (end < len(stmt) and stmt[end][0] == "("))
+                if not skip and is_ident(stmt[end - 1][0]):
+                    fields.append(stmt[end - 1])
+                stmt = []
+            elif depth == 1 and t == "}":
+                # A closed brace initializer continues the statement; a
+                # closed function body ends it.
+                stmt.append(toks[k])
+                end = declarator_end(stmt)
+                if end < len(stmt) and stmt[end][0] == "(":
+                    stmt = []
+            elif depth == 1 and t == ":" and len(stmt) == 1:
+                stmt = []  # public: / private: / protected:
+            elif depth == 1 or (depth == 2 and t == "{"):
+                stmt.append(toks[k])
+            k += 1
+    return fields
+
+
+def assigned_names(toks):
+    """Names set through a member access: `.f = v`, `.f += v`,
+    `.f.x = v`, `.f.assign(` or `.f.push_back(`."""
+    names = set()
+    for k in range(1, len(toks) - 1):
+        if toks[k - 1][0] != "." or not is_ident(toks[k][0]):
+            continue
+        j, last = k + 1, toks[k][0]
+        while (j + 1 < len(toks) and toks[j][0] == "."
+               and is_ident(toks[j + 1][0])):
+            last = toks[j + 1][0]
+            j += 2
+        if j >= len(toks):
+            continue
+        t, off = toks[j]
+        nxt = toks[j + 1] if j + 1 < len(toks) else ("", -1)
+        glued = nxt[0] == "=" and nxt[1] == off + 1
+        if ((t == "=" and not glued) or (t in ASSIGN_OPS and glued)
+                or (t == "(" and j > k + 1 and last in CONTAINER_SETTERS)):
+            names.add(toks[k][0])
+    return names
+
+
+def unset_options(root, parsed):
+    """[(file, offset, name)] of option fields no scanned file sets,
+    and the number of option fields declared."""
+    declared = [(p, off, name) for p, toks in parsed.items()
+                if p.suffix == ".hpp" and p.is_relative_to(root / "src")
+                for name, off in option_fields(toks)]
+    assigned = set()
+    for toks in parsed.values():
+        assigned |= assigned_names(toks)
+    return [d for d in declared if d[2] not in assigned], len(declared)
+
+
 def main():
     root = pathlib.Path(__file__).resolve().parent.parent
 
@@ -218,10 +327,17 @@ def main():
     stale = sorted(set(ALLOWLIST) - {name for _, _, name in dead})
     for name in stale:
         print(f"allowlist entry {name} is used now; remove it")
-    if failed or stale:
+
+    unset, fields = unset_options(root, parsed)
+    for p, off, name in sorted(unset):
+        line = p.read_text().count("\n", 0, off) + 1
+        print(f"{p.relative_to(root)}:{line}: option field {name} is "
+              f"never set; make it a named constant")
+    if failed or stale or unset:
         return 1
     print(f"uncalled_api: {len(declared)} header-declared names, "
-          f"none uncalled outside the allowlist")
+          f"none uncalled outside the allowlist; {fields} option "
+          f"fields, every one set somewhere")
     return 0
 
 
